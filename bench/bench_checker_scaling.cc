@@ -5,20 +5,28 @@
  * full-mesh sizes. The CDG oracle walks channel dependencies; the MM
  * checker iterates a release fixpoint over reachable routing states —
  * this bench quantifies what the exactness of MM costs (and verifies
- * the two verdicts agree at every size).
+ * the two verdicts agree at every size). A last row times the Section-2
+ * enumerate-then-verify flow: every one of the 65,536 turn-removal
+ * combinations of a 4x4 mesh with 2 VCs per dimension, checked by the
+ * turn-level Dally oracle.
  *
  * Machine-readable output: the JSON summary is printed to stdout and,
  * when EBDA_CHECKER_BENCH_JSON is set, written to that path (same
- * convention as bench_route_compute's BENCH_sim.json feed).
+ * convention as bench_route_compute's BENCH_sim.json feed). Exits
+ * non-zero when the checkers disagree, a relation is not deadlock-free,
+ * or the enumeration counts drift from 65,536 / 68 / 68 / 68.
  */
 
 #include "common.hh"
 
 #include <chrono>
+#include <cstdlib>
 #include <sstream>
+#include <thread>
 
 #include "cdg/mm_check.hh"
 #include "cdg/relation_cdg.hh"
+#include "cdg/turn_model_enum.hh"
 #include "sweep/router_factory.hh"
 #include "topo/network.hh"
 #include "util/table.hh"
@@ -63,6 +71,11 @@ secondsOf(const std::function<void()> &fn)
         .count();
 }
 
+/** Pinned outcome of the 4x4 2-VC turn-model space (EXPERIMENTS.md). */
+constexpr std::size_t kTurnCombinations = 65536;
+constexpr std::size_t kTurnDeadlockFree = 68;
+
+/** Print the tables and the JSON summary; exit 1 when a gate failed. */
 void
 reproduce()
 {
@@ -114,9 +127,39 @@ reproduce()
              << ",\"agree\":" << (agree ? "true" : "false") << "}";
         first = false;
     }
-    json << "],\"pass\":" << (pass ? "true" : "false") << "}";
+    json << "]";
+
+    const auto turnNet = topo::Network::mesh({4, 4}, {2, 2});
+    cdg::TurnModelEnumResult turns;
+    const double enum_s =
+        secondsOf([&] { turns = cdg::enumerateTurnModels(turnNet); });
+    const bool turnsPinned = turns.combinations == kTurnCombinations
+        && turns.deadlockFree == kTurnDeadlockFree
+        && turns.connected == kTurnDeadlockFree
+        && turns.distinctDeadlockFreeSets == kTurnDeadlockFree;
+    pass = pass && turnsPinned;
+    json << ",\"turn_enum\":{\"network\":\"mesh 4x4 vc2\""
+         << ",\"combinations\":" << turns.combinations
+         << ",\"deadlock_free\":" << turns.deadlockFree
+         << ",\"connected\":" << turns.connected
+         << ",\"distinct_sets\":" << turns.distinctDeadlockFreeSets
+         << ",\"enum_ms\":" << enum_s * 1e3
+         << ",\"us_per_combination\":"
+         << (turns.combinations
+                 ? enum_s * 1e6 / static_cast<double>(turns.combinations)
+                 : 0.0)
+         << ",\"pinned\":" << (turnsPinned ? "true" : "false") << "}"
+         << ",\"hardware_threads\":"
+         << std::thread::hardware_concurrency()
+         << ",\"pass\":" << (pass ? "true" : "false") << "}";
 
     t.print(std::cout);
+    std::cout << "turn-model space, mesh 4x4 vc2: " << turns.combinations
+              << " combinations, " << turns.deadlockFree
+              << " deadlock-free, " << turns.connected << " connected, "
+              << turns.distinctDeadlockFreeSets << " distinct sets in "
+              << TextTable::num(enum_s * 1e3, 1) << " ms"
+              << (turnsPinned ? "" : "  UNEXPECTED COUNTS") << '\n';
     std::cout << "takeaway: MM examines per-destination routing states "
                  "where the CDG collapses them into channel edges; the "
                  "exact verdict costs a bounded constant factor, not an "
@@ -127,9 +170,11 @@ reproduce()
         std::ofstream out(path);
         out << json.str() << '\n';
     }
-    if (!pass)
-        std::cout << "UNEXPECTED checker disagreement or deadlock "
-                     "verdict above\n";
+    if (!pass) {
+        std::cout << "UNEXPECTED checker disagreement, deadlock verdict "
+                     "or turn-model count above\n";
+        std::exit(1);
+    }
 }
 
 void

@@ -8,10 +8,11 @@
  * This binary is also a correctness smoke test and exits non-zero when
  *  - any table lookup differs from the virtual relation on a reachable
  *    state (contents or order), or
- *  - the compiled-table query loop performs a single heap allocation
- *    (the whole point of the table is a zero-allocation steady state;
- *    a global operator new/delete hook below counts every allocation
- *    in the process).
+ *  - the compiled-table query loop, or the virtual-fallback query loop
+ *    (table disabled, scratch buffer warmed by one pass), performs a
+ *    single heap allocation. Both are steady-state route compute: the
+ *    fallback is what every over-budget fabric runs. A global operator
+ *    new/delete hook below counts every allocation in the process.
  *
  * Machine-readable output: the JSON summary is printed to stdout and,
  * when EBDA_ROUTE_BENCH_JSON is set, written to that path (CI uploads
@@ -38,8 +39,8 @@
 namespace {
 
 /** @name Global allocation hook
- *  Counts every operator new in the process; the table-path timing
- *  loop must leave it untouched.
+ *  Counts every operator new in the process; the table-path and
+ *  fallback-path timing loops must leave it untouched.
  *  @{ */
 std::uint64_t g_allocs = 0;
 
@@ -162,6 +163,7 @@ struct RelationRow
     double virtualNsPerCall = 0.0;
     double tableNsPerCall = 0.0;
     double speedup = 0.0;
+    std::uint64_t virtualAllocs = 0;
     std::uint64_t tableAllocs = 0;
     bool match = true;
 };
@@ -210,17 +212,30 @@ benchRelation(const topo::Network &net, const std::string &spec)
     // `sink` defeats dead-code elimination of the timed loops.
     std::uint64_t sink = 0;
 
+    // The virtual fallback as the simulator runs it: a disabled table
+    // filling one scratch buffer per query. One untimed pass grows the
+    // buffer and the relation's per-destination memo tables.
+    const routing::RouteTable fallback(*rel,
+                                       routing::RouteTable::Options{false});
+    std::vector<topo::ChannelId> fallbackScratch;
+    for (const State &s : states)
+        sink += fallback
+                    .candidatesView(s.in, s.at, s.src, s.dest,
+                                    fallbackScratch)
+                    .size();
     const std::size_t virtualReps =
         std::max<std::size_t>(1, 400'000 / states.size());
+    const std::uint64_t virtualAllocsBefore = g_allocs;
     const auto tv0 = Clock::now();
     for (std::size_t r = 0; r < virtualReps; ++r)
         for (const State &s : states) {
-            const auto cand =
-                rel->candidates(s.in, s.at, s.src, s.dest);
+            const auto cand = fallback.candidatesView(
+                s.in, s.at, s.src, s.dest, fallbackScratch);
             sink += cand.size();
         }
     row.virtualNsPerCall = secondsSince(tv0) * 1e9
         / static_cast<double>(virtualReps * states.size());
+    row.virtualAllocs = g_allocs - virtualAllocsBefore;
 
     const std::size_t tableReps =
         std::max<std::size_t>(1, 8'000'000 / states.size());
@@ -303,18 +318,20 @@ benchMain()
     bool pass = true;
     std::printf("route compute on mesh 8x8, 2 VCs/dim (%zu channels)\n",
                 static_cast<std::size_t>(net.numChannels()));
-    std::printf("%-10s %8s %10s %12s %12s %8s %7s\n", "router",
+    std::printf("%-10s %8s %10s %12s %12s %8s %7s %7s\n", "router",
                 "states", "bytes", "virtual", "table", "speedup",
-                "allocs");
+                "v-alloc", "t-alloc");
     for (const char *spec : specs) {
         rows.push_back(benchRelation(net, spec));
         const RelationRow &r = rows.back();
-        pass = pass && r.match && r.tableAllocs == 0;
+        pass = pass && r.match && r.tableAllocs == 0
+            && r.virtualAllocs == 0;
         std::printf(
-            "%-10s %8zu %10llu %9.1f ns %9.1f ns %7.1fx %7llu%s\n",
+            "%-10s %8zu %10llu %9.1f ns %9.1f ns %7.1fx %7llu %7llu%s\n",
             r.spec.c_str(), r.states,
             static_cast<unsigned long long>(r.tableBytes),
             r.virtualNsPerCall, r.tableNsPerCall, r.speedup,
+            static_cast<unsigned long long>(r.virtualAllocs),
             static_cast<unsigned long long>(r.tableAllocs),
             r.match ? "" : "  MISMATCH");
     }
@@ -341,6 +358,7 @@ benchMain()
              << ",\"virtual_ns_per_call\":" << r.virtualNsPerCall
              << ",\"table_ns_per_call\":" << r.tableNsPerCall
              << ",\"speedup\":" << r.speedup
+             << ",\"virtual_allocs\":" << r.virtualAllocs
              << ",\"table_allocs\":" << r.tableAllocs
              << ",\"match\":" << (r.match ? "true" : "false") << "}";
     }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_sim.json, the committed performance baseline.
 #
-# Four benches feed it, all built in a Release (-O3) tree:
+# Seven benches feed it, all built in a Release (-O3) tree. The first
+# four:
 #  - bench_route_compute: compiled-table vs virtual-dispatch route
 #    compute on the standard 8x8, 2-VC mesh plus one fixed
 #    latency-sweep point with the table on and off. Exits non-zero on
@@ -31,10 +32,16 @@
 # (enforced only with >= 4 hardware threads; the bit-identity check
 # between spec- and cost-ordered rows always runs).
 #
+# A seventh, bench_checker_scaling, times the verification side: Dally
+# vs Mendlovic–Matias wall-clock per verdict across mesh, torus,
+# dragonfly and full-mesh fabrics, plus the Section-2 turn-model space
+# (65,536 combinations on a 4x4 2-VC mesh). It exits non-zero when the
+# checkers disagree or the pinned enumeration counts drift.
+#
 # The route bench writes the top-level JSON; the cycle, sched,
-# protocol, shard, and sweep benches' summaries are merged in as the
-# `sim_loop`, `sched_mode`, `protocol`, `shard_scaling`, and
-# `sweep_engine` members.
+# protocol, shard, sweep, and checker benches' summaries are merged in
+# as the `sim_loop`, `sched_mode`, `protocol`, `shard_scaling`,
+# `sweep_engine`, and `checker` members.
 # Any bench failing aborts the script, so a stale or regressed
 # baseline can never be committed from a broken build.
 #
@@ -55,7 +62,8 @@ BUILD_DIR="${1:-build-perf}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target bench_route_compute bench_cycle_rate bench_sched_mode \
-    bench_protocol_deadlock bench_shard_scaling bench_sweep_engine
+    bench_protocol_deadlock bench_shard_scaling bench_sweep_engine \
+    bench_checker_scaling
 
 EBDA_ROUTE_BENCH_JSON="BENCH_sim.json" \
     "$BUILD_DIR/bench/bench_route_compute"
@@ -67,9 +75,10 @@ SCHED_MODE_JSON="$(mktemp)"
 PROTOCOL_JSON="$(mktemp)"
 SHARD_JSON="$(mktemp)"
 SWEEP_JSON="$(mktemp)"
+CHECKER_JSON="$(mktemp)"
 PREV_BASELINE="$(mktemp)"
 trap 'rm -f "$SIM_LOOP_JSON" "$SCHED_MODE_JSON" "$PROTOCOL_JSON" \
-    "$SHARD_JSON" "$SWEEP_JSON" "$PREV_BASELINE"' EXIT
+    "$SHARD_JSON" "$SWEEP_JSON" "$CHECKER_JSON" "$PREV_BASELINE"' EXIT
 if git show HEAD:BENCH_sim.json > "$PREV_BASELINE" 2>/dev/null; then
     export EBDA_SIM_BASELINE_JSON="$PREV_BASELINE"
 fi
@@ -100,14 +109,19 @@ EBDA_SHARD_BENCH_JSON="$SHARD_JSON" \
 EBDA_SWEEP_ENGINE_JSON="$SWEEP_JSON" \
     "$BUILD_DIR/bench/bench_sweep_engine"
 
+# Checkers: verdict wall-clock and the turn-model enumeration; the
+# google-benchmark timings are skipped, the JSON summary is what lands.
+EBDA_CHECKER_BENCH_JSON="$CHECKER_JSON" \
+    "$BUILD_DIR/bench/bench_checker_scaling" --benchmark_filter=NONE
+
 # Splice `"sim_loop"`, `"sched_mode"`, `"protocol"`, `"shard_scaling"`,
-# and `"sweep_engine"` onto the route bench's object, then diff the fresh
-# sim_loop rate against the previous committed baseline: a drift
-# beyond 10% in EITHER direction gets a loud warning, because the
-# bench's own gate only fails on a >25% regression and anything inside
-# that band silently rots the committed figure otherwise.
+# `"sweep_engine"`, and `"checker"` onto the route bench's object, then
+# diff the fresh sim_loop rate against the previous committed baseline:
+# a drift beyond 10% in EITHER direction gets a loud warning, because
+# the bench's own gate only fails on a >25% regression and anything
+# inside that band silently rots the committed figure otherwise.
 python3 - "$SIM_LOOP_JSON" "$SCHED_MODE_JSON" "$PROTOCOL_JSON" \
-    "$SHARD_JSON" "$SWEEP_JSON" "$PREV_BASELINE" <<'EOF'
+    "$SHARD_JSON" "$SWEEP_JSON" "$CHECKER_JSON" "$PREV_BASELINE" <<'EOF'
 import json, os, sys
 with open("BENCH_sim.json") as f:
     doc = json.load(f)
@@ -121,11 +135,13 @@ with open(sys.argv[4]) as f:
     doc["shard_scaling"] = json.load(f)
 with open(sys.argv[5]) as f:
     doc["sweep_engine"] = json.load(f)
+with open(sys.argv[6]) as f:
+    doc["checker"] = json.load(f)
 with open("BENCH_sim.json", "w") as f:
     json.dump(doc, f, separators=(",", ":"))
     f.write("\n")
 
-prev_path = sys.argv[6]
+prev_path = sys.argv[7]
 try:
     with open(prev_path) as f:
         prev = json.load(f).get("sim_loop", {}).get("cycles_per_sec", 0)

@@ -1,8 +1,10 @@
 #include "duato_check.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "cdg/relation_cdg.hh"
+#include "cdg/state_walk.hh"
 #include "graph/cycles.hh"
 
 namespace ebda::cdg {
@@ -19,15 +21,17 @@ class EscapeSubrelation : public RoutingRelation
     {
     }
 
-    std::vector<topo::ChannelId>
-    candidates(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-               topo::NodeId dest) const override
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
     {
-        std::vector<topo::ChannelId> out;
-        for (topo::ChannelId c : base.candidates(in, at, src, dest))
-            if (isEscape(c))
-                out.push_back(c);
-        return out;
+        base.candidatesInto(in, at, src, dest, out);
+        out.erase(std::remove_if(out.begin(), out.end(),
+                                 [&](topo::ChannelId c) {
+                                     return !isEscape(c);
+                                 }),
+                  out.end());
     }
 
     std::string
@@ -66,60 +70,47 @@ checkDuatoDeadlockFree(const RoutingRelation &relation,
     // path of the full relation: a blocked packet may sit on an
     // adaptive channel when it takes the escape, so escape dependencies
     // are collected from the full relation's reachable states.
-    graph::Digraph g(net.numChannels());
-    std::vector<std::uint32_t> stamp(net.numChannels(), 0);
-    std::uint32_t epoch = 0;
-    std::vector<topo::ChannelId> frontier;
+    struct Collect : StateVisitor
+    {
+        const EscapePredicate &isEscape;
+        graph::Digraph g;
+        bool alwaysAvailable = true;
 
-    bool always_available = true;
-
-    for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
-        for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
-            if (src == dest)
-                continue;
-            ++epoch;
-            frontier.clear();
-            const auto inject =
-                relation.candidates(kInjectionChannel, src, src, dest);
-            bool inject_escape = false;
-            for (topo::ChannelId c : inject) {
-                if (is_escape(c))
-                    inject_escape = true;
-                if (stamp[c] != epoch) {
-                    stamp[c] = epoch;
-                    frontier.push_back(c);
-                }
-            }
-            if (!inject.empty() && !inject_escape)
-                always_available = false;
-
-            while (!frontier.empty()) {
-                const topo::ChannelId c1 = frontier.back();
-                frontier.pop_back();
-                const topo::NodeId at = net.link(net.linkOf(c1)).dst;
-                if (at == dest)
-                    continue;
-                const auto next = relation.candidates(c1, at, src, dest);
-                bool has_escape = next.empty();
-                for (topo::ChannelId c2 : next) {
-                    if (is_escape(c2)) {
-                        has_escape = true;
-                        if (is_escape(c1))
-                            g.addEdge(c1, c2);
-                    }
-                    if (stamp[c2] != epoch) {
-                        stamp[c2] = epoch;
-                        frontier.push_back(c2);
-                    }
-                }
-                if (!has_escape)
-                    always_available = false;
-            }
+        Collect(const EscapePredicate &is_escape, std::size_t channels)
+            : isEscape(is_escape), g(channels)
+        {
         }
-    }
 
-    report.escapeAcyclic = graph::isAcyclic(g);
-    report.escapeAlwaysAvailable = always_available;
+        void
+        pair(topo::NodeId, topo::NodeId,
+             const std::vector<topo::ChannelId> &inject)
+        {
+            if (!inject.empty()
+                && std::none_of(inject.begin(), inject.end(),
+                                [&](topo::ChannelId c) {
+                                    return isEscape(c);
+                                }))
+                alwaysAvailable = false;
+        }
+        void
+        route(topo::ChannelId c1, const std::vector<topo::ChannelId> &next)
+        {
+            bool has_escape = next.empty();
+            for (const topo::ChannelId c2 : next) {
+                if (isEscape(c2)) {
+                    has_escape = true;
+                    if (isEscape(c1))
+                        g.addEdge(c1, c2);
+                }
+            }
+            if (!has_escape)
+                alwaysAvailable = false;
+        }
+    } collect(is_escape, net.numChannels());
+    walkReachableStates(relation, collect);
+
+    report.escapeAcyclic = graph::isAcyclic(collect.g);
+    report.escapeAlwaysAvailable = collect.alwaysAvailable;
     report.escapeConnected = checkConnectivity(escape).connected;
     report.ok = report.escapeAcyclic && report.escapeConnected
         && report.escapeAlwaysAvailable;

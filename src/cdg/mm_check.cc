@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "cdg/state_walk.hh"
 #include "graph/cycles.hh"
 #include "util/logging.hh"
 
@@ -28,54 +29,34 @@ checkMendlovicMatias(const RoutingRelation &relation)
     // (channel, src, dest) with the packet's head at the channel's
     // sink. Ejecting states (head == dest) impose no release
     // obligation; non-ejecting states record their candidate set.
-    std::vector<std::uint8_t> occupied(nc, 0);
-    std::vector<std::uint32_t> pending(nc, 0);
-
-    std::vector<ChannelId> stateChannel;
-    std::vector<std::uint32_t> candOffset;
-    std::vector<ChannelId> candPool;
-
+    struct Collect : StateVisitor
     {
-        std::vector<std::uint32_t> stamp(nc, 0);
-        std::uint32_t epoch = 0;
-        std::vector<ChannelId> frontier;
+        std::vector<std::uint8_t> occupied;
+        std::vector<std::uint32_t> pending;
+        std::vector<ChannelId> stateChannel;
+        std::vector<std::uint32_t> candOffset;
+        std::vector<ChannelId> candPool;
 
-        for (NodeId dest = 0; dest < net.numNodes(); ++dest) {
-            for (NodeId src = 0; src < net.numNodes(); ++src) {
-                if (src == dest)
-                    continue;
-                ++epoch;
-                frontier.clear();
-                for (ChannelId c : relation.candidates(kInjectionChannel,
-                                                       src, src, dest)) {
-                    if (stamp[c] != epoch) {
-                        stamp[c] = epoch;
-                        frontier.push_back(c);
-                    }
-                }
-                while (!frontier.empty()) {
-                    const ChannelId c1 = frontier.back();
-                    frontier.pop_back();
-                    occupied[c1] = 1;
-                    const NodeId at = net.link(net.linkOf(c1)).dst;
-                    if (at == dest)
-                        continue; // ejecting state: trivially released
-                    stateChannel.push_back(c1);
-                    candOffset.push_back(
-                        static_cast<std::uint32_t>(candPool.size()));
-                    ++pending[c1];
-                    for (ChannelId c2 :
-                         relation.candidates(c1, at, src, dest)) {
-                        candPool.push_back(c2);
-                        if (stamp[c2] != epoch) {
-                            stamp[c2] = epoch;
-                            frontier.push_back(c2);
-                        }
-                    }
-                }
-            }
+        void eject(ChannelId c) { occupied[c] = 1; }
+        void
+        route(ChannelId c, const std::vector<ChannelId> &next)
+        {
+            occupied[c] = 1;
+            stateChannel.push_back(c);
+            candOffset.push_back(static_cast<std::uint32_t>(candPool.size()));
+            ++pending[c];
+            candPool.insert(candPool.end(), next.begin(), next.end());
         }
-    }
+    } states;
+    states.occupied.assign(nc, 0);
+    states.pending.assign(nc, 0);
+    walkReachableStates(relation, states);
+    const auto &occupied = states.occupied;
+    auto &pending = states.pending;
+    const auto &stateChannel = states.stateChannel;
+    auto &candOffset = states.candOffset;
+    const auto &candPool = states.candPool;
+
     candOffset.push_back(static_cast<std::uint32_t>(candPool.size()));
     report.numStates = stateChannel.size();
     for (std::size_t c = 0; c < nc; ++c)

@@ -1,8 +1,9 @@
 #include "relation_cdg.hh"
 
+#include <algorithm>
 #include <vector>
 
-#include "util/logging.hh"
+#include "cdg/state_walk.hh"
 
 namespace ebda::cdg {
 
@@ -10,47 +11,31 @@ graph::Digraph
 buildRelationCdg(const RoutingRelation &relation)
 {
     const topo::Network &net = relation.network();
-    graph::Digraph g(net.numChannels());
 
-    // Per (src, dest) pair: forward closure over acquirable channels,
-    // adding each dependency discovered along the way. Epoch-stamped
-    // visitation avoids clearing the visited array per pair.
-    std::vector<std::uint32_t> stamp(net.numChannels(), 0);
-    std::uint32_t epoch = 0;
-    std::vector<topo::ChannelId> frontier;
+    // Per channel, its distinct successors in first-discovery order: a
+    // dependency is found once per state that induces it, and a short
+    // linear scan over the channel's few successors rejects repeats
+    // without hashing every find. Only distinct edges reach the graph.
+    struct Collect : StateVisitor
+    {
+        std::vector<std::vector<topo::ChannelId>> succ;
 
-    for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
-        for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
-            if (src == dest)
-                continue;
-            ++epoch;
-            frontier.clear();
-
-            for (topo::ChannelId c :
-                 relation.candidates(kInjectionChannel, src, src, dest)) {
-                if (stamp[c] != epoch) {
-                    stamp[c] = epoch;
-                    frontier.push_back(c);
-                }
-            }
-
-            while (!frontier.empty()) {
-                const topo::ChannelId c1 = frontier.back();
-                frontier.pop_back();
-                const topo::NodeId at = net.link(net.linkOf(c1)).dst;
-                if (at == dest)
-                    continue; // packet ejects; no further dependencies
-                for (topo::ChannelId c2 :
-                     relation.candidates(c1, at, src, dest)) {
-                    g.addEdge(c1, c2);
-                    if (stamp[c2] != epoch) {
-                        stamp[c2] = epoch;
-                        frontier.push_back(c2);
-                    }
-                }
-            }
+        void
+        route(topo::ChannelId c1, const std::vector<topo::ChannelId> &next)
+        {
+            auto &out = succ[c1];
+            for (const topo::ChannelId c2 : next)
+                if (std::find(out.begin(), out.end(), c2) == out.end())
+                    out.push_back(c2);
         }
-    }
+    } collect;
+    collect.succ.resize(net.numChannels());
+    walkReachableStates(relation, collect);
+
+    graph::Digraph g(net.numChannels());
+    for (topo::ChannelId c1 = 0; c1 < net.numChannels(); ++c1)
+        for (const topo::ChannelId c2 : collect.succ[c1])
+            g.addEdge(c1, c2);
     return g;
 }
 
@@ -73,64 +58,41 @@ checkDeadlockFree(const RoutingRelation &relation)
 ConnectivityReport
 checkConnectivity(const RoutingRelation &relation)
 {
-    const topo::Network &net = relation.network();
-    ConnectivityReport report;
+    // The pair is routable when the destination is reachable and no
+    // reachable state dead-ends (a dead-ending branch is a hazard: an
+    // adaptive router may commit to it).
+    struct Check : StateVisitor
+    {
+        ConnectivityReport report;
+        bool arrived = false;
+        bool stuck = false;
 
-    std::vector<std::uint8_t> visited(net.numChannels());
-    std::vector<topo::ChannelId> frontier;
-
-    for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
-        for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
-            if (src == dest)
-                continue;
-            std::fill(visited.begin(), visited.end(), 0);
-            frontier.clear();
-            bool arrived = false;
-            bool stuck = false;
-
-            const auto inject =
-                relation.candidates(kInjectionChannel, src, src, dest);
-            if (inject.empty())
-                stuck = true;
-            for (topo::ChannelId c : inject) {
-                if (!visited[c]) {
-                    visited[c] = 1;
-                    frontier.push_back(c);
-                }
-            }
-
-            while (!frontier.empty()) {
-                const topo::ChannelId c1 = frontier.back();
-                frontier.pop_back();
-                const topo::NodeId at = net.link(net.linkOf(c1)).dst;
-                if (at == dest) {
-                    arrived = true;
-                    continue;
-                }
-                const auto next = relation.candidates(c1, at, src, dest);
-                if (next.empty())
-                    stuck = true;
-                for (topo::ChannelId c2 : next) {
-                    if (!visited[c2]) {
-                        visited[c2] = 1;
-                        frontier.push_back(c2);
-                    }
-                }
-            }
-
-            // The pair is routable when the destination is reachable and
-            // no reachable state dead-ends (a dead-ending branch is a
-            // hazard: an adaptive router may commit to it).
-            if (!arrived || stuck) {
-                report.connected = false;
-                if (report.failures.size()
-                    < ConnectivityReport::kMaxFailures) {
-                    report.failures.emplace_back(src, dest);
-                }
-            }
+        void
+        pair(topo::NodeId, topo::NodeId,
+             const std::vector<topo::ChannelId> &inject)
+        {
+            arrived = false;
+            stuck = inject.empty();
         }
-    }
-    return report;
+        void eject(topo::ChannelId) { arrived = true; }
+        void
+        route(topo::ChannelId, const std::vector<topo::ChannelId> &next)
+        {
+            if (next.empty())
+                stuck = true;
+        }
+        void
+        endPair(topo::NodeId src, topo::NodeId dest)
+        {
+            if (arrived && !stuck)
+                return;
+            report.connected = false;
+            if (report.failures.size() < ConnectivityReport::kMaxFailures)
+                report.failures.emplace_back(src, dest);
+        }
+    } check;
+    walkReachableStates(relation, check);
+    return check.report;
 }
 
 } // namespace ebda::cdg

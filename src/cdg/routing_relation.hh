@@ -36,11 +36,11 @@ enum class SrcSensitivity : std::uint8_t
     /** Not declared — a compiler must probe every source exhaustively
      *  before it may collapse the source axis. The sound default. */
     Unknown,
-    /** candidates() ignores `src`. Compilers may collapse the source
+    /** candidatesInto() ignores `src`. Compilers may collapse the source
      *  axis after a spot-check (the claim is also pinned exhaustively
      *  by tests/test_route_table.cc). */
     Independent,
-    /** candidates() consults `src` (e.g. Odd-Even's source column,
+    /** candidatesInto() consults `src` (e.g. Odd-Even's source column,
      *  Elevator-First's per-source elevator choice). */
     Dependent,
 };
@@ -54,7 +54,14 @@ class RoutingRelation
     virtual ~RoutingRelation() = default;
 
     /**
-     * Output channels the packet may take next.
+     * Output channels the packet may take next, written into `out`.
+     *
+     * The call *replaces* `out`'s contents (it never appends), so one
+     * buffer reused across calls makes route compute allocation-free
+     * once its capacity has grown to the largest candidate set. The
+     * order is the relation's preference order and is part of the
+     * contract: simulators select by position, and checkers report
+     * witnesses in discovery order.
      *
      * @param in   channel the packet currently occupies, or
      *             kInjectionChannel when it is still at its source
@@ -64,10 +71,21 @@ class RoutingRelation
      *             Odd-Even, consult it; most ignore it)
      * @param dest the destination node (never equal to `at` for routing
      *             queries; callers eject on arrival)
+     * @param out  receives the candidates
      */
-    virtual std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const = 0;
+    virtual void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                                topo::NodeId src, topo::NodeId dest,
+                                std::vector<topo::ChannelId> &out) const = 0;
+
+    /** candidatesInto() into a fresh vector (cold paths and tests). */
+    std::vector<topo::ChannelId>
+    candidates(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+               topo::NodeId dest) const
+    {
+        std::vector<topo::ChannelId> out;
+        candidatesInto(in, at, src, dest, out);
+        return out;
+    }
 
     /** Human-readable algorithm name for reports. */
     virtual std::string name() const = 0;
@@ -81,7 +99,7 @@ class RoutingRelation
     }
 
     /**
-     * True when candidates() tolerates every in-contract
+     * True when candidatesInto() tolerates every in-contract
      * (in, at, src, dest) combination, including (in, src) pairs no
      * real packet could exhibit. Relations that assert on unreachable
      * states (e.g. Elevator-First's phase checks) return false, which

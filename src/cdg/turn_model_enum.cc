@@ -1,12 +1,10 @@
 #include "turn_model_enum.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cdg/adaptivity.hh"
 #include "cdg/class_map.hh"
-#include "cdg/turn_cdg.hh"
 #include "core/turns.hh"
 #include "util/logging.hh"
 
@@ -68,6 +66,93 @@ turnModelSpace(std::uint8_t n, const std::vector<int> &vcs)
     return space;
 }
 
+namespace {
+
+/**
+ * The turn CDG of the whole 90-degree turn universe, compiled once in
+ * CSR form over channel ids. Every edge carries the universe bit of the
+ * turn it needs, or 0 when it needs none (both channels in one class:
+ * straight continuation, which every turn set allows). Same-dimension
+ * class changes never become edges: the explicit turn sets enumerated
+ * here hold 90-degree turns only, so TurnSet::allows rejects them.
+ */
+struct LabelledCdg
+{
+    std::vector<std::uint32_t> offset;
+    std::vector<topo::ChannelId> target;
+    std::vector<std::uint64_t> need;
+
+    /** True when `allowed` keeps the edge (unconditional or in mask). */
+    bool
+    kept(std::size_t e, std::uint64_t allowed) const
+    {
+        return (need[e] & allowed) == need[e];
+    }
+};
+
+LabelledCdg
+compileLabelledCdg(const topo::Network &net, const ClassMap &map,
+                   const std::vector<std::int32_t> &turn_bit)
+{
+    const std::size_t nc = map.numClasses();
+    LabelledCdg cdg;
+    cdg.offset.reserve(net.numChannels() + 1);
+    cdg.offset.push_back(0);
+    for (topo::ChannelId c1 = 0; c1 < net.numChannels(); ++c1) {
+        const ClassIndex k1 = map.classOf(c1);
+        if (k1 != kUnclassified) {
+            const topo::NodeId via = net.link(net.linkOf(c1)).dst;
+            for (topo::ChannelId c2 : net.outChannels(via)) {
+                const ClassIndex k2 = map.classOf(c2);
+                if (k2 == kUnclassified)
+                    continue;
+                std::uint64_t need = 0;
+                if (k1 != k2) {
+                    const std::int32_t bit =
+                        turn_bit[static_cast<std::size_t>(k1) * nc
+                                 + static_cast<std::size_t>(k2)];
+                    if (bit < 0)
+                        continue; // same-dimension class change
+                    need = 1ULL << bit;
+                }
+                cdg.target.push_back(c2);
+                cdg.need.push_back(need);
+            }
+        }
+        cdg.offset.push_back(static_cast<std::uint32_t>(cdg.target.size()));
+    }
+    return cdg;
+}
+
+/**
+ * Kahn's algorithm over the edges `allowed` keeps. `indeg` and `order`
+ * are caller-owned scratch of one entry per channel.
+ */
+bool
+acyclicUnder(const LabelledCdg &cdg, std::uint64_t allowed,
+             std::vector<std::uint32_t> &indeg,
+             std::vector<topo::ChannelId> &order)
+{
+    const std::size_t n = cdg.offset.size() - 1;
+    std::fill(indeg.begin(), indeg.end(), 0);
+    for (std::size_t e = 0; e < cdg.target.size(); ++e)
+        if (cdg.kept(e, allowed))
+            ++indeg[cdg.target[e]];
+    std::size_t tail = 0;
+    for (topo::ChannelId c = 0; c < n; ++c)
+        if (indeg[c] == 0)
+            order[tail++] = c;
+    for (std::size_t head = 0; head < tail; ++head) {
+        const topo::ChannelId c = order[head];
+        for (std::uint32_t e = cdg.offset[c]; e < cdg.offset[c + 1]; ++e)
+            if (cdg.kept(e, allowed) && --indeg[cdg.target[e]] == 0)
+                order[tail++] = cdg.target[e];
+    }
+    return tail == n;
+}
+
+} // namespace
+
 TurnModelEnumResult
 enumerateTurnModels(const topo::Network &net,
                     std::size_t max_combinations)
@@ -76,7 +161,8 @@ enumerateTurnModels(const topo::Network &net,
     const std::vector<int> &vcs = net.vcs();
     const auto cycles = abstractCycles(n, vcs);
 
-    // Universe of 90-degree turns and the class list.
+    // Universe of 90-degree turns and the class list; turn_bit maps a
+    // class pair (k1, k2) to its universe index, -1 within a dimension.
     core::ClassList classes;
     for (std::uint8_t d = 0; d < n; ++d) {
         for (int v = 0; v < vcs[d]; ++v) {
@@ -86,70 +172,73 @@ enumerateTurnModels(const topo::Network &net,
                                         static_cast<std::uint8_t>(v)));
         }
     }
+    const std::size_t nc = classes.size();
     std::vector<std::pair<ChannelClass, ChannelClass>> universe;
-    std::unordered_map<std::string, std::size_t> turn_index;
-    for (const auto &c1 : classes) {
-        for (const auto &c2 : classes) {
-            if (c1.dim == c2.dim)
+    std::vector<std::int32_t> turn_bit(nc * nc, -1);
+    for (std::size_t k1 = 0; k1 < nc; ++k1) {
+        for (std::size_t k2 = 0; k2 < nc; ++k2) {
+            if (classes[k1].dim == classes[k2].dim)
                 continue;
-            turn_index.emplace(c1.algebraic() + c2.algebraic(),
-                               universe.size());
-            universe.emplace_back(c1, c2);
+            turn_bit[k1 * nc + k2] = static_cast<std::int32_t>(universe.size());
+            universe.emplace_back(classes[k1], classes[k2]);
         }
     }
     EBDA_ASSERT(universe.size() <= 64,
                 "turn universe exceeds 64 turns; enumeration unsupported");
+    const auto classIndex = [&](const ChannelClass &c) {
+        return static_cast<std::size_t>(
+            std::find(classes.begin(), classes.end(), c) - classes.begin());
+    };
 
-    // Index each cycle's turns into the universe.
-    std::vector<std::array<std::size_t, 4>> cycle_idx(cycles.size());
+    // Each cycle's turns as universe bits.
+    std::vector<std::array<std::uint64_t, 4>> cycle_bits(cycles.size());
     for (std::size_t i = 0; i < cycles.size(); ++i) {
         for (std::size_t t = 0; t < 4; ++t) {
             const auto &[from, to] = cycles[i].turns[t];
-            cycle_idx[i][t] =
-                turn_index.at(from.algebraic() + to.algebraic());
+            cycle_bits[i][t] = 1ULL
+                << turn_bit[classIndex(from) * nc + classIndex(to)];
         }
     }
 
     const std::uint64_t full_mask =
         universe.size() == 64 ? ~0ULL : (1ULL << universe.size()) - 1;
     const ClassMap map(net, classes);
+    const LabelledCdg cdg = compileLabelledCdg(net, map, turn_bit);
+    std::vector<std::uint32_t> indeg(net.numChannels());
+    std::vector<topo::ChannelId> order(net.numChannels());
+
+    // Distinct deadlock-free sets with their connectivity verdicts: a
+    // small fraction of the space, so a linear scan finds repeats.
+    std::vector<std::pair<std::uint64_t, bool>> free_sets;
 
     TurnModelEnumResult result;
-    std::unordered_map<std::uint64_t, std::pair<bool, bool>> verdicts;
-    std::unordered_set<std::uint64_t> free_sets;
-
     std::vector<std::size_t> choice(cycles.size(), 0);
     while (result.combinations < max_combinations) {
         ++result.combinations;
 
         std::uint64_t removed = 0;
         for (std::size_t i = 0; i < cycles.size(); ++i)
-            removed |= 1ULL << cycle_idx[i][choice[i]];
+            removed |= cycle_bits[i][choice[i]];
         const std::uint64_t allowed_mask = full_mask & ~removed;
 
-        auto it = verdicts.find(allowed_mask);
-        if (it == verdicts.end()) {
-            std::vector<std::pair<ChannelClass, ChannelClass>> allowed;
-            for (std::size_t t = 0; t < universe.size(); ++t)
-                if (allowed_mask & (1ULL << t))
-                    allowed.push_back(universe[t]);
-            const core::TurnSet set =
-                core::TurnSet::fromExplicit(classes, allowed);
-            const graph::Digraph g = buildTurnCdg(net, map, set);
-            const bool acyclic = graph::isAcyclic(g);
-            bool connected = false;
-            if (acyclic) {
-                const auto adapt = measureAdaptiveness(net, map, set);
-                connected = !adapt.disconnectedMinimal;
-            }
-            it = verdicts.emplace(allowed_mask,
-                                  std::make_pair(acyclic, connected))
-                     .first;
-        }
-        if (it->second.first) {
+        if (acyclicUnder(cdg, allowed_mask, indeg, order)) {
             ++result.deadlockFree;
-            free_sets.insert(allowed_mask);
-            if (it->second.second)
+            auto it = std::find_if(
+                free_sets.begin(), free_sets.end(),
+                [&](const auto &f) { return f.first == allowed_mask; });
+            if (it == free_sets.end()) {
+                std::vector<std::pair<ChannelClass, ChannelClass>> allowed;
+                for (std::size_t t = 0; t < universe.size(); ++t)
+                    if (allowed_mask & (1ULL << t))
+                        allowed.push_back(universe[t]);
+                const core::TurnSet set =
+                    core::TurnSet::fromExplicit(classes, allowed);
+                const bool connected =
+                    !measureAdaptiveness(net, map, set).disconnectedMinimal;
+                free_sets.emplace_back(allowed_mask, connected);
+                it = free_sets.end() - 1;
+            }
+            if (it->second)
                 ++result.connected;
         }
 

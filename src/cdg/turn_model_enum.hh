@@ -14,10 +14,16 @@
  * (the paper's prose quotes "29,696 (4^6)" for the last case; 4^6 is
  * 4,096 — the discrepancy is recorded in EXPERIMENTS.md).
  *
- * enumerateTurnModels() walks every combination, rebuilds the explicit
- * turn set, and checks it against the concrete Dally oracle, measuring
- * what fraction of the design space is deadlock-free and/or minimally
- * connected — the cost EbDa's direct construction avoids.
+ * enumerateTurnModels() walks every combination and checks it against
+ * the concrete Dally oracle, measuring what fraction of the design space
+ * is deadlock-free and/or minimally connected — the cost EbDa's direct
+ * construction avoids. The network's turn CDG over the whole 90-degree
+ * universe is compiled once, each edge labelled with the turn it needs
+ * (or none, for same-class continuation); a combination's verdict is
+ * Kahn's algorithm over the edges its allowed-turn mask keeps, which is
+ * exactly buildTurnCdg() of the explicit turn set followed by
+ * isAcyclic(). Only deadlock-free combinations materialise a TurnSet,
+ * to measure minimal connectivity.
  */
 
 #ifndef EBDA_CDG_TURN_MODEL_ENUM_HH

@@ -56,12 +56,14 @@ DimensionOrderRouting::yx(const topo::Network &net)
     return DimensionOrderRouting(net, std::move(order));
 }
 
-std::vector<topo::ChannelId>
-DimensionOrderRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
-                                  topo::NodeId /*src*/,
-                                  topo::NodeId dest) const
+void
+DimensionOrderRouting::candidatesInto(topo::ChannelId /*in*/,
+                                      topo::NodeId at,
+                                      topo::NodeId /*src*/,
+                                      topo::NodeId dest,
+                                      std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     for (std::uint8_t d : order) {
         const int off = offset(at, dest, d);
         if (off == 0)
@@ -69,7 +71,6 @@ DimensionOrderRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
         appendLink(out, at, d, off > 0 ? Sign::Pos : Sign::Neg);
         break; // strictly one dimension at a time
     }
-    return out;
 }
 
 std::string
@@ -89,23 +90,23 @@ WestFirstRouting::WestFirstRouting(const topo::Network &network)
     EBDA_ASSERT(network.numDims() == 2, "West-First is a 2D turn model");
 }
 
-std::vector<topo::ChannelId>
-WestFirstRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
-                             topo::NodeId /*src*/, topo::NodeId dest) const
+void
+WestFirstRouting::candidatesInto(topo::ChannelId /*in*/, topo::NodeId at,
+                                 topo::NodeId /*src*/, topo::NodeId dest,
+                                 std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     const int dx = offset(at, dest, 0);
     const int dy = offset(at, dest, 1);
     if (dx < 0) {
         // All westward hops must come first and exclusively.
         appendLink(out, at, 0, Sign::Neg);
-        return out;
+        return;
     }
     if (dx > 0)
         appendLink(out, at, 0, Sign::Pos);
     if (dy != 0)
         appendLink(out, at, 1, dy > 0 ? Sign::Pos : Sign::Neg);
-    return out;
 }
 
 NorthLastRouting::NorthLastRouting(const topo::Network &network)
@@ -114,11 +115,12 @@ NorthLastRouting::NorthLastRouting(const topo::Network &network)
     EBDA_ASSERT(network.numDims() == 2, "North-Last is a 2D turn model");
 }
 
-std::vector<topo::ChannelId>
-NorthLastRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
-                             topo::NodeId /*src*/, topo::NodeId dest) const
+void
+NorthLastRouting::candidatesInto(topo::ChannelId /*in*/, topo::NodeId at,
+                                 topo::NodeId /*src*/, topo::NodeId dest,
+                                 std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     const int dx = offset(at, dest, 0);
     const int dy = offset(at, dest, 1);
     if (dx != 0)
@@ -130,7 +132,6 @@ NorthLastRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
         // packet heads north it can never leave the column again.
         appendLink(out, at, 1, Sign::Pos);
     }
-    return out;
 }
 
 NegativeFirstRouting::NegativeFirstRouting(const topo::Network &network)
@@ -139,12 +140,13 @@ NegativeFirstRouting::NegativeFirstRouting(const topo::Network &network)
     EBDA_ASSERT(network.numDims() == 2, "Negative-First here is 2D");
 }
 
-std::vector<topo::ChannelId>
-NegativeFirstRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
-                                 topo::NodeId /*src*/,
-                                 topo::NodeId dest) const
+void
+NegativeFirstRouting::candidatesInto(topo::ChannelId /*in*/,
+                                     topo::NodeId at, topo::NodeId /*src*/,
+                                     topo::NodeId dest,
+                                     std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     const int dx = offset(at, dest, 0);
     const int dy = offset(at, dest, 1);
     // Every negative hop strictly precedes every positive hop.
@@ -153,12 +155,11 @@ NegativeFirstRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
     if (dy < 0)
         appendLink(out, at, 1, Sign::Neg);
     if (!out.empty())
-        return out;
+        return;
     if (dx > 0)
         appendLink(out, at, 0, Sign::Pos);
     if (dy > 0)
         appendLink(out, at, 1, Sign::Pos);
-    return out;
 }
 
 OddEvenRouting::OddEvenRouting(const topo::Network &network)
@@ -167,11 +168,12 @@ OddEvenRouting::OddEvenRouting(const topo::Network &network)
     EBDA_ASSERT(network.numDims() == 2, "Odd-Even is a 2D turn model");
 }
 
-std::vector<topo::ChannelId>
-OddEvenRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
-                           topo::NodeId src, topo::NodeId dest) const
+void
+OddEvenRouting::candidatesInto(topo::ChannelId /*in*/, topo::NodeId at,
+                               topo::NodeId src, topo::NodeId dest,
+                               std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     const int dx = offset(at, dest, 0);
     const int dy = offset(at, dest, 1);
     const int cur_col = net.coordAlong(at, 0);
@@ -182,12 +184,12 @@ OddEvenRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
 
     if (dx == 0) {
         appendLink(out, at, 1, dy > 0 ? Sign::Pos : Sign::Neg);
-        return out;
+        return;
     }
     if (dx > 0) { // eastbound
         if (dy == 0) {
             appendLink(out, at, 0, Sign::Pos);
-            return out;
+            return;
         }
         // The EN/ES turn will happen in some column ahead; it is legal
         // only in odd columns, except that the source column may always
@@ -198,7 +200,7 @@ OddEvenRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
         // available: destination column odd, or more than one hop left.
         if (dst_odd || dx != 1)
             appendLink(out, at, 0, Sign::Pos);
-        return out;
+        return;
     }
     // Westbound: west is always available; the NW/SW turn back into the
     // west direction is legal only in even columns, so the north/south
@@ -206,15 +208,14 @@ OddEvenRouting::candidates(topo::ChannelId /*in*/, topo::NodeId at,
     appendLink(out, at, 0, Sign::Neg);
     if (dy != 0 && !cur_odd)
         appendLink(out, at, 1, dy > 0 ? Sign::Pos : Sign::Neg);
-    return out;
 }
 
-std::vector<topo::ChannelId>
-MinimalAdaptiveRouting::candidates(topo::ChannelId /*in*/,
-                                   topo::NodeId at, topo::NodeId /*src*/,
-                                   topo::NodeId dest) const
+void
+MinimalAdaptiveRouting::candidatesInto(
+    topo::ChannelId /*in*/, topo::NodeId at, topo::NodeId /*src*/,
+    topo::NodeId dest, std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     for (std::uint8_t d = 0; d < net.numDims(); ++d) {
         const int off = net.minimalOffset(at, dest, d);
         if (off == 0)
@@ -226,7 +227,6 @@ MinimalAdaptiveRouting::candidates(topo::ChannelId /*in*/,
         for (int v = 0; v < net.vcsOnLink(*link); ++v)
             out.push_back(net.channel(*link, v));
     }
-    return out;
 }
 
 } // namespace ebda::routing

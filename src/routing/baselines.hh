@@ -69,9 +69,9 @@ class DimensionOrderRouting : public MeshRouting
     /** Convenience YX order (n-1, ..., 1, 0). */
     static DimensionOrderRouting yx(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override;
 
@@ -85,9 +85,9 @@ class WestFirstRouting : public MeshRouting
   public:
     explicit WestFirstRouting(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "West-First"; }
 };
@@ -98,9 +98,9 @@ class NorthLastRouting : public MeshRouting
   public:
     explicit NorthLastRouting(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "North-Last"; }
 };
@@ -111,9 +111,9 @@ class NegativeFirstRouting : public MeshRouting
   public:
     explicit NegativeFirstRouting(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Negative-First"; }
 };
@@ -129,9 +129,9 @@ class OddEvenRouting : public MeshRouting
   public:
     explicit OddEvenRouting(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Odd-Even"; }
 
@@ -156,9 +156,9 @@ class MinimalAdaptiveRouting : public cdg::RoutingRelation
   public:
     explicit MinimalAdaptiveRouting(const topo::Network &net) : net(net) {}
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Minimal-Adaptive"; }
 

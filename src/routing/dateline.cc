@@ -16,12 +16,13 @@ TorusDatelineRouting::TorusDatelineRouting(const topo::Network &network)
     }
 }
 
-std::vector<topo::ChannelId>
-TorusDatelineRouting::candidates(topo::ChannelId in, topo::NodeId at,
-                                 topo::NodeId /*src*/,
-                                 topo::NodeId dest) const
+void
+TorusDatelineRouting::candidatesInto(topo::ChannelId in, topo::NodeId at,
+                                     topo::NodeId /*src*/,
+                                     topo::NodeId dest,
+                                     std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     for (std::uint8_t d = 0; d < net.numDims(); ++d) {
         const int off = net.minimalOffset(at, dest, d);
         if (off == 0)
@@ -29,7 +30,7 @@ TorusDatelineRouting::candidates(topo::ChannelId in, topo::NodeId at,
         const auto link =
             net.linkFrom(at, d, off > 0 ? Sign::Pos : Sign::Neg);
         if (!link)
-            return out;
+            return;
         const topo::Link &lk = net.link(*link);
 
         // VC 1 once the dateline (wrap link) of this dimension has been
@@ -45,7 +46,6 @@ TorusDatelineRouting::candidates(topo::ChannelId in, topo::NodeId at,
         out.push_back(net.channel(*link, vc));
         break; // strict dimension order
     }
-    return out;
 }
 
 } // namespace ebda::routing

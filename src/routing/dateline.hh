@@ -28,9 +28,9 @@ class TorusDatelineRouting : public cdg::RoutingRelation
     /** Requires a torus network with >= 2 VCs in every dimension. */
     explicit TorusDatelineRouting(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Torus-DOR-dateline"; }
 

@@ -88,11 +88,12 @@ DragonflyMinRouting::DragonflyMinRouting(const topo::Network &net_, int a_,
         }
 }
 
-std::vector<ChannelId>
-DragonflyMinRouting::candidates(ChannelId in, NodeId at, NodeId /*src*/,
-                                NodeId dest) const
+void
+DragonflyMinRouting::candidatesInto(ChannelId in, NodeId at, NodeId /*src*/,
+                                    NodeId dest,
+                                    std::vector<ChannelId> &out) const
 {
-    std::vector<ChannelId> out;
+    out.clear();
     const int g_at = group(at);
     const int g_dest = group(dest);
 
@@ -112,7 +113,7 @@ DragonflyMinRouting::candidates(ChannelId in, NodeId at, NodeId /*src*/,
             // Escape discipline: pre-global local hops stay on VC 0.
             out.push_back(net.channel(l, 0));
         }
-        return out;
+        return;
     }
 
     // Destination group. The packet either never left it (injected
@@ -131,7 +132,6 @@ DragonflyMinRouting::candidates(ChannelId in, NodeId at, NodeId /*src*/,
     const int last_vc = escalate ? net.vcsOnLink(l) : 1;
     for (int v = first_vc; v < last_vc; ++v)
         out.push_back(net.channel(l, v));
-    return out;
 }
 
 } // namespace ebda::routing

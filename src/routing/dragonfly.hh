@@ -53,9 +53,9 @@ class DragonflyMinRouting : public cdg::RoutingRelation
     DragonflyMinRouting(const topo::Network &net, int a,
                         bool vc_escalation = true);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string
     name() const override

@@ -24,12 +24,12 @@ DuatoFullyAdaptive::isEscape(topo::ChannelId c) const
     return net.vcOf(c) == net.vcsOnLink(l) - 1;
 }
 
-std::vector<topo::ChannelId>
-DuatoFullyAdaptive::candidates(topo::ChannelId /*in*/, topo::NodeId at,
-                               topo::NodeId /*src*/,
-                               topo::NodeId dest) const
+void
+DuatoFullyAdaptive::candidatesInto(topo::ChannelId /*in*/, topo::NodeId at,
+                                   topo::NodeId /*src*/, topo::NodeId dest,
+                                   std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     bool escape_added = false;
     for (std::uint8_t d = 0; d < net.numDims(); ++d) {
         const int off = net.minimalOffset(at, dest, d);
@@ -50,7 +50,6 @@ DuatoFullyAdaptive::candidates(topo::ChannelId /*in*/, topo::NodeId at,
             escape_added = true;
         }
     }
-    return out;
 }
 
 } // namespace ebda::routing

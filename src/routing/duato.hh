@@ -33,9 +33,9 @@ class DuatoFullyAdaptive : public cdg::RoutingRelation
      *  plus the escape). */
     explicit DuatoFullyAdaptive(const topo::Network &net);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Duato-FA"; }
 

@@ -14,14 +14,34 @@ namespace {
 constexpr std::uint32_t kUnreachable =
     std::numeric_limits<std::uint32_t>::max();
 
+/** fn(c) for every channel leaving node n, in Network::outChannels()
+ *  order, without materialising the list. */
+template <typename Fn>
+void
+forEachOutChannel(const topo::Network &net, topo::NodeId n, Fn &&fn)
+{
+    for (topo::LinkId l : net.outLinks(n))
+        for (int v = 0; v < net.vcsOnLink(l); ++v)
+            fn(net.channel(l, v));
+}
+
 } // namespace
 
 EbDaRouting::EbDaRouting(const topo::Network &network,
                          const core::PartitionScheme &sch,
                          const core::TurnExtractionOptions &opts, Mode m)
     : net(network), scheme(sch),
-      turns(core::TurnSet::extract(sch, opts)), map(network, sch), mode(m)
+      turns(core::TurnSet::extract(sch, opts)), map(network, sch), mode(m),
+      survivors(network.numNodes()), distances(network.numNodes())
 {
+    const std::size_t nc = map.numClasses();
+    maskWords = (nc + 63) / 64;
+    allowedNext.assign(nc * maskWords, 0);
+    for (std::size_t k1 = 0; k1 < nc; ++k1)
+        for (std::size_t k2 = 0; k2 < nc; ++k2)
+            if (turns.allows(map.classAt(static_cast<cdg::ClassIndex>(k1)),
+                             map.classAt(static_cast<cdg::ClassIndex>(k2))))
+                allowedNext[k1 * maskWords + k2 / 64] |= 1ULL << (k2 % 64);
 }
 
 std::string
@@ -42,14 +62,16 @@ EbDaRouting::legal(topo::ChannelId in, topo::ChannelId ch) const
     EBDA_ASSERT(k1 != cdg::kUnclassified,
                 "packet occupies unclassified channel ",
                 net.channelName(in));
-    return turns.allows(map.classAt(k1), map.classAt(k2));
+    const auto row = static_cast<std::size_t>(k1) * maskWords;
+    const auto col = static_cast<std::size_t>(k2);
+    return (allowedNext[row + col / 64] >> (col % 64)) & 1;
 }
 
-std::vector<topo::ChannelId>
-EbDaRouting::rawMinimal(topo::ChannelId in, topo::NodeId at,
-                        topo::NodeId dest) const
+template <typename Fn>
+bool
+EbDaRouting::anyRawMinimal(topo::ChannelId in, topo::NodeId at,
+                           topo::NodeId dest, Fn &&fn) const
 {
-    std::vector<topo::ChannelId> out;
     for (std::uint8_t d = 0; d < net.numDims(); ++d) {
         const int off = net.minimalOffset(at, dest, d);
         if (off == 0)
@@ -60,11 +82,11 @@ EbDaRouting::rawMinimal(topo::ChannelId in, topo::NodeId at,
             continue;
         for (int v = 0; v < net.vcsOnLink(*link); ++v) {
             const topo::ChannelId ch = net.channel(*link, v);
-            if (legal(in, ch))
-                out.push_back(ch);
+            if (legal(in, ch) && fn(ch))
+                return true;
         }
     }
-    return out;
+    return false;
 }
 
 bool
@@ -77,47 +99,40 @@ EbDaRouting::survives(topo::ChannelId c, topo::NodeId dest) const
         return table[c] == 1;
 
     const topo::NodeId head = net.link(net.linkOf(c)).dst;
-    bool ok = false;
-    if (head == dest) {
-        ok = true;
-    } else {
-        // Minimal moves strictly decrease the head-to-dest distance, so
-        // the recursion is well-founded.
-        for (topo::ChannelId next : rawMinimal(c, head, dest)) {
-            if (survives(next, dest)) {
-                ok = true;
-                break;
-            }
-        }
-    }
+    // Minimal moves strictly decrease the head-to-dest distance, so the
+    // recursion is well-founded.
+    const bool ok = head == dest
+        || anyRawMinimal(c, head, dest, [&](topo::ChannelId next) {
+               return survives(next, dest);
+           });
     table[c] = ok ? 1 : 2;
     return ok;
 }
 
-std::vector<topo::ChannelId>
+void
 EbDaRouting::minimalCandidates(topo::ChannelId in, topo::NodeId at,
-                               topo::NodeId dest) const
+                               topo::NodeId dest,
+                               std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> raw = rawMinimal(in, at, dest);
-    std::vector<topo::ChannelId> out;
-    out.reserve(raw.size());
-    for (topo::ChannelId c : raw)
+    out.clear();
+    anyRawMinimal(in, at, dest, [&](topo::ChannelId c) {
         if (survives(c, dest))
             out.push_back(c);
-    return out;
+        return false;
+    });
 }
 
 const std::vector<std::uint32_t> &
 EbDaRouting::distTable(topo::NodeId dest) const
 {
-    auto it = distances.find(dest);
-    if (it != distances.end())
-        return it->second;
+    std::vector<std::uint32_t> &dist = distances[dest];
+    if (!dist.empty())
+        return dist;
 
     // Backward BFS in the channel state graph: channels whose head is
     // dest are one hop from ejection; predecessors of channel c2 are the
     // in-channels of c2's tail with a legal transition to c2.
-    std::vector<std::uint32_t> dist(net.numChannels(), kUnreachable);
+    dist.assign(net.numChannels(), kUnreachable);
     std::deque<topo::ChannelId> queue;
     for (topo::ChannelId c = 0; c < net.numChannels(); ++c) {
         if (map.classOf(c) == cdg::kUnclassified)
@@ -150,8 +165,7 @@ EbDaRouting::distTable(topo::NodeId dest) const
             }
         }
     }
-    it = distances.emplace(dest, std::move(dist)).first;
-    return it->second;
+    return dist;
 }
 
 std::uint32_t
@@ -160,47 +174,48 @@ EbDaRouting::stateDistance(topo::ChannelId c, topo::NodeId dest) const
     return distTable(dest)[c];
 }
 
-std::vector<topo::ChannelId>
+void
 EbDaRouting::shortestStateCandidates(topo::ChannelId in, topo::NodeId at,
-                                     topo::NodeId dest) const
+                                     topo::NodeId dest,
+                                     std::vector<topo::ChannelId> &out) const
 {
     const auto &dist = distTable(dest);
-    std::vector<topo::ChannelId> out;
+    out.clear();
 
     if (in == cdg::kInjectionChannel) {
         // All first channels at the global minimum distance.
         std::uint32_t best = kUnreachable;
-        for (topo::ChannelId c : net.outChannels(at)) {
-            if (map.classOf(c) == cdg::kUnclassified)
-                continue;
-            best = std::min(best, dist[c]);
-        }
+        forEachOutChannel(net, at, [&](topo::ChannelId c) {
+            if (map.classOf(c) != cdg::kUnclassified)
+                best = std::min(best, dist[c]);
+        });
         if (best == kUnreachable)
-            return out;
-        for (topo::ChannelId c : net.outChannels(at)) {
+            return;
+        forEachOutChannel(net, at, [&](topo::ChannelId c) {
             if (map.classOf(c) != cdg::kUnclassified && dist[c] == best)
                 out.push_back(c);
-        }
-        return out;
+        });
+        return;
     }
 
     const std::uint32_t here = dist[in];
     if (here == kUnreachable || here == 1)
-        return out; // unreachable, or next step is ejection
-    for (topo::ChannelId c : net.outChannels(at)) {
+        return; // unreachable, or next step is ejection
+    forEachOutChannel(net, at, [&](topo::ChannelId c) {
         if (dist[c] == here - 1 && legal(in, c))
             out.push_back(c);
-    }
-    return out;
+    });
 }
 
-std::vector<topo::ChannelId>
-EbDaRouting::candidates(topo::ChannelId in, topo::NodeId at,
-                        topo::NodeId /*src*/, topo::NodeId dest) const
+void
+EbDaRouting::candidatesInto(topo::ChannelId in, topo::NodeId at,
+                            topo::NodeId /*src*/, topo::NodeId dest,
+                            std::vector<topo::ChannelId> &out) const
 {
-    return mode == Mode::Minimal
-        ? minimalCandidates(in, at, dest)
-        : shortestStateCandidates(in, at, dest);
+    if (mode == Mode::Minimal)
+        minimalCandidates(in, at, dest, out);
+    else
+        shortestStateCandidates(in, at, dest, out);
 }
 
 } // namespace ebda::routing

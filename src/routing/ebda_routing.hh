@@ -33,7 +33,7 @@
 #ifndef EBDA_ROUTING_EBDA_ROUTING_HH
 #define EBDA_ROUTING_EBDA_ROUTING_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "cdg/class_map.hh"
@@ -67,9 +67,9 @@ class EbDaRouting : public cdg::RoutingRelation
                 const core::TurnExtractionOptions &opts = {},
                 Mode mode = Mode::Minimal);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override;
 
@@ -98,17 +98,20 @@ class EbDaRouting : public cdg::RoutingRelation
      *  included); injection may enter any classified channel. */
     bool legal(topo::ChannelId in, topo::ChannelId ch) const;
 
-    /** Minimal-mode raw legality: productive link + legal transition. */
-    std::vector<topo::ChannelId> rawMinimal(topo::ChannelId in,
-                                            topo::NodeId at,
-                                            topo::NodeId dest) const;
+    /** Minimal-mode raw legality (productive link + legal transition):
+     *  calls fn(ch) per raw candidate in dimension, then VC, order until
+     *  fn returns true. Returns whether some call did. */
+    template <typename Fn>
+    bool anyRawMinimal(topo::ChannelId in, topo::NodeId at,
+                       topo::NodeId dest, Fn &&fn) const;
 
-    std::vector<topo::ChannelId> minimalCandidates(topo::ChannelId in,
-                                                   topo::NodeId at,
-                                                   topo::NodeId dest) const;
+    void minimalCandidates(topo::ChannelId in, topo::NodeId at,
+                           topo::NodeId dest,
+                           std::vector<topo::ChannelId> &out) const;
 
-    std::vector<topo::ChannelId> shortestStateCandidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId dest) const;
+    void shortestStateCandidates(topo::ChannelId in, topo::NodeId at,
+                                 topo::NodeId dest,
+                                 std::vector<topo::ChannelId> &out) const;
 
     /** Minimal mode: dest reachable from channel c by minimal legal
      *  moves; memoised per destination. */
@@ -123,12 +126,17 @@ class EbDaRouting : public cdg::RoutingRelation
     cdg::ClassMap map;
     Mode mode;
 
-    /** dest -> per-channel survivor flags (0 unknown, 1 yes, 2 no). */
-    mutable std::unordered_map<topo::NodeId, std::vector<std::uint8_t>>
-        survivors;
-    /** dest -> per-channel state distance. */
-    mutable std::unordered_map<topo::NodeId, std::vector<std::uint32_t>>
-        distances;
+    /** Per class k1, a bitmask over class indices k2 of the allowed
+     *  transitions k1 -> k2 (the turn set, flattened): row k1 is
+     *  words [k1 * maskWords, (k1 + 1) * maskWords). */
+    std::vector<std::uint64_t> allowedNext;
+    std::size_t maskWords = 0;
+
+    /** Indexed by dest: per-channel survivor flags (0 unknown, 1 yes,
+     *  2 no); empty until the destination is first queried. */
+    mutable std::vector<std::vector<std::uint8_t>> survivors;
+    /** Indexed by dest: per-channel state distance; empty until built. */
+    mutable std::vector<std::vector<std::uint32_t>> distances;
 };
 
 } // namespace ebda::routing

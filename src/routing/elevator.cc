@@ -36,10 +36,11 @@ ElevatorFirstRouting::elevatorFor(topo::NodeId src) const
     return best;
 }
 
-std::vector<topo::ChannelId>
-ElevatorFirstRouting::xyHop(topo::NodeId at, int x, int y, int vc) const
+void
+ElevatorFirstRouting::xyHop(topo::NodeId at, int x, int y, int vc,
+                            std::vector<topo::ChannelId> &out) const
 {
-    std::vector<topo::ChannelId> out;
+    out.clear();
     const int dx = x - net.coordAlong(at, 0);
     const int dy = y - net.coordAlong(at, 1);
     std::uint8_t dim = 0;
@@ -51,24 +52,25 @@ ElevatorFirstRouting::xyHop(topo::NodeId at, int x, int y, int vc) const
         dim = 1;
         sign = dy > 0 ? Sign::Pos : Sign::Neg;
     } else {
-        return out;
+        return;
     }
     const auto link = net.linkFrom(at, dim, sign);
     EBDA_ASSERT(link.has_value(), "mesh link missing during XY leg");
     out.push_back(net.channel(*link, vc));
-    return out;
 }
 
-std::vector<topo::ChannelId>
-ElevatorFirstRouting::candidates(topo::ChannelId in, topo::NodeId at,
-                                 topo::NodeId src, topo::NodeId dest) const
+void
+ElevatorFirstRouting::candidatesInto(topo::ChannelId in, topo::NodeId at,
+                                     topo::NodeId src, topo::NodeId dest,
+                                     std::vector<topo::ChannelId> &out) const
 {
     const int dz = net.coordAlong(dest, 2) - net.coordAlong(at, 2);
 
     // Same-layer delivery never uses the vertical phase: pure XY, VC 0.
     if (net.coordAlong(src, 2) == net.coordAlong(dest, 2)) {
-        return xyHop(at, net.coordAlong(dest, 0), net.coordAlong(dest, 1),
-                     0);
+        xyHop(at, net.coordAlong(dest, 0), net.coordAlong(dest, 1), 0,
+              out);
+        return;
     }
 
     // Phase is recoverable from the current channel: XY VC 1 and
@@ -79,15 +81,18 @@ ElevatorFirstRouting::candidates(topo::ChannelId in, topo::NodeId at,
 
     if (!post_vertical) {
         const auto [ex, ey] = elevatorFor(src);
-        if (net.coordAlong(at, 0) != ex || net.coordAlong(at, 1) != ey)
-            return xyHop(at, ex, ey, 0); // ride to the elevator on VC 0
+        if (net.coordAlong(at, 0) != ex || net.coordAlong(at, 1) != ey) {
+            xyHop(at, ex, ey, 0, out); // ride to the elevator on VC 0
+            return;
+        }
         // At the elevator column: ride vertically.
         EBDA_ASSERT(dz != 0, "vertical phase entered with no Z offset");
         const auto link =
             net.linkFrom(at, 2, dz > 0 ? Sign::Pos : Sign::Neg);
         EBDA_ASSERT(link.has_value(),
                     "elevator column lacks a vertical link at node ", at);
-        return {net.channel(*link, 0)};
+        out.assign(1, net.channel(*link, 0));
+        return;
     }
 
     if (dz != 0) {
@@ -95,11 +100,12 @@ ElevatorFirstRouting::candidates(topo::ChannelId in, topo::NodeId at,
         const auto link =
             net.linkFrom(at, 2, dz > 0 ? Sign::Pos : Sign::Neg);
         EBDA_ASSERT(link.has_value(), "vertical link chain interrupted");
-        return {net.channel(*link, 0)};
+        out.assign(1, net.channel(*link, 0));
+        return;
     }
 
     // Destination layer: XY on VC 1.
-    return xyHop(at, net.coordAlong(dest, 0), net.coordAlong(dest, 1), 1);
+    xyHop(at, net.coordAlong(dest, 0), net.coordAlong(dest, 1), 1, out);
 }
 
 } // namespace ebda::routing

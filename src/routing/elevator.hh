@@ -35,9 +35,9 @@ class ElevatorFirstRouting : public cdg::RoutingRelation
     ElevatorFirstRouting(const topo::Network &net,
                          std::vector<std::pair<int, int>> elevators);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Elevator-First"; }
 
@@ -50,7 +50,7 @@ class ElevatorFirstRouting : public cdg::RoutingRelation
         return cdg::SrcSensitivity::Dependent;
     }
 
-    /** candidates() asserts on phase states no real packet can reach
+    /** candidatesInto() asserts on phase states no real packet can reach
      *  (e.g. riding a vertical link with no Z offset for this source),
      *  so exhaustive probing would abort — table compilers must fall
      *  back to the virtual path. */
@@ -60,9 +60,10 @@ class ElevatorFirstRouting : public cdg::RoutingRelation
     std::pair<int, int> elevatorFor(topo::NodeId src) const;
 
   private:
-    /** XY dimension-order hop toward (x, y) on the given VC. */
-    std::vector<topo::ChannelId> xyHop(topo::NodeId at, int x, int y,
-                                       int vc) const;
+    /** XY dimension-order hop toward (x, y) on the given VC, written
+     *  into `out` (left empty when already there). */
+    void xyHop(topo::NodeId at, int x, int y, int vc,
+               std::vector<topo::ChannelId> &out) const;
 
     const topo::Network &net;
     std::vector<std::pair<int, int>> elevators;

@@ -31,11 +31,12 @@ FullMeshRouting::FullMeshRouting(const topo::Network &net_, Mode mode_)
         }
 }
 
-std::vector<ChannelId>
-FullMeshRouting::candidates(ChannelId in, NodeId at, NodeId /*src*/,
-                            NodeId dest) const
+void
+FullMeshRouting::candidatesInto(ChannelId in, NodeId at, NodeId /*src*/,
+                                NodeId dest,
+                                std::vector<ChannelId> &out) const
 {
-    std::vector<ChannelId> out;
+    out.clear();
     auto push_all = [&](LinkId l) {
         for (int v = 0; v < net.vcsOnLink(l); ++v)
             out.push_back(net.channel(l, v));
@@ -45,7 +46,7 @@ FullMeshRouting::candidates(ChannelId in, NodeId at, NodeId /*src*/,
     // packet sits on an intermediate node).
     push_all(direct(at, dest));
     if (in != cdg::kInjectionChannel)
-        return out;
+        return;
 
     if (mode == Mode::Ascend) {
         // Ascend-then-descend: intermediates above both endpoints.
@@ -56,7 +57,6 @@ FullMeshRouting::candidates(ChannelId in, NodeId at, NodeId /*src*/,
             if (m != at && m != dest)
                 push_all(direct(at, m));
     }
-    return out;
 }
 
 } // namespace ebda::routing

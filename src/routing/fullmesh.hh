@@ -46,9 +46,9 @@ class FullMeshRouting : public cdg::RoutingRelation
     explicit FullMeshRouting(const topo::Network &net,
                              Mode mode = Mode::Ascend);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string
     name() const override

@@ -67,8 +67,11 @@ RouteTable::fill()
     rows.assign(rowCount, Row{});
     bytes = rowBytes;
 
-    const auto store = [&](std::size_t r,
-                           const std::vector<topo::ChannelId> &cand) {
+    // Candidate buffers reused by every probe: `cand` holds the row
+    // being stored, `probe` a cross-source spot check.
+    std::vector<topo::ChannelId> cand;
+    std::vector<topo::ChannelId> probe;
+    const auto store = [&](std::size_t r) {
         rows[r].begin = static_cast<std::uint32_t>(pool.size());
         rows[r].len = static_cast<std::uint32_t>(cand.size());
         pool.insert(pool.end(), cand.begin(), cand.end());
@@ -83,7 +86,7 @@ RouteTable::fill()
     std::vector<std::uint32_t> seen(numChannels, 0);
     std::uint32_t stamp = 0;
     std::vector<topo::ChannelId> frontier;
-    const auto push = [&](const std::vector<topo::ChannelId> &cand) {
+    const auto push = [&] {
         for (const topo::ChannelId c : cand) {
             if (seen[c] != stamp) {
                 seen[c] = stamp;
@@ -106,12 +109,11 @@ RouteTable::fill()
             for (topo::NodeId src = 0; src < numNodes; ++src) {
                 if (src == dest)
                     continue; // traffic never self-addresses
-                const auto inj = rel.candidates(cdg::kInjectionChannel,
-                                                src, src, dest);
-                if (!store(rowIndex(cdg::kInjectionChannel, src, dest),
-                           inj))
+                rel.candidatesInto(cdg::kInjectionChannel, src, src, dest,
+                                   cand);
+                if (!store(rowIndex(cdg::kInjectionChannel, src, dest)))
                     return FillOutcome::OverBudget;
-                push(inj);
+                push();
             }
             for (std::size_t i = 0; i < frontier.size(); ++i) {
                 const topo::ChannelId in = frontier[i];
@@ -119,19 +121,22 @@ RouteTable::fill()
                 // Packets eject on arrival; the row is never queried.
                 if (at == dest)
                     continue;
-                const auto cand = rel.candidates(in, at, at, dest);
-                if (!store(rowIndex(in, at, dest), cand))
+                rel.candidatesInto(in, at, at, dest, cand);
+                if (!store(rowIndex(in, at, dest)))
                     return FillOutcome::OverBudget;
                 // Trust but verify: sample the Independent declaration
                 // on reachable states only (unreachable probes may
                 // trip relation invariant asserts).
                 if ((spotTick++ & 15u) == 0) {
-                    for (const topo::NodeId s : probes)
-                        if (s != at
-                            && rel.candidates(in, at, s, dest) != cand)
+                    for (const topo::NodeId s : probes) {
+                        if (s == at)
+                            continue;
+                        rel.candidatesInto(in, at, s, dest, probe);
+                        if (probe != cand)
                             return FillOutcome::SrcMismatch;
+                    }
                 }
-                push(cand);
+                push();
             }
         }
         return FillOutcome::Ok;
@@ -145,20 +150,20 @@ RouteTable::fill()
                 continue; // traffic never self-addresses
             ++stamp;
             frontier.clear();
-            const auto inj = rel.candidates(cdg::kInjectionChannel, src,
-                                            src, dest);
-            if (!store(rowIndex(cdg::kInjectionChannel, src, dest), inj))
+            rel.candidatesInto(cdg::kInjectionChannel, src, src, dest,
+                               cand);
+            if (!store(rowIndex(cdg::kInjectionChannel, src, dest)))
                 return FillOutcome::OverBudget;
-            push(inj);
+            push();
             for (std::size_t i = 0; i < frontier.size(); ++i) {
                 const topo::ChannelId in = frontier[i];
                 const topo::NodeId at = headOf(net, in);
                 if (at == dest)
                     continue;
-                const auto cand = rel.candidates(in, at, src, dest);
-                if (!store(rowIndex(in, src, dest), cand))
+                rel.candidatesInto(in, at, src, dest, cand);
+                if (!store(rowIndex(in, src, dest)))
                     return FillOutcome::OverBudget;
-                push(cand);
+                push();
             }
         }
     }
@@ -176,7 +181,7 @@ RouteTable::candidatesInto(topo::ChannelId in, topo::NodeId at,
         out.assign(pool.begin() + r.begin,
                    pool.begin() + r.begin + r.len);
     } else {
-        out = rel.candidates(in, at, src, dest);
+        rel.candidatesInto(in, at, src, dest, out);
     }
 }
 

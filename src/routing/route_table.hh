@@ -2,7 +2,7 @@
  * @file
  * Route-table compiler: flattens a RoutingRelation over its fixed
  * Network into a CSR table so steady-state route compute is array
- * indexing instead of a virtual call that heap-allocates a vector.
+ * indexing instead of a virtual call that recomputes the candidates.
  *
  * Every EbDa-style relation is a pure function of (input channel,
  * current node, source, destination); the current node is itself
@@ -128,7 +128,8 @@ class RouteTable
     /**
      * The hot path. Compiled: returns a view into the table, no
      * allocation. Fallback: fills `scratch` via the virtual relation
-     * and returns a view of it. `at` is only consulted on the
+     * and returns a view of it — allocation-free too once `scratch`
+     * has grown to the largest candidate set. `at` is only consulted on the
      * fallback; `dest` must differ from the current node (callers
      * eject on arrival).
      */
@@ -142,7 +143,7 @@ class RouteTable
             const Row r = rows[rowIndex(in, src, dest)];
             return CandidateSpan{pool.data() + r.begin, r.len};
         }
-        scratch = rel.candidates(in, at, src, dest);
+        rel.candidatesInto(in, at, src, dest, scratch);
         return CandidateSpan{scratch.data(), scratch.size()};
     }
 
@@ -162,7 +163,7 @@ class RouteTable
             const Row r = rows[rowIndex(in, src, dest)];
             return CandidateSpan{pool.data() + r.begin, r.len};
         }
-        scratch = rel.candidates(in, at, src, dest);
+        rel.candidatesInto(in, at, src, dest, scratch);
         return CandidateSpan{scratch.data(), scratch.size()};
     }
 

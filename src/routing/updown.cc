@@ -17,7 +17,7 @@ constexpr std::uint8_t kUpReach = 2;
 
 UpDownRouting::UpDownRouting(const topo::Network &network,
                              topo::NodeId root)
-    : net(network)
+    : net(network), reach(network.numNodes())
 {
     // BFS levels from the root over physical links.
     level.assign(net.numNodes(), kUnseen);
@@ -54,11 +54,11 @@ UpDownRouting::UpDownRouting(const topo::Network &network,
 const std::vector<std::uint8_t> &
 UpDownRouting::reachTable(topo::NodeId dest) const
 {
-    auto it = reach.find(dest);
-    if (it != reach.end())
-        return it->second;
+    std::vector<std::uint8_t> &table = reach[dest];
+    if (!table.empty())
+        return table;
 
-    std::vector<std::uint8_t> table(net.numNodes(), 0);
+    table.assign(net.numNodes(), 0);
     std::deque<topo::NodeId> queue;
 
     // Phase 1: nodes reaching dest via down links only (reverse BFS).
@@ -96,19 +96,19 @@ UpDownRouting::reachTable(topo::NodeId dest) const
         }
     }
 
-    it = reach.emplace(dest, std::move(table)).first;
-    return it->second;
+    return table;
 }
 
-std::vector<topo::ChannelId>
-UpDownRouting::candidates(topo::ChannelId in, topo::NodeId at,
-                          topo::NodeId /*src*/, topo::NodeId dest) const
+void
+UpDownRouting::candidatesInto(topo::ChannelId in, topo::NodeId at,
+                              topo::NodeId /*src*/, topo::NodeId dest,
+                              std::vector<topo::ChannelId> &out) const
 {
     const auto &table = reachTable(dest);
     const bool down_phase =
         in != cdg::kInjectionChannel && !upLink[net.linkOf(in)];
 
-    std::vector<topo::ChannelId> out;
+    out.clear();
     for (topo::LinkId l : net.outLinks(at)) {
         const bool up = upLink[l];
         if (down_phase && up)
@@ -120,7 +120,6 @@ UpDownRouting::candidates(topo::ChannelId in, topo::NodeId at,
         for (int v = 0; v < net.vcsOnLink(l); ++v)
             out.push_back(net.channel(l, v));
     }
-    return out;
 }
 
 } // namespace ebda::routing

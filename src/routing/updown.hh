@@ -16,7 +16,7 @@
 #ifndef EBDA_ROUTING_UPDOWN_HH
 #define EBDA_ROUTING_UPDOWN_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "cdg/routing_relation.hh"
@@ -35,9 +35,9 @@ class UpDownRouting : public cdg::RoutingRelation
      */
     explicit UpDownRouting(const topo::Network &net, topo::NodeId root = 0);
 
-    std::vector<topo::ChannelId> candidates(
-        topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-        topo::NodeId dest) const override;
+    void candidatesInto(topo::ChannelId in, topo::NodeId at,
+                        topo::NodeId src, topo::NodeId dest,
+                        std::vector<topo::ChannelId> &out) const override;
 
     std::string name() const override { return "Up*/Down*"; }
 
@@ -53,15 +53,14 @@ class UpDownRouting : public cdg::RoutingRelation
     bool isUp(topo::LinkId l) const { return upLink[l]; }
 
   private:
-    /** dest -> per-node flags; bit0: reachable via down links only,
-     *  bit1: reachable via up-then-down. */
+    /** Per-node flags toward dest (bit0: reachable via down links only,
+     *  bit1: via up-then-down), built on the first query for dest. */
     const std::vector<std::uint8_t> &reachTable(topo::NodeId dest) const;
 
     const topo::Network &net;
     std::vector<std::uint32_t> level;
     std::vector<bool> upLink;
-    mutable std::unordered_map<topo::NodeId, std::vector<std::uint8_t>>
-        reach;
+    mutable std::vector<std::vector<std::uint8_t>> reach;
 };
 
 } // namespace ebda::routing

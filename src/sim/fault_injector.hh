@@ -37,6 +37,7 @@
 #ifndef EBDA_SIM_FAULT_INJECTOR_HH
 #define EBDA_SIM_FAULT_INJECTOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -162,11 +163,12 @@ class FaultedRelationView final : public cdg::RoutingRelation
     {
     }
 
-    std::vector<topo::ChannelId>
-    candidates(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-               topo::NodeId dest) const override
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
     {
-        auto out = base.candidates(in, at, src, dest);
+        base.candidatesInto(in, at, src, dest, out);
         if (faults.anyDead()) {
             out.erase(std::remove_if(out.begin(), out.end(),
                                      [&](topo::ChannelId c) {
@@ -174,7 +176,6 @@ class FaultedRelationView final : public cdg::RoutingRelation
                                      }),
                       out.end());
         }
-        return out;
     }
 
     std::string

@@ -58,6 +58,11 @@ headOf(const topo::Network &net, topo::ChannelId c)
  * `reach` and `expect` differ only in the fault test, where rows were
  * compiled from the base relation and then filtered: reachability is
  * the base closure, expectation the degraded relation.
+ *
+ * At every state the compiled relation's candidatesInto() also fills a
+ * buffer that already holds stale channels; the result must equal
+ * candidates(), which pins the contract that the call replaces the
+ * buffer's contents (never appends) in the relation's order.
  * Returns the number of states compared.
  */
 std::size_t
@@ -66,10 +71,18 @@ expectTableMatches(const RouteTable &table, const topo::Network &net,
 {
     std::vector<topo::ChannelId> scratch;
     std::vector<topo::ChannelId> got;
+    std::vector<topo::ChannelId> filled;
     std::size_t states = 0;
+    const cdg::RoutingRelation &rel = table.relation();
 
     const auto check = [&](topo::ChannelId in, topo::NodeId at,
                            topo::NodeId src, topo::NodeId dest) {
+        filled.insert(filled.end(), {0, 1, topo::kInvalidId});
+        rel.candidatesInto(in, at, src, dest, filled);
+        EXPECT_EQ(filled, rel.candidates(in, at, src, dest))
+            << rel.name() << " candidatesInto on a non-empty buffer at in="
+            << in << " at=" << at << " src=" << src << " dest=" << dest;
+
         const auto want = expect(in, at, src, dest);
         table.candidatesInto(in, at, src, dest, got);
         EXPECT_EQ(got, want) << "candidatesInto at in=" << in
@@ -214,14 +227,14 @@ class MisdeclaredRelation final : public cdg::RoutingRelation
     {
     }
 
-    std::vector<topo::ChannelId>
-    candidates(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
-               topo::NodeId dest) const override
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
     {
-        auto out = base.candidates(in, at, src, dest);
+        base.candidatesInto(in, at, src, dest, out);
         if (src != at)
             std::reverse(out.begin(), out.end());
-        return out;
     }
 
     std::string name() const override { return "Misdeclared"; }

@@ -131,11 +131,12 @@ TEST(Simulator, WatchdogCatchesUnrestrictedAdaptiveDeadlock)
     {
       public:
         explicit UnrestrictedAdaptive(const topo::Network &n) : net(n) {}
-        std::vector<topo::ChannelId>
-        candidates(topo::ChannelId, topo::NodeId at, topo::NodeId,
-                   topo::NodeId dest) const override
+        void
+        candidatesInto(topo::ChannelId, topo::NodeId at, topo::NodeId,
+                       topo::NodeId dest,
+                       std::vector<topo::ChannelId> &out) const override
         {
-            std::vector<topo::ChannelId> out;
+            out.clear();
             for (std::uint8_t d = 0; d < net.numDims(); ++d) {
                 const int off = net.minimalOffset(at, dest, d);
                 if (off == 0)
@@ -145,7 +146,6 @@ TEST(Simulator, WatchdogCatchesUnrestrictedAdaptiveDeadlock)
                 if (link)
                     out.push_back(net.channel(*link, 0));
             }
-            return out;
         }
         std::string name() const override { return "unrestricted"; }
         const topo::Network &network() const override { return net; }

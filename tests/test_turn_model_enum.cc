@@ -3,16 +3,97 @@
  * Unit tests for the turn-model design-space enumeration (the Section 2
  * scalability argument and the Section 6.1 "12 of 16 deadlock-free"
  * cross-check).
+ *
+ * enumerateTurnModels() runs a compiled, turn-labelled CDG kernel; the
+ * reference below is the direct per-combination flow it replaces:
+ * build the explicit TurnSet, build its turn CDG, test acyclicity.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
+#include "cdg/adaptivity.hh"
+#include "cdg/class_map.hh"
+#include "cdg/turn_cdg.hh"
 #include "cdg/turn_model_enum.hh"
+#include "graph/cycles.hh"
 
 namespace ebda::cdg {
 namespace {
+
+using core::ChannelClass;
+
+/**
+ * Per-combination reference enumeration: one TurnSet::fromExplicit,
+ * buildTurnCdg and isAcyclic per combination, odometer order matching
+ * enumerateTurnModels (cycle 0 varies fastest).
+ */
+TurnModelEnumResult
+referenceEnumeration(const topo::Network &net, std::size_t max_combinations)
+{
+    const auto cycles = abstractCycles(net.numDims(), net.vcs());
+    core::ClassList classes;
+    for (std::uint8_t d = 0; d < net.numDims(); ++d) {
+        for (int v = 0; v < net.vcs()[d]; ++v) {
+            const auto vc = static_cast<std::uint8_t>(v);
+            classes.push_back(core::makeClass(d, core::Sign::Pos, vc));
+            classes.push_back(core::makeClass(d, core::Sign::Neg, vc));
+        }
+    }
+    std::vector<std::pair<ChannelClass, ChannelClass>> universe;
+    for (const auto &c1 : classes)
+        for (const auto &c2 : classes)
+            if (c1.dim != c2.dim)
+                universe.emplace_back(c1, c2);
+    const ClassMap map(net, classes);
+
+    TurnModelEnumResult result;
+    std::set<std::vector<std::size_t>> free_sets;
+    std::vector<std::size_t> choice(cycles.size(), 0);
+    while (result.combinations < max_combinations) {
+        ++result.combinations;
+        std::vector<std::pair<ChannelClass, ChannelClass>> allowed;
+        std::vector<std::size_t> allowed_idx;
+        for (std::size_t t = 0; t < universe.size(); ++t) {
+            bool removed = false;
+            for (std::size_t i = 0; i < cycles.size(); ++i)
+                removed = removed || cycles[i].turns[choice[i]] == universe[t];
+            if (!removed) {
+                allowed.push_back(universe[t]);
+                allowed_idx.push_back(t);
+            }
+        }
+        const auto set = core::TurnSet::fromExplicit(classes, allowed);
+        if (graph::isAcyclic(buildTurnCdg(net, map, set))) {
+            ++result.deadlockFree;
+            free_sets.insert(allowed_idx);
+            if (!measureAdaptiveness(net, map, set).disconnectedMinimal)
+                ++result.connected;
+        }
+        std::size_t i = 0;
+        while (i < choice.size() && ++choice[i] == 4)
+            choice[i++] = 0;
+        if (i == choice.size())
+            break;
+    }
+    result.distinctDeadlockFreeSets = free_sets.size();
+    return result;
+}
+
+void
+expectMatchesReference(const topo::Network &net, std::size_t cap)
+{
+    const auto got = enumerateTurnModels(net, cap);
+    const auto want = referenceEnumeration(net, cap);
+    EXPECT_GT(want.deadlockFree, 0u) << "vacuous comparison";
+    EXPECT_EQ(got.combinations, want.combinations);
+    EXPECT_EQ(got.deadlockFree, want.deadlockFree);
+    EXPECT_EQ(got.connected, want.connected);
+    EXPECT_EQ(got.distinctDeadlockFreeSets, want.distinctDeadlockFreeSets);
+}
 
 TEST(TurnModelSpace, PaperCombinationCounts)
 {
@@ -101,6 +182,37 @@ TEST(EnumerateTurnModels, ThreeDimensionalFullSpacePinned)
     EXPECT_EQ(result.combinations, 4096u);
     EXPECT_EQ(result.deadlockFree, 176u);
     EXPECT_EQ(result.connected, 176u);
+}
+
+TEST(EnumerateTurnModels, TwoVcFullSpacePinned)
+{
+    // The Section 2 space: 65,536 combinations on a 2D mesh with 2 VCs
+    // per dimension, of which 68 are deadlock-free, all minimally
+    // connected, and no two of them the same turn set.
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto result = enumerateTurnModels(net);
+    EXPECT_EQ(result.combinations, 65536u);
+    EXPECT_EQ(result.deadlockFree, 68u);
+    EXPECT_EQ(result.connected, 68u);
+    EXPECT_EQ(result.distinctDeadlockFreeSets, 68u);
+}
+
+TEST(EnumerateTurnModels, LabelledKernelMatchesReference2d)
+{
+    expectMatchesReference(topo::Network::mesh({5, 5}, {1, 1}), 1 << 20);
+}
+
+TEST(EnumerateTurnModels, LabelledKernelMatchesReference3d)
+{
+    expectMatchesReference(topo::Network::mesh({3, 3, 3}, {1, 1, 1}),
+                           1 << 20);
+}
+
+TEST(EnumerateTurnModels, LabelledKernelMatchesReferenceTwoVcPrefix)
+{
+    // A 4,096-combination prefix of the 2-VC space: the first six
+    // cycles take every choice while the last two stay at their first.
+    expectMatchesReference(topo::Network::mesh({4, 4}, {2, 2}), 4096);
 }
 
 TEST(EnumerateTurnModels, ThreeDimensionalSubset)
