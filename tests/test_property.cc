@@ -77,11 +77,16 @@ struct ShapeParam
     bool torus;
 };
 
-/** Readable parameterized-test names like "mesh_4x4_vcs1_1". */
+/**
+ * Readable parameterized-test names like "mesh_4x4_vcs1_1"; one-dimensional
+ * shapes are tagged as a line or a ring, e.g. "mesh_line_8_vcs3".
+ */
 std::string
 shapeName(const ::testing::TestParamInfo<ShapeParam> &info)
 {
     std::string name = info.param.torus ? "torus" : "mesh";
+    if (info.param.dims.size() == 1)
+        name += info.param.torus ? "_ring" : "_line";
     for (std::size_t i = 0; i < info.param.dims.size(); ++i)
         name += (i ? "x" : "_") + std::to_string(info.param.dims[i]);
     name += "_vcs";
