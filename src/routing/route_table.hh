@@ -115,10 +115,11 @@ class RouteTable
     /** Route-compute queries served so far (table or fallback). */
     std::uint64_t calls() const { return callCount; }
 
-    /** Fold externally counted queries into calls(). The sharded
-     *  scheduler's workers query via candidatesViewUncounted (the
-     *  mutable counter here is not thread-safe) and tally per shard;
-     *  the scheduler adds the totals back once the workers joined so
+    /** Fold externally counted queries into calls(). The simulator's
+     *  VC allocators query via candidatesViewUncounted (the mutable
+     *  counter here is not thread-safe, and sharded runs have one
+     *  allocator per worker shard) and tally per allocator; the
+     *  simulator adds the totals back after the run so
      *  result.routeComputeCalls stays exact and deterministic. */
     void addCalls(std::uint64_t n) const { callCount += n; }
 

@@ -417,8 +417,7 @@ EventScheduler::run(Simulator &sim, SimResult &result)
         measure_start + sim.cfg.measureCycles;
     const std::uint64_t hard_stop = measure_end + sim.cfg.drainCycles;
 
-    const double packet_rate = sim.cfg.injectionRate
-        / static_cast<double>(sim.cfg.packetLength);
+    const double packet_rate = sim.packetRate;
     if (sim.injector.enabled() || sim.cfg.protocol.enabled()
         || sim.cfg.selection == SelectionPolicy::Random
         || !(packet_rate > 0.0) || packet_rate >= 1.0) {
@@ -444,13 +443,11 @@ EventScheduler::run(Simulator &sim, SimResult &result)
     if (sim.abortCheck)
         deadlines.push(0, EventKind::AbortPoll);
 
-    const bool phase_hooks =
-        sim.measureStartHook || sim.measureEndHook;
     std::uint64_t last_progress = 0;
     std::uint64_t cycle = 0;
     while (cycle < hard_stop) {
         if (sim.fab.flitsInFlight == 0
-            && sim.injectActive.size() == 0) {
+            && sim.dom.injectActive.size() == 0) {
             // The fabric is empty and no packet awaits injection (the
             // injection set tracks exactly the nodes with non-empty
             // source queues after each executed cycle), so every cycle
@@ -478,8 +475,8 @@ EventScheduler::run(Simulator &sim, SimResult &result)
                 // cycle count). The watchdog saw progress throughout
                 // (an empty fabric resets it every cycle).
                 sim.genCycles += target - cycle;
-                sim.vcAlloc.resyncOffset(target);
-                sim.swAlloc.resyncOffset(target);
+                sim.dom.vcAlloc.resyncOffset(target);
+                sim.dom.swAlloc.resyncOffset(target);
                 last_progress = target - 1;
                 cycle = target;
                 if (cycle >= hard_stop)
@@ -488,21 +485,8 @@ EventScheduler::run(Simulator &sim, SimResult &result)
         }
 
         ++wakeups;
-        if (phase_hooks) {
-            if (cycle == measure_start && sim.measureStartHook)
-                sim.measureStartHook();
-            if (cycle == measure_end && sim.measureEndHook)
-                sim.measureEndHook();
-        }
-        if (sim.cycleLimit && cycle >= sim.cycleLimit) {
-            sim.abortedFlag = true;
+        if (sim.abortBefore(cycle))
             break;
-        }
-        if (sim.abortCheck && (cycle & 1023u) == 0
-            && sim.abortCheck()) {
-            sim.abortedFlag = true;
-            break;
-        }
         const bool measuring =
             cycle >= measure_start && cycle < measure_end;
         // The engine stands in for Simulator::generate: identical
@@ -510,54 +494,21 @@ EventScheduler::run(Simulator &sim, SimResult &result)
         // within the cycle).
         engine.consumeHits(
             cycle, [&](std::uint32_t node, std::uint32_t dst) {
-                PacketRec rec;
-                rec.src = static_cast<topo::NodeId>(node);
-                rec.dest = static_cast<topo::NodeId>(dst);
-                rec.genCycle = cycle;
-                rec.measured = measuring;
-                sim.sourceQueues[node].push_back(
-                    sim.fab.allocPacket(rec));
-                sim.injectActive.schedule(node);
-                sim.generatedFlits +=
-                    static_cast<std::uint64_t>(sim.cfg.packetLength);
-                if (measuring) {
-                    ++sim.measuredInFlight;
-                    ++sim.measuredGenerated;
-                }
+                sim.enqueuePacket(static_cast<topo::NodeId>(node),
+                                  static_cast<topo::NodeId>(dst), cycle,
+                                  measuring);
             });
         ++sim.genCycles;
-        sim.fillInjectionVcs(cycle);
-        sim.vcAlloc.allocate(sim.allocActive, sim.routerTable,
-                             sim.linkActive, sim.ejectActive);
-        bool moved = sim.swAlloc.traverse(cycle, sim.linkActive,
-                                          sim.allocActive,
-                                          sim.routerTable);
-        EjectStats stats{sim.latencyHist,
-                         sim.latencyStat,
-                         sim.hopsStat,
-                         sim.packetsEjectedCount,
-                         sim.measuredEjectedFlits,
-                         sim.measuredInFlight,
-                         measuring};
-        moved |= sim.swAlloc.eject(cycle, sim.ejectActive,
-                                   sim.allocActive, sim.routerTable,
-                                   stats);
+        const bool moved = sim.pipelineStep(cycle, measuring);
         if (moved || sim.fab.flitsInFlight == 0)
             last_progress = cycle;
         if (cycle - last_progress > sim.cfg.watchdogCycles) {
             // Fault-free run: no recovery escalation to try (the
             // fallback above owns every faulted run).
-            result.deadlocked = true;
-            sim.forensicsDump =
-                buildForensics(sim.fab, sim.table, cycle);
-            result.deadlockCycle.assign(
-                sim.forensicsDump.waitCycle.begin(),
-                sim.forensicsDump.waitCycle.end());
-            result.deadlockCycleInCdg =
-                sim.forensicsDump.cycleInRelationCdg;
+            sim.declareDeadlock(result, cycle);
             break;
         }
-        if (cycle >= measure_end && sim.measuredInFlight == 0)
+        if (cycle >= measure_end && sim.dom.stats.measuredInFlight == 0)
             break;
         ++cycle;
     }

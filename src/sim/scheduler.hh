@@ -2,15 +2,20 @@
  * @file
  * The scheduler seam: how simulated time advances.
  *
- * The simulator's per-cycle phase code (inject, route/VC-alloc,
- * switch-alloc + traversal, eject, watchdog, fault events) is
- * scheduler-agnostic — it operates on active sets and takes the
- * current cycle as a parameter. A SchedulerBackend decides WHICH
- * cycles to execute:
+ * The pipeline stages (generate, injection fill, route compute and VC
+ * allocation, switch traversal, eject) are one kernel set shared by
+ * every backend: templates over a downstream policy
+ * (sim/downstream.hh) that run over a pipeline domain's active sets and
+ * take the current cycle as a parameter. Simulator::pipelineStep runs
+ * fill, allocate, traverse and eject for one cycle; the top-of-cycle
+ * hooks, limit and abort poll (Simulator::abortBefore) and the deadlock
+ * verdict (Simulator::declareDeadlock) are shared too. A
+ * SchedulerBackend only decides WHICH cycles to execute, and over
+ * which domains:
  *
- *  - CycleScheduler executes every cycle in order: the classic
- *    cycle-driven loop, bit-identical to the pre-seam simulator
- *    (tests/test_golden_sim.cc pins this).
+ *  - CycleScheduler executes every cycle in order over one domain
+ *    spanning the whole fabric: the classic cycle-driven loop
+ *    (tests/test_golden_sim.cc pins its results).
  *  - EventScheduler (sim/event_queue.hh) executes only cycles on which
  *    something can happen. Injection timers are precomputed from the
  *    per-node RNG streams by a block-batched draw engine, and spans
@@ -20,6 +25,9 @@
  *    eligible to move each cycle. Both backends consume identical
  *    per-router RNG streams, so results are trace-equivalent
  *    (tests/test_sched_equiv.cc diffs the full result JSON).
+ *  - ShardedCycleScheduler (sim/shard_sched.hh) executes every cycle
+ *    over one domain per spatial shard, on worker threads, with the
+ *    cut-link policy in place of the live-buffer one.
  *
  * Mode selection: SimConfig::schedMode is a tri-state. Auto defers to
  * the EBDA_SCHED_MODE environment variable if set ("cycle"/"event"),

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "sim/downstream.hh"
 #include "sim/shard_partition.hh"
 #include "sim/simulator.hh"
 
@@ -80,53 +80,20 @@ class SpinBarrier
     unsigned total = 1;
 };
 
-/** One flit crossing a cut link: the channel it was sent into plus the
- *  flit itself (arrival already stamped by the sender). */
-struct FlitMsg
-{
-    topo::ChannelId chan;
-    Flit flit;
-};
-
 /**
- * Double-buffered message queue for one ordered shard pair: flits for
- * cut links producer -> consumer, credits for cut links the other way.
- * The producer appends to parity (cycle & 1) during its cycle; the
- * consumer drains the opposite parity at the top of its next cycle —
- * so a buffer is never touched by two shards in the same inter-barrier
- * window, whatever order the shards execute in.
- */
-struct Mailbox
-{
-    std::uint16_t producer = 0;
-    std::uint16_t consumer = 0;
-    std::vector<FlitMsg> flits[2];
-    std::vector<topo::ChannelId> credits[2];
-};
-
-/** Per-link probe record (mirrors SwitchAllocator::LinkProbe). */
-struct LinkProbe
-{
-    topo::ChannelId base;
-    std::uint32_t nvc;
-};
-
-/**
- * Everything one shard owns. Arbitration offsets are maintained with
- * the exact increments the classic stages use, so each is the same
- * pure function of the cycle count; stats and counters accumulate
- * locally and are folded into the simulator in ascending shard order
- * after the workers join. alignas keeps neighbouring shards' hot
- * counters off each other's cache lines.
+ * Everything one shard owns: its nodes, its inbound mailboxes, the
+ * pipeline domain the shared stage kernels sweep for it (active sets,
+ * allocators with their arbitration offsets, statistics) and its
+ * downstream policy (cut-link view, move and in-flight counters,
+ * packet-slot pool). The offsets start where the classic ones do and
+ * advance identically, so each is the same pure function of the cycle
+ * count. alignas keeps neighbouring shards' hot counters off each
+ * other's cache lines.
  */
 struct alignas(64) Shard
 {
-    Shard(std::size_t n_ivcs, std::size_t n_links, std::size_t n_nodes,
-          std::size_t rot_size)
-        : allocActive(n_ivcs), linkActive(n_links),
-          ejectActive(n_nodes), injectActive(n_nodes),
-          portUsedStamp(n_links + n_nodes, UINT64_MAX),
-          rotStart(rot_size, 0), latencyHist(4096)
+    Shard(Fabric &fab, const routing::RouteTable &table, CutLinks &links)
+        : dom(fab, table), down(fab, links)
     {
     }
 
@@ -134,75 +101,28 @@ struct alignas(64) Shard
     std::vector<topo::NodeId> nodes;
     /** Inbound mailbox indices, ascending by producer shard. */
     std::vector<std::uint32_t> inbox;
-
-    /** Per-shard active sets over the full universes; membership only
-     *  ever covers shard-owned indices (the bitmap cost of the unused
-     *  range is negligible and keeps indexing global). */
-    ActiveSet allocActive;
-    ActiveSet linkActive;
-    ActiveSet ejectActive;
-    ActiveSet injectActive;
-
-    std::vector<std::uint64_t> portUsedStamp;
-    std::vector<std::uint32_t> rotStart;
-    std::size_t vcArbOffset = 0;
-    std::size_t swArbOffset = 0;
-
-    std::vector<topo::ChannelId> scratch;
-    std::vector<topo::ChannelId> free;
-
-    /** Packet slots this shard may allocate from; refilled to at least
-     *  one slot per owned node by the barrier hook. */
-    std::vector<std::uint32_t> pktPool;
-
-    Histogram latencyHist;
-    StatAccumulator latencyStat;
-    StatAccumulator hopsStat;
-    std::uint64_t packetsEjected = 0;
-    std::uint64_t measuredEjectedFlits = 0;
-    std::uint64_t generatedFlits = 0;
-    std::uint64_t measuredGenerated = 0;
-    std::uint64_t routeCalls = 0;
-    std::uint64_t flitMoves = 0;
-    /** Signed in-flight deltas: injection adds, ejection subtracts,
-     *  cut transfers touch neither side — each flit is counted once by
-     *  its injector shard and released once by its ejector shard, so
-     *  the sum over shards is the exact global count (flits sitting in
-     *  a mailbox included). */
-    std::int64_t inFlightDelta = 0;
-    std::int64_t measuredDelta = 0;
-    bool movedThisCycle = false;
+    /** The domain's active sets span the full universes; membership
+     *  only ever covers shard-owned indices (the bitmap cost of the
+     *  unused range is negligible and keeps indexing global). */
+    PipelineDomain dom;
+    CutDownstream down;
+    bool moved = false;
 };
 
+} // namespace
+
 /**
- * The whole run: shared read-only tables, the shard array, the
- * mailboxes, and the barrier-hook control state. Built by
- * ShardedCycleScheduler::run (the Simulator friend) from the
- * simulator's internals; the worker kernels below only ever touch
- * state through this struct.
+ * The whole run: the simulator whose kernels every shard calls, the
+ * shard array, the cut-link tables and mailboxes, and the barrier-hook
+ * control state. A Simulator friend, built by
+ * ShardedCycleScheduler::run.
  */
 struct ShardRun
 {
-    const topo::Network &net;
-    const SimConfig &cfg;
-    Fabric &fab;
-    const routing::RouteTable &table;
-    const TrafficGenerator &traffic;
-    std::vector<Router> &routers;
-    std::vector<RingQueue<std::uint32_t>> &queues;
+    explicit ShardRun(Simulator &s) : sim(s) {}
 
-    std::vector<std::uint16_t> shardOf;
-    std::vector<LinkProbe> linkInfo;
-    /** Per-channel outbound mailbox (cut channels only, -1 local):
-     *  sendBoxOf for the flit direction, creditBoxOf for the credit
-     *  return the other way. */
-    std::vector<std::int32_t> sendBoxOf;
-    std::vector<std::int32_t> creditBoxOf;
-    /** Sender-side credit counters per channel; only the cut channels'
-     *  entries are ever read, each by exactly one shard. */
-    std::vector<std::int32_t> credits;
-    std::vector<Mailbox> mailboxes;
-
+    Simulator &sim;
+    CutLinks links;
     std::vector<std::unique_ptr<Shard>> shards;
     /** Static shard -> worker-thread assignment (results never depend
      *  on it; it only divides the work). */
@@ -212,11 +132,6 @@ struct ShardRun
     std::uint64_t measureStart = 0;
     std::uint64_t measureEnd = 0;
     std::uint64_t hardStop = 0;
-    std::uint64_t watchdogCycles = 0;
-    std::uint64_t cycleLimit = 0;
-    const std::function<void()> *startHookFn = nullptr;
-    const std::function<void()> *endHookFn = nullptr;
-    const std::function<bool()> *abortCheckFn = nullptr;
 
     /** Written only by the barrier hook, read by workers after the
      *  barrier releases them — the barrier's release/acquire pair is
@@ -232,40 +147,21 @@ struct ShardRun
     std::uint64_t finalCycle = 0;
     std::uint64_t wakeups = 0;
     bool deadlocked = false;
-    bool aborted = false;
-
-    std::size_t numNodes = 0;
-    std::size_t numChannels = 0;
-
-    bool isCut(topo::ChannelId c) const { return sendBoxOf[c] >= 0; }
 
     // --- setup -----------------------------------------------------
 
     void
     build(int shard_count)
     {
-        numNodes = net.numNodes();
-        numChannels = net.numChannels();
-        shardOf = partitionNodes(net, shard_count);
-
-        linkInfo.reserve(net.numLinks());
-        std::size_t max_rot = 1;
-        for (topo::LinkId l = 0; l < net.numLinks(); ++l) {
-            const int nvc = net.vcsOnLink(l);
-            linkInfo.push_back({net.linkChannelBase(l),
-                                static_cast<std::uint32_t>(nvc)});
-            max_rot =
-                std::max(max_rot, static_cast<std::size_t>(nvc));
-        }
-        for (topo::NodeId v = 0; v < numNodes; ++v)
-            max_rot = std::max(max_rot, routers[v].localIvcs.size());
+        const topo::Network &net = sim.net;
+        const std::vector<std::uint16_t> shardOf =
+            partitionNodes(net, shard_count);
 
         shards.reserve(static_cast<std::size_t>(shard_count));
         for (int s = 0; s < shard_count; ++s)
-            shards.push_back(std::make_unique<Shard>(
-                fab.ivcs.size(), net.numLinks(), numNodes,
-                max_rot + 1));
-        for (topo::NodeId v = 0; v < numNodes; ++v)
+            shards.push_back(
+                std::make_unique<Shard>(sim.fab, sim.table, links));
+        for (topo::NodeId v = 0; v < net.numNodes(); ++v)
             shards[shardOf[v]]->nodes.push_back(v);
 
         // Mailboxes: one per ordered shard pair joined by a cut link,
@@ -273,9 +169,10 @@ struct ShardRun
         // flit per cut link (the traverse stage moves one flit per
         // output link per cycle) and one credit per cut link (every VC
         // of a link shares its input port, so at most one pop/cycle).
-        sendBoxOf.assign(numChannels, -1);
-        creditBoxOf.assign(numChannels, -1);
-        credits.assign(numChannels, cfg.vcDepth);
+        auto &mailboxes = links.mailboxes;
+        links.sendBoxOf.assign(net.numChannels(), -1);
+        links.creditBoxOf.assign(net.numChannels(), -1);
+        links.credits.assign(net.numChannels(), sim.cfg.vcDepth);
         std::map<std::pair<int, int>, std::uint32_t> boxIndex;
         auto box = [&](int from, int to) -> std::uint32_t {
             const auto key = std::make_pair(from, to);
@@ -307,10 +204,10 @@ struct ShardRun
             const int nvc = net.vcsOnLink(l);
             const topo::ChannelId base = net.linkChannelBase(l);
             for (int v = 0; v < nvc; ++v) {
-                sendBoxOf[base + static_cast<topo::ChannelId>(v)] =
-                    static_cast<std::int32_t>(fwd);
-                creditBoxOf[base + static_cast<topo::ChannelId>(v)] =
-                    static_cast<std::int32_t>(rev);
+                const topo::ChannelId c =
+                    base + static_cast<topo::ChannelId>(v);
+                links.sendBoxOf[c] = static_cast<std::int32_t>(fwd);
+                links.creditBoxOf[c] = static_cast<std::int32_t>(rev);
             }
         }
         flitCap.resize(mailboxes.size(), 0);
@@ -340,9 +237,10 @@ struct ShardRun
     void
     refillPools()
     {
+        Fabric &fab = sim.fab;
         for (auto &sp : shards) {
             const std::size_t target = sp->nodes.size();
-            auto &pool = sp->pktPool;
+            auto &pool = sp->down.pool;
             while (pool.size() > 2 * target) {
                 fab.pktFreelist.push_back(pool.back());
                 pool.pop_back();
@@ -360,446 +258,91 @@ struct ShardRun
         }
     }
 
-    // --- per-shard kernels (classic stages, shard-restricted) -------
+    // --- one shard's cycle -------------------------------------------
 
-    /** Return the freed buffer slot of input VC `idx` to the upstream
-     *  shard when the channel is cut (pops of local channels need no
-     *  message — the owner reads the buffer directly). */
-    void
-    creditReturn(std::size_t idx, std::uint64_t cycle)
-    {
-        if (idx >= numChannels)
-            return;
-        const std::int32_t b =
-            creditBoxOf[static_cast<topo::ChannelId>(idx)];
-        if (b >= 0)
-            mailboxes[static_cast<std::size_t>(b)]
-                .credits[cycle & 1]
-                .push_back(static_cast<topo::ChannelId>(idx));
-    }
-
+    /** Land last cycle's cut-link flits and credits addressed to this
+     *  shard, in ascending producer order. */
     void
     drainInbound(Shard &sh, std::uint64_t cycle)
     {
+        Fabric &fab = sim.fab;
         const std::size_t parity = (cycle + 1) & 1;
         for (const std::uint32_t m : sh.inbox) {
-            Mailbox &mb = mailboxes[m];
+            Mailbox &mb = links.mailboxes[m];
             for (const FlitMsg &msg : mb.flits[parity]) {
                 InputVc &down = fab.ivcs[msg.chan];
                 fab.pushFlit(msg.chan, down, msg.flit, cycle,
-                             sh.flitMoves);
+                             sh.down.moves);
                 if (!down.routed)
-                    sh.allocActive.schedule(msg.chan);
+                    sh.dom.allocActive.schedule(msg.chan);
             }
             mb.flits[parity].clear();
             for (const topo::ChannelId c : mb.credits[parity])
-                ++credits[c];
+                ++links.credits[c];
             mb.credits[parity].clear();
         }
-    }
-
-    void
-    generate(Shard &sh, std::uint64_t cycle, bool measuring)
-    {
-        const double packet_rate = cfg.injectionRate
-            / static_cast<double>(cfg.packetLength);
-        for (const topo::NodeId n : sh.nodes) {
-            Rng &rng = routers[n].rng;
-            if (!rng.nextBool(packet_rate))
-                continue;
-            const auto dest = traffic.dest(n, rng);
-            if (!dest)
-                continue;
-            // Slot from the shard pool (non-empty by the refill
-            // invariant); seq derived from (cycle, node) — unique and
-            // deterministic without a shared counter.
-            const std::uint32_t id = sh.pktPool.back();
-            sh.pktPool.pop_back();
-            PacketRec rec;
-            rec.src = n;
-            rec.dest = *dest;
-            rec.genCycle = cycle;
-            rec.measured = measuring;
-            rec.seq = cycle * numNodes + n;
-            fab.packets[id] = rec;
-            queues[n].push_back(id);
-            sh.injectActive.schedule(n);
-            sh.generatedFlits +=
-                static_cast<std::uint64_t>(cfg.packetLength);
-            if (measuring) {
-                ++sh.measuredDelta;
-                ++sh.measuredGenerated;
-            }
-        }
-    }
-
-    void
-    fillInjectionVcs(Shard &sh, std::uint64_t cycle)
-    {
-        sh.injectActive.sweep(0, [&](std::size_t ni) -> bool {
-            const auto n = static_cast<topo::NodeId>(ni);
-            if (queues[n].empty())
-                return false;
-            for (int k = 0;
-                 k < cfg.injectionVcs && !queues[n].empty(); ++k) {
-                const std::size_t idx = fab.injIndex(n, k);
-                InputVc &vc = fab.ivcs[idx];
-                if (!vc.buf.empty() || vc.routed)
-                    continue;
-                const std::uint32_t pkt = queues[n].front();
-                queues[n].pop_front();
-                for (int f = 0; f < cfg.packetLength; ++f) {
-                    fab.pushFlit(idx, vc,
-                                 Flit{pkt, f == 0,
-                                      f == cfg.packetLength - 1,
-                                      cycle},
-                                 cycle, sh.flitMoves);
-                }
-                sh.inFlightDelta +=
-                    static_cast<std::int64_t>(cfg.packetLength);
-                sh.allocActive.schedule(idx);
-            }
-            return !queues[n].empty();
-        });
-    }
-
-    /** Downstream space as this shard may observe it: the live buffer
-     *  for local channels, the (one-cycle-lagged) credit counter for
-     *  cut channels. */
-    int
-    spaceAt(topo::ChannelId c) const
-    {
-        if (isCut(c))
-            return credits[c];
-        return cfg.vcDepth - static_cast<int>(fab.ivcs[c].buf.size());
-    }
-
-    void
-    vcAllocate(Shard &sh, std::uint64_t /*cycle*/)
-    {
-        const std::size_t count = fab.ivcs.size();
-        sh.vcArbOffset = (sh.vcArbOffset + 1) % count;
-
-        sh.allocActive.sweep(sh.vcArbOffset, [&](std::size_t i) -> bool {
-            InputVc &vc = fab.ivcs[i];
-            if (vc.routed || vc.buf.empty())
-                return false;
-            if (!vc.buf.front().head)
-                return true;
-            const PacketRec &pkt = fab.packets[vc.buf.front().pkt];
-            Router &rtr = routers[vc.atNode];
-
-            if (vc.atNode == pkt.dest) {
-                vc.eject = true;
-                vc.routed = true;
-                vc.curPkt = vc.buf.front().pkt;
-                fab.ejectMask[vc.atNode] |= std::uint64_t{1}
-                    << vc.localPos;
-                if (fab.ejectPending[vc.atNode]++ == 0)
-                    sh.ejectActive.schedule(vc.atNode);
-                return false;
-            }
-
-            sh.free.clear();
-            bool any_candidate = false;
-            ++sh.routeCalls;
-            for (topo::ChannelId c : table.candidatesViewUncounted(
-                     vc.self, vc.atNode, pkt.src, pkt.dest,
-                     sh.scratch)) {
-                any_candidate = true;
-                if (fab.chan[c].owner != topo::kInvalidId)
-                    continue;
-                if (cfg.atomicVcAllocation) {
-                    // Atomic mode wants an empty downstream buffer;
-                    // for a cut channel "all credits home" is the
-                    // sender-side equivalent (conservative by up to
-                    // the one-cycle credit lag).
-                    const bool empty = isCut(c)
-                        ? credits[c] == cfg.vcDepth
-                        : fab.ivcs[c].buf.empty();
-                    if (!empty)
-                        continue;
-                }
-                sh.free.push_back(c);
-            }
-            if (sh.free.empty()) {
-                if (any_candidate)
-                    ++rtr.stalls.vcStarved;
-                else
-                    ++rtr.stalls.routeCompute;
-                return true;
-            }
-
-            topo::ChannelId best = topo::kInvalidId;
-            switch (cfg.selection) {
-              case SelectionPolicy::MaxCredits: {
-                  int best_space = -1;
-                  for (const topo::ChannelId c : sh.free) {
-                      const int space = spaceAt(c);
-                      if (space > best_space) {
-                          best_space = space;
-                          best = c;
-                      }
-                  }
-                  break;
-              }
-              case SelectionPolicy::RoundRobin:
-                best = sh.free[sh.vcArbOffset % sh.free.size()];
-                break;
-              case SelectionPolicy::Random:
-                best = sh.free[rtr.rng.nextBounded(sh.free.size())];
-                break;
-              case SelectionPolicy::FirstCandidate:
-                best = sh.free.front();
-                break;
-            }
-
-            vc.out = best;
-            vc.eject = false;
-            vc.routed = true;
-            vc.curPkt = vc.buf.front().pkt;
-            fab.chan[best].owner = static_cast<std::uint32_t>(i);
-            const topo::LinkId l = fab.net.linkOf(best);
-            if (fab.ownedOnLink[l]++ == 0)
-                sh.linkActive.schedule(l);
-            return false;
-        });
-    }
-
-    void
-    traverse(Shard &sh, std::uint64_t cycle)
-    {
-        ++sh.swArbOffset;
-        const SwitchingMode switching = cfg.switching;
-        const int packet_length = cfg.packetLength;
-        const std::uint64_t pipe_extra =
-            static_cast<std::uint64_t>(cfg.routerLatency - 1);
-        for (std::size_t n = 1; n < sh.rotStart.size(); ++n) {
-            if (++sh.rotStart[n] >= n)
-                sh.rotStart[n] = 0;
-        }
-
-        sh.linkActive.sweep(
-            sh.swArbOffset % net.numLinks(),
-            [&](std::size_t li) -> bool {
-                const auto l = static_cast<topo::LinkId>(li);
-                const LinkProbe lp = linkInfo[li];
-                const int nvc = static_cast<int>(lp.nvc);
-                int v = static_cast<int>(sh.rotStart[lp.nvc]);
-                for (int vi = 0; vi < nvc; ++vi, ++v) {
-                    if (v >= nvc)
-                        v -= nvc;
-                    const topo::ChannelId out =
-                        lp.base + static_cast<topo::ChannelId>(v);
-                    ChannelState &cs = fab.chan[out];
-                    const std::uint32_t holder = cs.owner;
-                    if (holder == topo::kInvalidId)
-                        continue;
-                    InputVc &vc = fab.ivcs[holder];
-                    if (vc.buf.empty()
-                        || vc.buf.front().arrival >= cycle)
-                        continue;
-                    const bool cut = isCut(out);
-                    const int space = spaceAt(out);
-                    if (space <= 0) {
-                        ++routers[vc.atNode].stalls.creditStarved;
-                        continue;
-                    }
-                    if (vc.buf.front().head
-                        && !SwitchAllocator::headMayAdvance(
-                            switching, packet_length, vc, space)) {
-                        ++routers[vc.atNode].stalls.creditStarved;
-                        continue;
-                    }
-                    if (sh.portUsedStamp[vc.port] == cycle) {
-                        ++routers[vc.atNode].stalls.switchLost;
-                        continue;
-                    }
-
-                    Flit flit = fab.popFlit(holder, vc, cycle);
-                    creditReturn(holder, cycle);
-                    sh.portUsedStamp[vc.port] = cycle;
-                    flit.arrival = cycle + pipe_extra;
-                    if (cut) {
-                        // The receiver pushes (and counts the move)
-                        // when it drains the mailbox next cycle; the
-                        // credit is spent now so this shard's space
-                        // view stays conservative.
-                        --credits[out];
-                        mailboxes[static_cast<std::size_t>(
-                                      sendBoxOf[out])]
-                            .flits[cycle & 1]
-                            .push_back(FlitMsg{out, flit});
-                    } else {
-                        fab.pushFlit(out, fab.ivcs[out], flit, cycle,
-                                     sh.flitMoves);
-                    }
-                    ++cs.load;
-                    if (flit.head)
-                        ++fab.packets[flit.pkt].hops;
-                    if (flit.tail) {
-                        cs.owner = topo::kInvalidId;
-                        --fab.ownedOnLink[l];
-                        vc.routed = false;
-                        vc.out = topo::kInvalidId;
-                        vc.curPkt = topo::kInvalidId;
-                        if (!vc.buf.empty())
-                            sh.allocActive.schedule(holder);
-                    }
-                    if (!cut && !fab.ivcs[out].routed)
-                        sh.allocActive.schedule(out);
-                    sh.movedThisCycle = true;
-                    break; // one flit per output link per cycle
-                }
-                return fab.ownedOnLink[l] > 0;
-            });
-    }
-
-    void
-    eject(Shard &sh, std::uint64_t cycle, bool measuring)
-    {
-        sh.ejectActive.sweep(0, [&](std::size_t ni) -> bool {
-            const auto n = static_cast<topo::NodeId>(ni);
-            const auto &locals = routers[n].localIvcs;
-            const std::size_t nloc = locals.size();
-            const std::size_t p0 = sh.rotStart[nloc];
-            const std::uint64_t mask = fab.ejectMask[n];
-            const std::uint64_t low = (std::uint64_t{1} << p0) - 1;
-            std::uint64_t ranges[2] = {mask & ~low, mask & low};
-            bool granted = false;
-            for (std::uint64_t m : ranges) {
-                while (m && !granted) {
-                    const auto p = static_cast<std::size_t>(
-                        std::countr_zero(m));
-                    m &= m - 1;
-                    const std::size_t idx = locals[p];
-                    InputVc &vc = fab.ivcs[idx];
-                    if (vc.buf.empty()
-                        || vc.buf.front().arrival >= cycle)
-                        continue;
-                    if (sh.portUsedStamp[vc.port] == cycle) {
-                        ++routers[vc.atNode].stalls.switchLost;
-                        continue;
-                    }
-                    const Flit flit = fab.popFlit(idx, vc, cycle);
-                    creditReturn(idx, cycle);
-                    sh.portUsedStamp[vc.port] = cycle;
-                    --sh.inFlightDelta;
-                    ++sh.flitMoves;
-                    sh.movedThisCycle = true;
-                    if (flit.tail) {
-                        vc.routed = false;
-                        vc.eject = false;
-                        vc.curPkt = topo::kInvalidId;
-                        --fab.ejectPending[n];
-                        fab.ejectMask[n] &=
-                            ~(std::uint64_t{1} << vc.localPos);
-                        if (!vc.buf.empty())
-                            sh.allocActive.schedule(idx);
-                        PacketRec &pkt = fab.packets[flit.pkt];
-                        ++sh.packetsEjected;
-                        if (measuring)
-                            ++sh.measuredEjectedFlits;
-                        if (pkt.measured) {
-                            const auto latency =
-                                cycle - pkt.genCycle;
-                            sh.latencyHist.add(latency);
-                            sh.latencyStat.add(
-                                static_cast<double>(latency));
-                            sh.hopsStat.add(
-                                static_cast<double>(pkt.hops));
-                            --sh.measuredDelta;
-                        }
-                        sh.pktPool.push_back(flit.pkt);
-                    } else if (measuring) {
-                        ++sh.measuredEjectedFlits;
-                    }
-                    granted = true;
-                }
-                if (granted)
-                    break;
-            }
-            return fab.ejectPending[n] > 0;
-        });
     }
 
     void
     step(Shard &sh, std::uint64_t cycle, bool measuring)
     {
         drainInbound(sh, cycle);
-        generate(sh, cycle, measuring);
-        fillInjectionVcs(sh, cycle);
-        vcAllocate(sh, cycle);
-        traverse(sh, cycle);
-        eject(sh, cycle, measuring);
+        for (const topo::NodeId n : sh.nodes)
+            sim.generateAt(sh.down, sh.dom, n, cycle, measuring);
+        sh.moved |= sim.pipelineStep(sh.down, sh.dom, cycle, measuring);
     }
 
     // --- barrier completion hook (single-threaded) -------------------
 
     void
-    stopAfterCycle(std::uint64_t c)
+    stop(std::uint64_t final_cycle, std::uint64_t executed)
     {
-        finalCycle = c;
-        wakeups = executedCycles;
+        finalCycle = final_cycle;
+        wakeups = executed;
         ctrl.stop = true;
     }
 
     /** Runs once per cycle, by the last barrier arriver, while every
      *  worker is parked: global reductions, watchdog, termination,
-     *  packet-pool upkeep — everything the classic loop did with
-     *  whole-fabric state. Mirrors the classic loop's top-of-cycle
-     *  bookkeeping for cycle c+1 so counters stay comparable. */
+     *  packet-pool upkeep — everything the classic loop does with
+     *  whole-fabric state — then the classic top-of-cycle bookkeeping
+     *  for cycle c+1, so counters stay comparable. */
     void
     hook(std::uint64_t c)
     {
         ++executedCycles;
         bool moved = false;
-        std::int64_t in_flight = 0;
-        std::int64_t measured = 0;
+        // Modular sums of the shards' deltas: exact global counts.
+        std::uint64_t in_flight = 0;
+        std::uint64_t measured = 0;
         for (auto &sp : shards) {
-            moved |= sp->movedThisCycle;
-            sp->movedThisCycle = false;
-            in_flight += sp->inFlightDelta;
-            measured += sp->measuredDelta;
+            moved |= sp->moved;
+            sp->moved = false;
+            in_flight += sp->down.inFlight;
+            measured += sp->dom.stats.measuredInFlight;
         }
         if (moved || in_flight == 0)
             lastProgress = c;
         refillPools();
-        if (c - lastProgress > watchdogCycles) {
+        if (c - lastProgress > sim.cfg.watchdogCycles) {
             // Nothing moved for the whole window, so no mailbox has
             // held a message for that long either: the frozen fabric
             // the forensics walk after the join is complete.
             deadlocked = true;
-            stopAfterCycle(c);
+            stop(c, executedCycles);
             return;
         }
         if (c >= measureEnd && measured == 0) {
-            stopAfterCycle(c);
+            stop(c, executedCycles);
             return;
         }
         const std::uint64_t next = c + 1;
         if (next >= hardStop) {
-            finalCycle = hardStop;
-            wakeups = executedCycles;
-            ctrl.stop = true;
+            stop(hardStop, executedCycles);
             return;
         }
-        if (startHookFn && next == measureStart)
-            (*startHookFn)();
-        if (endHookFn && next == measureEnd)
-            (*endHookFn)();
-        if (cycleLimit && next >= cycleLimit) {
-            aborted = true;
-            finalCycle = next;
-            wakeups = executedCycles + 1;
-            ctrl.stop = true;
-            return;
-        }
-        if (abortCheckFn && (next & 1023u) == 0 && (*abortCheckFn)()) {
-            aborted = true;
-            finalCycle = next;
-            wakeups = executedCycles + 1;
-            ctrl.stop = true;
+        if (sim.abortBefore(next)) {
+            stop(next, executedCycles + 1);
             return;
         }
         ctrl.measuring = next >= measureStart && next < measureEnd;
@@ -820,25 +363,13 @@ struct ShardRun
     }
 };
 
-} // namespace
-
 std::uint64_t
 ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
 {
-    ShardRun R{sim.net,         sim.cfg,         sim.fab,
-               sim.table,       sim.traffic,     sim.routerTable,
-               sim.sourceQueues};
+    ShardRun R(sim);
     R.measureStart = sim.cfg.warmupCycles;
     R.measureEnd = R.measureStart + sim.cfg.measureCycles;
     R.hardStop = R.measureEnd + sim.cfg.drainCycles;
-    R.watchdogCycles = sim.cfg.watchdogCycles;
-    R.cycleLimit = sim.cycleLimit;
-    if (sim.measureStartHook)
-        R.startHookFn = &sim.measureStartHook;
-    if (sim.measureEndHook)
-        R.endHookFn = &sim.measureEndHook;
-    if (sim.abortCheck)
-        R.abortCheckFn = &sim.abortCheck;
 
     if (R.hardStop == 0) {
         wakeups = 0;
@@ -846,13 +377,7 @@ ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
     }
     // Top-of-cycle-0 bookkeeping the barrier hook handles for every
     // later cycle (the classic loop does this inside the iteration).
-    if (R.startHookFn && R.measureStart == 0)
-        (*R.startHookFn)();
-    if (R.endHookFn && R.measureEnd == 0)
-        (*R.endHookFn)();
-    if (R.abortCheckFn && (*R.abortCheckFn)()) {
-        sim.abortedFlag = true;
-        result.aborted = true;
+    if (sim.abortBefore(0)) {
         wakeups = 1;
         return 0;
     }
@@ -886,45 +411,23 @@ ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
     // shard order so the merged results are deterministic. From here
     // Simulator::run assembles the SimResult exactly as it does for
     // the classic backend.
-    std::int64_t in_flight = 0;
-    std::int64_t measured = 0;
     for (auto &sp : R.shards) {
-        sim.latencyHist.merge(sp->latencyHist);
-        sim.latencyStat.merge(sp->latencyStat);
-        sim.hopsStat.merge(sp->hopsStat);
-        sim.packetsEjectedCount += sp->packetsEjected;
-        sim.measuredEjectedFlits += sp->measuredEjectedFlits;
-        sim.generatedFlits += sp->generatedFlits;
-        sim.measuredGenerated += sp->measuredGenerated;
-        sim.fab.flitMoves += sp->flitMoves;
-        sim.table.addCalls(sp->routeCalls);
-        in_flight += sp->inFlightDelta;
-        measured += sp->measuredDelta;
-        for (const std::uint32_t id : sp->pktPool)
+        sim.dom.stats.merge(sp->dom.stats);
+        sim.fab.flitMoves += sp->down.moves;
+        sim.fab.flitsInFlight += sp->down.inFlight;
+        sim.table.addCalls(sp->dom.vcAlloc.routeCalls());
+        for (const std::uint32_t id : sp->down.pool)
             sim.fab.pktFreelist.push_back(id);
-        sp->pktPool.clear();
+        sp->down.pool.clear();
     }
-    sim.fab.flitsInFlight = static_cast<std::uint64_t>(in_flight);
-    sim.measuredInFlight = static_cast<std::uint64_t>(measured);
     sim.genCycles = R.executedCycles;
     sim.fab.nextPacketSeq = std::max(
         sim.fab.nextPacketSeq,
-        (R.finalCycle + 1) * static_cast<std::uint64_t>(R.numNodes));
+        (R.finalCycle + 1)
+            * static_cast<std::uint64_t>(sim.net.numNodes()));
 
-    if (R.aborted) {
-        sim.abortedFlag = true;
-        result.aborted = true;
-    }
-    if (R.deadlocked) {
-        result.deadlocked = true;
-        sim.forensicsDump = buildForensics(sim.fab, sim.table,
-                                           R.finalCycle, nullptr);
-        result.deadlockCycle.assign(
-            sim.forensicsDump.waitCycle.begin(),
-            sim.forensicsDump.waitCycle.end());
-        result.deadlockCycleInCdg =
-            sim.forensicsDump.cycleInRelationCdg;
-    }
+    if (R.deadlocked)
+        sim.declareDeadlock(result, R.finalCycle);
     wakeups = R.wakeups;
     return R.finalCycle;
 }

@@ -5,18 +5,28 @@
  * as the classic cycle loop and the event scheduler.
  *
  * Nodes are partitioned into contiguous spatial shards
- * (sim/shard_partition.hh). A shard owns every pipeline stage that
- * touches state *at* its nodes: packet generation and injection,
- * VC allocation for the input buffers terminating there, traversal of
- * the links leaving there, and ejection. Because each concrete channel
- * (u -> v) splits cleanly — ownership and load on the u side,
- * buffer occupancy on the v side — the only state that crosses a shard
- * boundary is the flits sent over cut links and the credits returned
- * for them, and those travel through preallocated double-buffered
- * mailboxes: a producer appends to the buffer of parity (cycle & 1)
- * during its cycle, the consumer drains the opposite-parity buffer at
- * the top of the next cycle, and one sense-reversing spin barrier per
- * cycle is the entire synchronisation protocol.
+ * (sim/shard_partition.hh). Each shard owns a pipeline domain (its own
+ * active sets, VcAllocator, SwitchAllocator and statistics) and runs
+ * the same stage kernels as the classic loop over it: generation and
+ * injection at its nodes, VC allocation for the input buffers
+ * terminating there, traversal of the links leaving there, and
+ * ejection. The kernels run through CutDownstream (sim/downstream.hh)
+ * instead of LiveDownstream, which changes exactly three things for a
+ * channel whose link crosses a shard boundary: its downstream space is
+ * the sender-side credit counter, a flit sent into it is appended to a
+ * mailbox, and a flit leaving its buffer returns a credit. Because each
+ * concrete channel (u -> v) splits cleanly — ownership and load on the
+ * u side, buffer occupancy on the v side — those flits and credits are
+ * the only state that crosses a boundary. Mailboxes are preallocated
+ * and double-buffered: a producer appends to the buffer of parity
+ * (cycle & 1) during its cycle, the consumer drains the opposite-parity
+ * buffer at the top of the next cycle, and one sense-reversing spin
+ * barrier per cycle is the entire synchronisation protocol.
+ *
+ * What this file keeps is the decomposition itself: partitioning and
+ * mailbox setup, the inbound drain, the barrier and its hook
+ * (reductions, watchdog, termination, packet-pool upkeep), and the
+ * fold of per-shard state back into the simulator.
  *
  * Determinism, the non-negotiable property: no shard ever reads
  * another shard's mutable state except through a drained mailbox, and
@@ -25,11 +35,11 @@
  * (EBDA_SHARD_THREADS, default hardware concurrency) only divides the
  * fixed shard list among executors — oversubscribed, single-threaded
  * and fully parallel runs produce identical results, which is what
- * lets tests/test_shard_equiv.cc pin sharded outputs without a
- * reference machine. Cross-shard credit visibility lags one cycle
- * (the mailbox hop), so a sharded run is a slightly different — but
- * equally valid — simulation than the classic loop; shards = 1 always
- * takes the classic CycleScheduler, bit for bit.
+ * lets tests/test_shard_equiv.cc pin sharded outputs to result digests
+ * without a reference machine. Cross-shard credit visibility lags one
+ * cycle (the mailbox hop), so a sharded run is a slightly different —
+ * but equally valid — simulation than the classic loop; shards = 1
+ * always takes the classic CycleScheduler, bit for bit.
  *
  * v1 scope: fault plans, the protocol layer and uncompiled route
  * tables fall back to the classic backend (sim/shard_partition.hh

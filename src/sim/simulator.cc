@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cdg/relation_cdg.hh"
+#include "sim/downstream.hh"
 #include "sim/event_queue.hh"
 #include "sim/shard_partition.hh"
 #include "sim/shard_sched.hh"
@@ -24,10 +25,9 @@ Simulator::Simulator(const topo::Network &network,
       // is transparent; per-event row filtering keeps it in sync.
       table(effective, routing::RouteTable::Options{
                            cfg.routeTable, cfg.routeTableBudget}),
-      fab(network, cfg), vcAlloc(fab, table), swAlloc(fab),
-      allocActive(fab.ivcs.size()), linkActive(net.numLinks()),
-      ejectActive(net.numNodes()), injectActive(net.numNodes()),
-      latencyHist(4096)
+      fab(network, cfg), dom(fab, table),
+      packetRate(cfg.injectionRate
+                 / static_cast<double>(cfg.packetLength))
 {
     sourceQueues.resize(net.numNodes());
     // Pre-size every queue so a node's first-ever enqueue during the
@@ -43,53 +43,76 @@ Simulator::Simulator(const topo::Network &network,
     strandedPeriod = std::max<std::uint64_t>(1, cfg.watchdogCycles / 4);
     if (cfg.protocol.enabled()) {
         proto = std::make_unique<ProtocolState>(net, cfg);
-        vcAlloc.proto = proto.get();
-        swAlloc.proto = proto.get();
+        dom.vcAlloc.proto = proto.get();
+        dom.swAlloc.proto = proto.get();
+    }
+}
+
+template <class Down>
+void
+Simulator::generateAt(Down &down, PipelineDomain &d, topo::NodeId n,
+                      std::uint64_t cycle, bool measuring)
+{
+    const bool faults_on = injector.enabled();
+    // A dead router neither injects nor draws from its substream;
+    // every other node's stream is untouched by the fault.
+    if (faults_on && injector.nodeDead(n))
+        return;
+    Rng &rng = routerTable[n].rng;
+    if (!rng.nextBool(packetRate))
+        return;
+    const auto dest = traffic.dest(n, rng);
+    if (!dest)
+        return;
+    // The draw is consumed either way; a dead destination just
+    // discards the packet (nobody to deliver to).
+    if (faults_on && injector.nodeDead(*dest))
+        return;
+    // End-to-end credit: no local slot for the eventual reply means
+    // no request this cycle (the draw is still consumed, keeping
+    // the stream aligned with unreserved runs).
+    if (proto && proto->reservationMode()
+        && !proto->tryReserveRequest(n))
+        return;
+    enqueuePacket(down, d, n, *dest, cycle, measuring);
+}
+
+template <class Down>
+void
+Simulator::enqueuePacket(Down &down, PipelineDomain &d, topo::NodeId n,
+                         topo::NodeId dest, std::uint64_t cycle,
+                         bool measuring)
+{
+    PacketRec rec;
+    rec.src = n;
+    rec.dest = dest;
+    rec.genCycle = cycle;
+    rec.measured = measuring;
+    sourceQueues[n].push_back(down.allocPacket(rec));
+    d.injectActive.schedule(n);
+    d.stats.generatedFlits += static_cast<std::uint64_t>(cfg.packetLength);
+    if (measuring) {
+        ++d.stats.measuredInFlight;
+        ++d.stats.measuredGenerated;
     }
 }
 
 void
 Simulator::generate(std::uint64_t cycle, bool measuring)
 {
-    const bool faults_on = injector.enabled();
-    const double packet_rate =
-        cfg.injectionRate / static_cast<double>(cfg.packetLength);
+    LiveDownstream live(fab);
     const topo::NodeId nodes = net.numNodes();
-    for (topo::NodeId n = 0; n < nodes; ++n) {
-        // A dead router neither injects nor draws from its substream;
-        // every other node's stream is untouched by the fault.
-        if (faults_on && injector.nodeDead(n))
-            continue;
-        Rng &rng = routerTable[n].rng;
-        if (!rng.nextBool(packet_rate))
-            continue;
-        const auto dest = traffic.dest(n, rng);
-        if (!dest)
-            continue;
-        // The draw is consumed either way; a dead destination just
-        // discards the packet (nobody to deliver to).
-        if (faults_on && injector.nodeDead(*dest))
-            continue;
-        // End-to-end credit: no local slot for the eventual reply means
-        // no request this cycle (the draw is still consumed, keeping
-        // the stream aligned with unreserved runs).
-        if (proto && proto->reservationMode()
-            && !proto->tryReserveRequest(n))
-            continue;
-        PacketRec rec;
-        rec.src = n;
-        rec.dest = *dest;
-        rec.genCycle = cycle;
-        rec.measured = measuring;
-        sourceQueues[n].push_back(fab.allocPacket(rec));
-        injectActive.schedule(n);
-        generatedFlits += static_cast<std::uint64_t>(cfg.packetLength);
-        if (measuring) {
-            ++measuredInFlight;
-            ++measuredGenerated;
-        }
-    }
+    for (topo::NodeId n = 0; n < nodes; ++n)
+        generateAt(live, dom, n, cycle, measuring);
     ++genCycles;
+}
+
+void
+Simulator::enqueuePacket(topo::NodeId n, topo::NodeId dest,
+                         std::uint64_t cycle, bool measuring)
+{
+    LiveDownstream live(fab);
+    enqueuePacket(live, dom, n, dest, cycle, measuring);
 }
 
 void
@@ -99,7 +122,7 @@ Simulator::losePacket(std::uint32_t id)
     if (proto)
         proto->onPacketLost(fab.packets[id]);
     if (fab.packets[id].measured)
-        --measuredInFlight;
+        --dom.stats.measuredInFlight;
     // A lost packet has no flit, source-queue entry or retry entry
     // left anywhere — its slot can host the next generated packet.
     fab.freePacket(id);
@@ -173,7 +196,7 @@ Simulator::releaseRetries(std::uint64_t cycle)
         }
         pkt.hops = 0; // fresh attempt; latency keeps the original birth
         sourceQueues[pkt.src].push_back(entry.pkt);
-        injectActive.schedule(pkt.src);
+        dom.injectActive.schedule(pkt.src);
     }
     retryQueue.resize(keep);
 }
@@ -255,14 +278,14 @@ Simulator::purgePackets(const std::vector<std::uint8_t> &kill,
     // purge clears the eject-routed VC state that records them.
     if (proto)
         proto->releaseEjectReservations(fab, kill);
-    return injector.purge(fab, allocActive, kill, cycle);
+    return injector.purge(fab, dom.allocActive, kill, cycle);
 }
 
 std::vector<std::uint32_t>
 Simulator::applyFaultEvents(std::uint64_t cycle)
 {
     if (!proto)
-        return injector.apply(cycle, fab, allocActive);
+        return injector.apply(cycle, fab, dom.allocActive);
     // The injector picks its own victims, so snapshot the eject-routed
     // reservations first and release the ones whose packet it purged.
     std::vector<std::pair<topo::NodeId, std::uint32_t>> reserved;
@@ -271,7 +294,7 @@ Simulator::applyFaultEvents(std::uint64_t cycle)
             && fab.packets[vc.curPkt].msgClass == 0)
             reserved.emplace_back(vc.atNode, vc.curPkt);
     }
-    const auto purged = injector.apply(cycle, fab, allocActive);
+    const auto purged = injector.apply(cycle, fab, dom.allocActive);
     for (const auto &[node, pkt] : reserved) {
         // purge() reports victims in ascending id order.
         if (std::binary_search(purged.begin(), purged.end(), pkt))
@@ -324,14 +347,14 @@ Simulator::injectReplies(std::uint64_t cycle, bool measuring)
                 }
                 fab.flitsInFlight +=
                     static_cast<std::uint64_t>(cfg.packetLength);
-                allocActive.schedule(idx);
+                dom.allocActive.schedule(idx);
                 // The slot is held until here: reply fully in a VC.
                 ep.pending.pop_front();
                 ps.releaseDeliverySlot(n);
                 ++ps.repliesInjected;
                 if (measuring) {
-                    ++measuredInFlight;
-                    ++measuredGenerated;
+                    ++dom.stats.measuredInFlight;
+                    ++dom.stats.measuredGenerated;
                 }
                 placed = true;
                 break;
@@ -378,14 +401,16 @@ Simulator::recoverProtocolWedge(std::uint64_t cycle)
     handleDropped(purgePackets(kill, cycle), cycle);
 }
 
+template <class Down>
 void
-Simulator::fillInjectionVcs(std::uint64_t cycle)
+Simulator::fillInjectionVcs(Down &down, PipelineDomain &d,
+                            std::uint64_t cycle)
 {
     // Visit only nodes with queued packets (ascending, matching the
     // original full scan: a node with an empty queue is a provable
     // no-op). A node stays scheduled while its queue is non-empty;
     // fault-path queue purges leave stale entries that drop here.
-    injectActive.sweep(0, [&](std::size_t ni) -> bool {
+    d.injectActive.sweep(0, [&](std::size_t ni) -> bool {
         const auto n = static_cast<topo::NodeId>(ni);
         if (sourceQueues[n].empty())
             return false;
@@ -402,17 +427,91 @@ Simulator::fillInjectionVcs(std::uint64_t cycle)
             const std::uint32_t pkt = sourceQueues[n].front();
             sourceQueues[n].pop_front();
             for (int f = 0; f < cfg.packetLength; ++f) {
-                fab.pushFlit(idx,
+                fab.pushFlit(idx, vc,
                              Flit{pkt, f == 0,
                                   f == cfg.packetLength - 1, cycle},
-                             cycle);
+                             cycle, down.flitMoves());
             }
-            fab.flitsInFlight +=
+            down.flitsInFlight() +=
                 static_cast<std::uint64_t>(cfg.packetLength);
-            allocActive.schedule(idx);
+            d.allocActive.schedule(idx);
         }
         return !sourceQueues[n].empty();
     });
+}
+
+template <class Down>
+bool
+Simulator::pipelineStep(Down &down, PipelineDomain &d,
+                        std::uint64_t cycle, bool measuring)
+{
+    fillInjectionVcs(down, d, cycle);
+    d.vcAlloc.allocate(down, d.allocActive, routerTable, d.linkActive,
+                       d.ejectActive);
+    if (!d.vcAlloc.stranded.empty())
+        purgeStranded(d, cycle);
+    const bool moved = d.swAlloc.traverse(down, cycle, d.linkActive,
+                                          d.allocActive, routerTable);
+    const bool ejected =
+        d.swAlloc.eject(down, cycle, d.ejectActive, d.allocActive,
+                        routerTable, d.stats, measuring);
+    return moved || ejected;
+}
+
+// The sharded loop's instances (shard_sched.cc).
+template void Simulator::generateAt(CutDownstream &, PipelineDomain &,
+                                    topo::NodeId, std::uint64_t, bool);
+template bool Simulator::pipelineStep(CutDownstream &, PipelineDomain &,
+                                      std::uint64_t, bool);
+
+bool
+Simulator::pipelineStep(std::uint64_t cycle, bool measuring)
+{
+    LiveDownstream live(fab);
+    return pipelineStep(live, dom, cycle, measuring);
+}
+
+void
+Simulator::purgeStranded(PipelineDomain &d, std::uint64_t cycle)
+{
+    std::vector<std::uint8_t> kill(fab.packets.size(), 0);
+    bool any = false;
+    for (const std::size_t idx : d.vcAlloc.stranded) {
+        const InputVc &vc = fab.ivcs[idx];
+        if (vc.routed || vc.buf.empty() || !vc.buf.front().head)
+            continue;
+        kill[vc.buf.front().pkt] = 1;
+        any = true;
+    }
+    d.vcAlloc.stranded.clear();
+    if (any)
+        handleDropped(injector.purge(fab, d.allocActive, kill, cycle),
+                      cycle);
+}
+
+bool
+Simulator::abortBefore(std::uint64_t cycle)
+{
+    if (cycle == cfg.warmupCycles && measureStartHook)
+        measureStartHook();
+    if (cycle == cfg.warmupCycles + cfg.measureCycles && measureEndHook)
+        measureEndHook();
+    if ((cycleLimit && cycle >= cycleLimit)
+        || (abortCheck && (cycle & 1023u) == 0 && abortCheck())) {
+        abortedFlag = true;
+        return true;
+    }
+    return false;
+}
+
+void
+Simulator::declareDeadlock(SimResult &result, std::uint64_t cycle)
+{
+    result.deadlocked = true;
+    forensicsDump = buildForensics(fab, table, cycle, proto.get());
+    result.deadlockCycle.assign(forensicsDump.waitCycle.begin(),
+                                forensicsDump.waitCycle.end());
+    result.deadlockCycleInCdg = forensicsDump.cycleInRelationCdg;
 }
 
 std::uint64_t
@@ -425,27 +524,12 @@ CycleScheduler::run(Simulator &sim, SimResult &result)
 
     const bool faults_on = sim.injector.enabled();
     const bool proto_on = sim.proto != nullptr;
-    const bool phase_hooks =
-        sim.measureStartHook || sim.measureEndHook;
     std::uint64_t last_progress = 0;
     std::uint64_t cycle = 0;
     for (; cycle < hard_stop; ++cycle) {
         ++wakeups;
-        if (phase_hooks) {
-            if (cycle == measure_start && sim.measureStartHook)
-                sim.measureStartHook();
-            if (cycle == measure_end && sim.measureEndHook)
-                sim.measureEndHook();
-        }
-        if (sim.cycleLimit && cycle >= sim.cycleLimit) {
-            sim.abortedFlag = true;
+        if (sim.abortBefore(cycle))
             break;
-        }
-        if (sim.abortCheck && (cycle & 1023u) == 0
-            && sim.abortCheck()) {
-            sim.abortedFlag = true;
-            break;
-        }
         if (faults_on) {
             if (sim.injector.nextEventCycle() <= cycle) {
                 const auto purged = sim.applyFaultEvents(cycle);
@@ -461,7 +545,7 @@ CycleScheduler::run(Simulator &sim, SimResult &result)
                 // From here on route compute reports dead ends for
                 // same-cycle purging (a stranded head would otherwise
                 // block its VC until the periodic scan).
-                sim.vcAlloc.collectStranded = true;
+                sim.dom.vcAlloc.collectStranded = true;
                 // Machine check of the Theorem-2 claim: the degraded
                 // relation must still pass the Dally oracle.
                 if (sim.cfg.faults.checkDegradedCdg) {
@@ -487,40 +571,7 @@ CycleScheduler::run(Simulator &sim, SimResult &result)
         sim.generate(cycle, measuring);
         if (proto_on)
             sim.injectReplies(cycle, measuring);
-        sim.fillInjectionVcs(cycle);
-        sim.vcAlloc.allocate(sim.allocActive, sim.routerTable,
-                             sim.linkActive, sim.ejectActive);
-        if (faults_on && !sim.vcAlloc.stranded.empty()) {
-            std::vector<std::uint8_t> kill(sim.fab.packets.size(), 0);
-            bool any = false;
-            for (const std::size_t idx : sim.vcAlloc.stranded) {
-                const InputVc &vc = sim.fab.ivcs[idx];
-                if (vc.routed || vc.buf.empty()
-                    || !vc.buf.front().head)
-                    continue;
-                kill[vc.buf.front().pkt] = 1;
-                any = true;
-            }
-            sim.vcAlloc.stranded.clear();
-            if (any)
-                sim.handleDropped(
-                    sim.injector.purge(sim.fab, sim.allocActive, kill,
-                                       cycle),
-                    cycle);
-        }
-        bool moved = sim.swAlloc.traverse(cycle, sim.linkActive,
-                                          sim.allocActive,
-                                          sim.routerTable);
-        EjectStats stats{sim.latencyHist,
-                         sim.latencyStat,
-                         sim.hopsStat,
-                         sim.packetsEjectedCount,
-                         sim.measuredEjectedFlits,
-                         sim.measuredInFlight,
-                         measuring};
-        moved |= sim.swAlloc.eject(cycle, sim.ejectActive,
-                                   sim.allocActive, sim.routerTable,
-                                   stats);
+        const bool moved = sim.pipelineStep(cycle, measuring);
 
         if (moved || sim.fab.flitsInFlight == 0)
             last_progress = cycle;
@@ -539,19 +590,11 @@ CycleScheduler::run(Simulator &sim, SimResult &result)
                     sim.recoverWedged(cycle);
                 last_progress = cycle;
             } else {
-                result.deadlocked = true;
-                sim.forensicsDump =
-                    buildForensics(sim.fab, sim.table, cycle,
-                                   sim.proto.get());
-                result.deadlockCycle.assign(
-                    sim.forensicsDump.waitCycle.begin(),
-                    sim.forensicsDump.waitCycle.end());
-                result.deadlockCycleInCdg =
-                    sim.forensicsDump.cycleInRelationCdg;
+                sim.declareDeadlock(result, cycle);
                 break;
             }
         }
-        if (cycle >= measure_end && sim.measuredInFlight == 0)
+        if (cycle >= measure_end && sim.dom.stats.measuredInFlight == 0)
             break;
     }
     return cycle;
@@ -585,7 +628,8 @@ Simulator::run()
     finalCycle = cycle;
 
     result.cycles = cycle;
-    result.drained = !result.deadlocked && measuredInFlight == 0;
+    result.drained =
+        !result.deadlocked && dom.stats.measuredInFlight == 0;
     result.aborted = abortedFlag;
     result.faultEventsApplied = injector.eventsApplied();
     result.packetsDropped = packetsDroppedCount;
@@ -594,9 +638,10 @@ Simulator::run()
     result.recoveryPasses = recoveryPassCount;
     result.faultChecks = faultCheckCount;
     result.faultChecksClean = faultCheckCleanCount;
-    result.deliveredFraction = measuredGenerated
-        ? static_cast<double>(latencyStat.count())
-            / static_cast<double>(measuredGenerated)
+    const PipelineStats &st = dom.stats;
+    result.deliveredFraction = st.measuredGenerated
+        ? static_cast<double>(st.latencyStat.count())
+            / static_cast<double>(st.measuredGenerated)
         : 1.0;
     result.degradedGracefully = !result.deadlocked;
     if (proto) {
@@ -609,25 +654,26 @@ Simulator::run()
         result.protocolPeakOccupancy = proto->peakOccupancy;
         result.protocolDeadlock = forensicsDump.protocolDeadlock;
     }
+    table.addCalls(dom.vcAlloc.routeCalls());
     result.routeComputeCalls = table.calls();
     result.routeTableCompiled = table.compiled();
     result.routeTablePerSource = table.perSource();
     result.routeTableBytes = table.tableBytes();
     result.routeTableCompileNanos = table.compileNanos();
-    result.packetsMeasured = latencyStat.count();
-    result.packetsEjected = packetsEjectedCount;
-    result.avgLatency = latencyStat.mean();
-    result.p50Latency = latencyHist.percentile(0.50);
-    result.p99Latency = latencyHist.percentile(0.99);
-    result.maxLatency = latencyHist.max();
-    result.avgHops = hopsStat.mean();
+    result.packetsMeasured = st.latencyStat.count();
+    result.packetsEjected = st.packetsEjected;
+    result.avgLatency = st.latencyStat.mean();
+    result.p50Latency = st.latencyHist.percentile(0.50);
+    result.p99Latency = st.latencyHist.percentile(0.99);
+    result.maxLatency = st.latencyHist.max();
+    result.avgHops = st.hopsStat.mean();
     result.offeredRate = genCycles
-        ? static_cast<double>(generatedFlits)
+        ? static_cast<double>(st.generatedFlits)
             / (static_cast<double>(net.numNodes())
                * static_cast<double>(genCycles))
         : 0.0;
     result.acceptedRate = cfg.measureCycles
-        ? static_cast<double>(measuredEjectedFlits)
+        ? static_cast<double>(st.measuredEjectedFlits)
             / (static_cast<double>(net.numNodes())
                * static_cast<double>(cfg.measureCycles))
         : 0.0;

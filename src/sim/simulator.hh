@@ -39,6 +39,12 @@
  * against captured pre-refactor outputs); per-cycle cost scales with
  * traffic in flight rather than fabric size.
  *
+ * The stages are one kernel set for every scheduling backend: templates
+ * over a downstream policy (sim/downstream.hh) that sweep a
+ * PipelineDomain. The cycle and event loops run the live-buffer policy
+ * over one whole-fabric domain; the sharded loop runs the cut-link
+ * policy over one domain per shard.
+ *
  * Simplifications vs. a full Booksim: single-stage router pipeline (no
  * extra RC/VA/SA latency cycles) and instantaneous credit return. Both
  * shift latency curves by a constant; saturation ordering and deadlock
@@ -70,6 +76,40 @@
 namespace ebda::sim {
 
 class EventScheduler;
+
+/**
+ * One pipeline domain: the active sets the stage kernels sweep, the
+ * allocators holding their arbitration state, and the statistics they
+ * charge. The cycle and event loops run one domain over the whole
+ * fabric; the sharded loop runs one per shard (sim/shard_sched.hh).
+ * Sweeping active sets instead of rescanning the fabric keeps the
+ * per-cycle cost proportional to the traffic in flight.
+ */
+struct PipelineDomain
+{
+    PipelineDomain(Fabric &fab, const routing::RouteTable &table)
+        : allocActive(fab.ivcs.size()),
+          linkActive(fab.net.numLinks()),
+          ejectActive(fab.net.numNodes()),
+          injectActive(fab.net.numNodes()), vcAlloc(fab, table),
+          swAlloc(fab)
+    {
+    }
+
+    /** Input VCs holding flits without an output allocation. */
+    ActiveSet allocActive;
+    /** Links with at least one owned output VC. */
+    ActiveSet linkActive;
+    /** Nodes with at least one eject-routed VC. */
+    ActiveSet ejectActive;
+    /** Nodes with queued packets awaiting an injection VC — the
+     *  injection fill visits these instead of scanning every node
+     *  every cycle. */
+    ActiveSet injectActive;
+    VcAllocator vcAlloc;
+    SwitchAllocator swAlloc;
+    PipelineStats stats;
+};
 
 /**
  * The simulator: holds the fabric, the pipeline stages and the
@@ -154,14 +194,58 @@ class Simulator
     /** The scheduling backends drive the private phase code directly:
      *  CycleScheduler is the classic loop (simulator.cc),
      *  EventScheduler the queue-driven one (event_queue.cc),
-     *  ShardedCycleScheduler the multi-core cycle loop
-     *  (shard_sched.cc). */
+     *  ShardedCycleScheduler and its ShardRun the multi-core cycle
+     *  loop (shard_sched.cc). */
     friend class CycleScheduler;
     friend class EventScheduler;
     friend class ShardedCycleScheduler;
+    friend struct ShardRun;
 
+    /** @name Pipeline kernels
+     *  Templates over the downstream policy (sim/downstream.hh) and the
+     *  domain they sweep. The classic and event loops use the
+     *  LiveDownstream wrappers below on `dom`; each shard runs the
+     *  CutDownstream instances on its own domain.
+     *  @{ */
+    /** Per-node body of generation: draw node n's injection coin and
+     *  destination and queue the packet. */
+    template <class Down>
+    void generateAt(Down &down, PipelineDomain &d, topo::NodeId n,
+                    std::uint64_t cycle, bool measuring);
+    template <class Down>
+    void enqueuePacket(Down &down, PipelineDomain &d, topo::NodeId n,
+                       topo::NodeId dest, std::uint64_t cycle,
+                       bool measuring);
+    /** Move queued packets into free injection VCs. */
+    template <class Down>
+    void fillInjectionVcs(Down &down, PipelineDomain &d,
+                          std::uint64_t cycle);
+    /** Injection fill, VC allocation, traversal and ejection; true
+     *  when any flit moved. */
+    template <class Down>
+    bool pipelineStep(Down &down, PipelineDomain &d, std::uint64_t cycle,
+                      bool measuring);
+    /** @} */
+
+    /** Generation at every node for one cycle. */
     void generate(std::uint64_t cycle, bool measuring);
-    void fillInjectionVcs(std::uint64_t cycle);
+    /** Queue a packet n -> dest generated this cycle (generate and the
+     *  event engine's injection hits). */
+    void enqueuePacket(topo::NodeId n, topo::NodeId dest,
+                       std::uint64_t cycle, bool measuring);
+    /** pipelineStep over the whole fabric. */
+    bool pipelineStep(std::uint64_t cycle, bool measuring);
+    /** Purge the packets whose heads VC allocation found stranded on a
+     *  dead end of the degraded relation (fault runs only). */
+    void purgeStranded(PipelineDomain &d, std::uint64_t cycle);
+    /** Top-of-cycle bookkeeping shared by every loop: fire the
+     *  measurement-phase hooks due at `cycle`, then poll the cycle
+     *  limit and the abort callback. True (and the run marked aborted)
+     *  when the run must stop before executing `cycle`. */
+    bool abortBefore(std::uint64_t cycle);
+    /** Mark the run deadlocked at `cycle` and record the forensic walk
+     *  of the frozen fabric. */
+    void declareDeadlock(SimResult &result, std::uint64_t cycle);
 
     /** @name Request–reply protocol path (no-ops when disabled)
      *  @{ */
@@ -224,37 +308,24 @@ class Simulator
 
     Fabric fab;
     std::vector<Router> routerTable;
-    VcAllocator vcAlloc;
-    SwitchAllocator swAlloc;
+    /** The whole-fabric domain of the classic and event loops (a
+     *  sharded run folds its shards' statistics into it). */
+    PipelineDomain dom;
+    /** Per-node packet probability per cycle (injectionRate over
+     *  packetLength). */
+    double packetRate = 0.0;
 
     /** Request–reply endpoint state (sim/protocol.hh); nullptr when
      *  the layer is disabled, so the one-way hot path never tests
      *  more than a pointer. */
     std::unique_ptr<ProtocolState> proto;
 
-    /** @name Active sets
-     *  @{ */
-    /** Input VCs holding flits without an output allocation. */
-    ActiveSet allocActive;
-    /** Links with at least one owned output VC. */
-    ActiveSet linkActive;
-    /** Nodes with at least one eject-routed VC. */
-    ActiveSet ejectActive;
-    /** Nodes with queued packets awaiting an injection VC — the
-     *  injection fill visits these instead of scanning every node
-     *  every cycle. */
-    ActiveSet injectActive;
-    /** @} */
-
     /** Per-node queues of generated packets awaiting injection VCs.
      *  Ring queues: steady-state push/pop/erase never allocates (a
      *  deque's chunked storage would, at every chunk boundary). */
     std::vector<RingQueue<std::uint32_t>> sourceQueues;
 
-    std::uint64_t measuredInFlight = 0;
-    std::uint64_t generatedFlits = 0;
     std::uint64_t genCycles = 0;
-    std::uint64_t measuredEjectedFlits = 0;
 
     /** @name Fault-path state
      *  @{ */
@@ -270,7 +341,6 @@ class Simulator
         std::size_t epoch;
     };
     std::vector<RetryEntry> retryQueue;
-    std::uint64_t measuredGenerated = 0;
     std::uint64_t packetsDroppedCount = 0;
     std::uint64_t packetsLostCount = 0;
     std::uint64_t retransmitCount = 0;
@@ -292,11 +362,6 @@ class Simulator
     /** Fallback buffer for the simulator's own candidatesView calls
      *  (injection routability checks, stranded scans). */
     std::vector<topo::ChannelId> routeScratch;
-
-    Histogram latencyHist;
-    StatAccumulator latencyStat;
-    StatAccumulator hopsStat;
-    std::uint64_t packetsEjectedCount = 0;
 
     std::uint64_t finalCycle = 0;
     DeadlockForensics forensicsDump;

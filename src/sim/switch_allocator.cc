@@ -1,12 +1,14 @@
 #include "sim/switch_allocator.hh"
 
+#include "sim/downstream.hh"
 #include "sim/protocol.hh"
 
 namespace ebda::sim {
 
+template <class Down>
 bool
-SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
-                          ActiveSet &allocActive,
+SwitchAllocator::traverse(Down &down, std::uint64_t cycle,
+                          ActiveSet &linkActive, ActiveSet &allocActive,
                           std::vector<Router> &routers)
 {
     bool moved = false;
@@ -16,7 +18,6 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
     // every cycle, so per-flit work must not re-derive them.
     const SwitchingMode switching = fab.cfg.switching;
     const int packet_length = fab.cfg.packetLength;
-    const int vc_depth = fab.cfg.vcDepth;
     const std::uint64_t pipe_extra =
         static_cast<std::uint64_t>(fab.cfg.routerLatency - 1);
     // Rotated starting positions for every VC/ejection arity in the
@@ -50,11 +51,7 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
                 InputVc &vc = fab.ivcs[holder];
                 if (vc.buf.empty() || vc.buf.front().arrival >= cycle)
                     continue; // nothing movable yet: not a stall
-                // One lookup of the downstream buffer for the space
-                // probe, the push and the routed re-check alike.
-                InputVc &down = fab.ivcs[out];
-                const int space =
-                    vc_depth - static_cast<int>(down.buf.size());
+                const int space = down.space(out);
                 if (space <= 0) {
                     ++routers[vc.atNode].stalls.creditStarved;
                     continue;
@@ -71,11 +68,12 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
                 }
 
                 Flit flit = fab.popFlit(holder, vc, cycle);
+                down.released(holder, cycle);
                 portUsedStamp[portOf(vc)] = cycle;
                 // The flit becomes movable routerLatency cycles after
                 // the hop (pipeline depth).
                 flit.arrival = cycle + pipe_extra;
-                fab.pushFlit(out, down, flit, cycle);
+                down.deliver(out, flit, cycle, allocActive);
                 ++cs.load;
                 if (flit.head)
                     ++fab.packets[flit.pkt].hops;
@@ -89,10 +87,6 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
                     if (!vc.buf.empty())
                         allocActive.schedule(holder);
                 }
-                // The moved flit may be a head waiting for allocation
-                // downstream.
-                if (!down.routed)
-                    allocActive.schedule(out);
                 moved = true;
                 break; // one flit per output link per cycle
             }
@@ -101,10 +95,12 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
     return moved;
 }
 
+template <class Down>
 bool
-SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
-                       ActiveSet &allocActive,
-                       std::vector<Router> &routers, EjectStats &stats)
+SwitchAllocator::eject(Down &down, std::uint64_t cycle,
+                       ActiveSet &ejectActive, ActiveSet &allocActive,
+                       std::vector<Router> &routers, PipelineStats &stats,
+                       bool measuring)
 {
     bool moved = false;
 
@@ -137,9 +133,10 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
                     continue;
                 }
                 const Flit flit = fab.popFlit(idx, vc, cycle);
+                down.released(idx, cycle);
                 portUsedStamp[portOf(vc)] = cycle;
-                --fab.flitsInFlight;
-                ++fab.flitMoves;
+                --down.flitsInFlight();
+                ++down.flitMoves();
                 moved = true;
                 if (flit.tail) {
                     vc.routed = false;
@@ -152,7 +149,7 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
                         allocActive.schedule(idx);
                     PacketRec &pkt = fab.packets[flit.pkt];
                     ++stats.packetsEjected;
-                    if (stats.inMeasurementWindow)
+                    if (measuring)
                         ++stats.measuredEjectedFlits;
                     if (pkt.measured) {
                         const auto latency = cycle - pkt.genCycle;
@@ -171,8 +168,8 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
                     }
                     // Tail gone, stats recorded: the slot can host
                     // the next generated packet.
-                    fab.freePacket(flit.pkt);
-                } else if (stats.inMeasurementWindow) {
+                    down.freePacket(flit.pkt);
+                } else if (measuring) {
                     ++stats.measuredEjectedFlits;
                 }
                 granted = true; // one ejected flit per node per cycle
@@ -184,5 +181,20 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
     });
     return moved;
 }
+
+template bool SwitchAllocator::traverse(LiveDownstream &, std::uint64_t,
+                                        ActiveSet &, ActiveSet &,
+                                        std::vector<Router> &);
+template bool SwitchAllocator::traverse(CutDownstream &, std::uint64_t,
+                                        ActiveSet &, ActiveSet &,
+                                        std::vector<Router> &);
+template bool SwitchAllocator::eject(LiveDownstream &, std::uint64_t,
+                                     ActiveSet &, ActiveSet &,
+                                     std::vector<Router> &,
+                                     PipelineStats &, bool);
+template bool SwitchAllocator::eject(CutDownstream &, std::uint64_t,
+                                     ActiveSet &, ActiveSet &,
+                                     std::vector<Router> &,
+                                     PipelineStats &, bool);
 
 } // namespace ebda::sim

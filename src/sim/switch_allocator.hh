@@ -1,19 +1,25 @@
 /**
  * @file
- * The switch-allocation + traversal pipeline stage, extracted from the
- * monolithic simulator.
+ * The switch-allocation + traversal pipeline stage.
  *
  * One flit per output link per cycle, one flit per input port per
  * cycle, one ejected flit per node per cycle, granted round-robin via
  * a rotating offset shared by link order, per-link VC order and
- * per-node ejection order — the exact rotation the monolithic loop
- * used, so grants are bit-identical.
+ * per-node ejection order. The offset advances by one per cycle, so
+ * grants are a pure function of the cycle count.
  *
  * The stage sweeps only links with owned output VCs and nodes with
  * eject-routed VCs (skipped entries are provable no-ops), attributes
  * refusals to the upstream router's stall counters (credit-starved vs.
  * switch-lost), and reactivates the VC-allocation set when a tail
  * departure exposes the next packet's head.
+ *
+ * traverse() and eject() are one kernel for every backend: templates
+ * over the downstream policy (sim/downstream.hh), which supplies the
+ * downstream space a move needs, delivers the moved flit, hears about
+ * every freed input slot, and owns the move, in-flight and packet-slot
+ * sinks. The classic loops run one allocator over the whole fabric;
+ * the sharded loop runs one per shard.
  */
 
 #ifndef EBDA_SIM_SWITCH_ALLOCATOR_HH
@@ -30,17 +36,36 @@ namespace ebda::sim {
 
 class ProtocolState;
 
-/** Ejection-side statistics sinks, owned by the simulator. */
-struct EjectStats
+/**
+ * Statistics one pipeline domain accumulates: the whole fabric for the
+ * classic and event loops, one shard for the sharded loop (folded into
+ * the simulator's in ascending shard order after the run).
+ */
+struct PipelineStats
 {
-    Histogram &latencyHist;
-    StatAccumulator &latencyStat;
-    StatAccumulator &hopsStat;
-    std::uint64_t &packetsEjected;
-    std::uint64_t &measuredEjectedFlits;
-    std::uint64_t &measuredInFlight;
-    /** True while the measurement window is open this cycle. */
-    bool inMeasurementWindow;
+    Histogram latencyHist{4096};
+    StatAccumulator latencyStat;
+    StatAccumulator hopsStat;
+    std::uint64_t packetsEjected = 0;
+    std::uint64_t measuredEjectedFlits = 0;
+    std::uint64_t generatedFlits = 0;
+    std::uint64_t measuredGenerated = 0;
+    /** Measured packets generated and not yet ejected or lost. A
+     *  shard holds a delta modulo 2^64; the sum over shards is exact. */
+    std::uint64_t measuredInFlight = 0;
+
+    void
+    merge(const PipelineStats &o)
+    {
+        latencyHist.merge(o.latencyHist);
+        latencyStat.merge(o.latencyStat);
+        hopsStat.merge(o.hopsStat);
+        packetsEjected += o.packetsEjected;
+        measuredEjectedFlits += o.measuredEjectedFlits;
+        generatedFlits += o.generatedFlits;
+        measuredGenerated += o.measuredGenerated;
+        measuredInFlight += o.measuredInFlight;
+    }
 };
 
 /** Switch allocation: link traversal and ejection. */
@@ -79,22 +104,26 @@ class SwitchAllocator
     /**
      * Network traversal: move at most one flit per active output link.
      * Advances the rotating grant offset (shared with ejection).
+     * Instantiated for LiveDownstream and CutDownstream.
      *
      * @return true when any flit moved.
      */
-    bool traverse(std::uint64_t cycle, ActiveSet &linkActive,
+    template <class Down>
+    bool traverse(Down &down, std::uint64_t cycle, ActiveSet &linkActive,
                   ActiveSet &allocActive, std::vector<Router> &routers);
 
     /**
      * Ejection: consume at most one flit per active node. Must run
      * after traverse() in the same cycle (shares the per-cycle input
-     * port grants).
+     * port grants). `measuring` is true while the measurement window
+     * is open this cycle.
      *
      * @return true when any flit ejected.
      */
-    bool eject(std::uint64_t cycle, ActiveSet &ejectActive,
+    template <class Down>
+    bool eject(Down &down, std::uint64_t cycle, ActiveSet &ejectActive,
                ActiveSet &allocActive, std::vector<Router> &routers,
-               EjectStats &stats);
+               PipelineStats &stats, bool measuring);
 
     /**
      * Pure switching-mode gate for moving a head flit out of vc into

@@ -1,13 +1,17 @@
 #include "sim/vc_allocator.hh"
 
+#include "sim/downstream.hh"
 #include "sim/protocol.hh"
 
 namespace ebda::sim {
 
+template <class Down>
 void
-VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
+VcAllocator::allocate(const Down &down, ActiveSet &active,
+                      std::vector<Router> &routers,
                       ActiveSet &linkActive, ActiveSet &ejectActive)
 {
+    const int depth = fab.cfg.vcDepth;
     const std::size_t count = fab.ivcs.size();
     vcArbOffset = (vcArbOffset + 1) % count;
 
@@ -44,15 +48,19 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
         // policy.
         free.clear();
         bool any_candidate = false;
+        ++routeCallCount;
         for (topo::ChannelId c :
-             route.candidatesView(vc.self, vc.atNode, pkt.src, pkt.dest,
-                                  scratch)) {
+             route.candidatesViewUncounted(vc.self, vc.atNode, pkt.src,
+                                           pkt.dest, scratch)) {
             any_candidate = true;
             if (proto && !proto->channelAllowed(c, pkt.msgClass))
                 continue;
             if (fab.chan[c].owner != topo::kInvalidId)
                 continue;
-            if (fab.cfg.atomicVcAllocation && !fab.ivcs[c].buf.empty())
+            // Atomic mode wants an empty downstream buffer; on a cut
+            // channel that reads "all credits home" (conservative by
+            // the one-cycle credit lag).
+            if (fab.cfg.atomicVcAllocation && down.space(c) != depth)
                 continue;
             free.push_back(c);
         }
@@ -67,9 +75,8 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
             return true; // keep waiting for an output VC
         }
 
-        const topo::ChannelId best =
-            selectOutput(fab.cfg.selection, free, fab.ivcs,
-                         fab.cfg.vcDepth, vcArbOffset, rtr.rng);
+        const topo::ChannelId best = selectOutput(
+            fab.cfg.selection, free, down, vcArbOffset, rtr.rng);
         vc.out = best;
         vc.eject = false;
         vc.routed = true;
@@ -81,5 +88,12 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
         return false;
     });
 }
+
+template void VcAllocator::allocate(const LiveDownstream &, ActiveSet &,
+                                    std::vector<Router> &, ActiveSet &,
+                                    ActiveSet &);
+template void VcAllocator::allocate(const CutDownstream &, ActiveSet &,
+                                    std::vector<Router> &, ActiveSet &,
+                                    ActiveSet &);
 
 } // namespace ebda::sim

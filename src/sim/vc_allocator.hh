@@ -1,21 +1,25 @@
 /**
  * @file
- * The route-compute + VC-allocation pipeline stage, extracted from the
- * monolithic simulator.
+ * The route-compute + VC-allocation pipeline stage.
  *
  * A head flit at the front of an unrouted input VC asks the routing
  * relation for candidate output channels, keeps those whose output VC
- * is unowned (and empty, in atomic mode), and applies the configured
- * selection policy. Rotating priority across input VCs approximates a
- * separable round-robin allocator; the rotation offset advances by one
- * every cycle, exactly as the monolithic scan did, so arbitration is
- * bit-identical.
+ * is unowned (and whose downstream buffer is empty, in atomic mode),
+ * and applies the configured selection policy. Rotating priority
+ * across input VCs approximates a separable round-robin allocator; the
+ * rotation offset advances by one every cycle, so arbitration is a pure
+ * function of the cycle count.
  *
  * The stage sweeps only the active set of VCs that hold flits and lack
- * an output (every skipped VC is a provable no-op for the original
- * scan), charges failed allocations to the owning router's stall
- * counters, and activates the downstream link / ejection sets for the
- * switch stage.
+ * an output (every skipped VC is a provable no-op), charges failed
+ * allocations to the owning router's stall counters, and activates the
+ * downstream link / ejection sets for the switch stage.
+ *
+ * allocate() is one kernel for every backend: a template over the
+ * downstream policy (sim/downstream.hh), whose space(c) is the only
+ * view of downstream buffers the stage takes. The classic loops run
+ * one allocator over the whole fabric; the sharded loop runs one per
+ * shard, each sweeping only its own nodes' VCs.
  */
 
 #ifndef EBDA_SIM_VC_ALLOCATOR_HH
@@ -47,30 +51,33 @@ class VcAllocator
      * One allocation pass over the scheduled input VCs. Newly routed
      * VCs activate their output link (or their node's ejection port)
      * for the switch stage; VCs that fail stay scheduled and charge a
-     * stall to their router.
+     * stall to their router. Instantiated for LiveDownstream and
+     * CutDownstream (sim/downstream.hh).
      */
-    void allocate(ActiveSet &active, std::vector<Router> &routers,
-                  ActiveSet &linkActive, ActiveSet &ejectActive);
+    template <class Down>
+    void allocate(const Down &down, ActiveSet &active,
+                  std::vector<Router> &routers, ActiveSet &linkActive,
+                  ActiveSet &ejectActive);
 
     /**
      * Pure selection-policy kernel: pick one of the free candidates.
-     * `free` must be non-empty; `rotation` is the allocator's rotating
+     * `free` must be non-empty; `down.space(c)` is the downstream
+     * space MaxCredits compares, `rotation` the allocator's rotating
      * offset (RoundRobin), `rng` the node's stream (Random). Inline:
      * called for every successful head allocation every cycle.
      */
+    template <class Down>
     static topo::ChannelId
     selectOutput(SelectionPolicy policy,
                  const std::vector<topo::ChannelId> &free,
-                 const std::vector<InputVc> &ivcs, int vc_depth,
-                 std::size_t rotation, Rng &rng)
+                 const Down &down, std::size_t rotation, Rng &rng)
     {
         topo::ChannelId best = topo::kInvalidId;
         switch (policy) {
           case SelectionPolicy::MaxCredits: {
               int best_space = -1;
               for (topo::ChannelId c : free) {
-                  const int space =
-                      vc_depth - static_cast<int>(ivcs[c].buf.size());
+                  const int space = down.space(c);
                   if (space > best_space) {
                       best_space = space;
                       best = c;
@@ -93,6 +100,11 @@ class VcAllocator
 
     /** Current rotating-priority offset (advanced at each allocate). */
     std::size_t offset() const { return vcArbOffset; }
+
+    /** Route-compute queries this allocator made. The table is queried
+     *  uncounted (shard workers share it), and the simulator folds
+     *  this tally into RouteTable::calls() after the run. */
+    std::uint64_t routeCalls() const { return routeCallCount; }
 
     /** Re-derive the rotating offset after skipped cycles. allocate()
      *  advances the offset unconditionally, so it is a pure function
@@ -128,6 +140,7 @@ class VcAllocator
     Fabric &fab;
     const routing::RouteTable &route;
     std::size_t vcArbOffset = 0;
+    std::uint64_t routeCallCount = 0;
     /** Fallback-path buffer for candidatesView (unused when the table
      *  is compiled: views then point straight into it). */
     std::vector<topo::ChannelId> scratch;

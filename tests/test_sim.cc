@@ -494,6 +494,20 @@ struct BoundVcs
     std::vector<InputVc> ivcs;
 };
 
+/** The live-buffer space view the selection kernel reads (the view
+ *  LiveDownstream gives over a whole fabric). */
+struct LiveSpace
+{
+    const std::vector<InputVc> &ivcs;
+    int depth;
+
+    int
+    space(topo::ChannelId c) const
+    {
+        return depth - static_cast<int>(ivcs[c].buf.size());
+    }
+};
+
 BoundVcs
 ivcsWithFill(const std::vector<int> &fill)
 {
@@ -513,12 +527,12 @@ TEST(VcAllocatorKernel, MaxCreditsPicksMostFreeSpaceFirstOnTies)
     Rng rng(1, 0);
     const std::vector<topo::ChannelId> free{0, 1, 2};
     EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::MaxCredits, free,
-                                        vcs.ivcs, 4, 0, rng),
+                                        LiveSpace{vcs.ivcs, 4}, 0, rng),
               2u);
     // Ties resolve to the earliest candidate (strict > comparison).
     const auto tied = ivcsWithFill({2, 2, 2});
     EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::MaxCredits, free,
-                                        tied.ivcs, 4, 0, rng),
+                                        LiveSpace{tied.ivcs, 4}, 0, rng),
               0u);
 }
 
@@ -529,7 +543,8 @@ TEST(VcAllocatorKernel, RoundRobinRotatesWithOffset)
     const std::vector<topo::ChannelId> free{0, 1, 2};
     for (std::size_t rot = 0; rot < 7; ++rot)
         EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::RoundRobin,
-                                            free, vcs.ivcs, 4, rot, rng),
+                                            free, LiveSpace{vcs.ivcs, 4},
+                                            rot, rng),
                   free[rot % free.size()]);
 }
 
@@ -540,9 +555,9 @@ TEST(VcAllocatorKernel, RandomIsDeterministicPerStreamAndInRange)
     Rng a(2017, 5), b(2017, 5);
     for (int i = 0; i < 32; ++i) {
         const auto ca = VcAllocator::selectOutput(
-            SelectionPolicy::Random, free, vcs.ivcs, 4, 0, a);
+            SelectionPolicy::Random, free, LiveSpace{vcs.ivcs, 4}, 0, a);
         const auto cb = VcAllocator::selectOutput(
-            SelectionPolicy::Random, free, vcs.ivcs, 4, 0, b);
+            SelectionPolicy::Random, free, LiveSpace{vcs.ivcs, 4}, 0, b);
         EXPECT_EQ(ca, cb);
         EXPECT_TRUE(ca == 1u || ca == 3u);
     }
@@ -553,7 +568,8 @@ TEST(VcAllocatorKernel, FirstCandidateTakesRelationOrder)
     const auto vcs = ivcsWithFill({9, 9, 9});
     Rng rng(1, 0);
     EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::FirstCandidate,
-                                        {2, 0, 1}, vcs.ivcs, 4, 0, rng),
+                                        {2, 0, 1}, LiveSpace{vcs.ivcs, 4},
+                                        0, rng),
               2u);
 }
 
