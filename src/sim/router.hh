@@ -187,19 +187,12 @@ struct Fabric
         ++moves;
     }
 
-    /** Append a flit to `vc`, charging the fabric-wide move counter. */
-    void
-    pushFlit(std::size_t idx, InputVc &vc, const Flit &flit,
-             std::uint64_t cycle)
-    {
-        pushFlit(idx, vc, flit, cycle, flitMoves);
-    }
-
-    /** Append a flit to ivcs[idx], maintaining occupancy integrals. */
+    /** Append a flit to ivcs[idx], maintaining occupancy integrals
+     *  and charging the fabric-wide move counter. */
     void
     pushFlit(std::size_t idx, const Flit &flit, std::uint64_t cycle)
     {
-        pushFlit(idx, ivcs[idx], flit, cycle);
+        pushFlit(idx, ivcs[idx], flit, cycle, flitMoves);
     }
 
     /** Pop the front flit of `vc` (== ivcs[idx], hoisted by the
