@@ -4,9 +4,22 @@
  * shared by the sweep engine's result cache, the ebda_sweep results
  * JSONL, ebda_tool --json, and the benches' machine-readable dumps.
  *
+ * Each wire struct (SimConfig, its ProtocolConfig and FaultPlan, and
+ * SimResult) has one field list in sim_json.cc. That list drives the
+ * writer, the reader and the unknown-key check, so a key cannot reach
+ * one of them and miss another. Each enum has one {value, name} table
+ * for both directions. The emission rules sit beside their fields:
+ *   - config: "schedMode" is omitted at Auto, "shards" at 0 and
+ *     "protocol" when disabled; "faults" is always emitted, so
+ *     pre-existing specs keep their canonical form and cache key;
+ *   - result: the protocol counters appear only for protocol runs, and
+ *     "schedMode" and "wakeups" come last.
+ *
  * Doubles are emitted with 17 significant digits so every IEEE-754
  * value round-trips exactly: a cache hit reproduces the stored result
  * bit-for-bit, and serial/parallel sweep outputs are byte-comparable.
+ * Integer fields read back only as integral values in their type's
+ * range; errors name the full key path ("'faults.events[0].cycle'").
  */
 
 #ifndef EBDA_SIM_SIM_JSON_HH
@@ -27,22 +40,9 @@ std::string toString(SelectionPolicy p);
 std::optional<SelectionPolicy> selectionFromString(const std::string &s);
 
 /** Append the struct's fields to the writer's currently open object
- *  (declaration order; stable across runs). */
+ *  (field-list order; stable across runs). */
 void jsonFields(JsonWriter &w, const SimConfig &c);
 void jsonFields(JsonWriter &w, const SimResult &r);
-void jsonFields(JsonWriter &w, const FaultPlan &p);
-void jsonFields(JsonWriter &w, const ProtocolConfig &p);
-
-/** Rebuild a FaultPlan from its JSON object (the "faults" member of a
- *  config). Errors name the full key path ("faults.events[2].kind"). */
-std::optional<FaultPlan> faultPlanFromJson(const JsonValue &v,
-                                           std::string *error = nullptr);
-
-/** Rebuild a ProtocolConfig from its JSON object (the "protocol"
- *  member of a config). Errors name the full key path
- *  ("protocol.replyBufferDepth"). */
-std::optional<ProtocolConfig>
-protocolConfigFromJson(const JsonValue &v, std::string *error = nullptr);
 
 /** Whole-object convenience wrappers. */
 std::string toJson(const SimConfig &c);
@@ -50,8 +50,11 @@ std::string toJson(const SimResult &r);
 
 /**
  * Rebuild a SimConfig from a parsed JSON object. Missing fields keep
- * their defaults; unknown keys and type mismatches are errors (they
- * would silently change what a sweep measures).
+ * their defaults; unknown keys, type mismatches, non-integral or
+ * out-of-range integers and the sizes Fabric would reject (vcDepth,
+ * packetLength, injectionVcs, routerLatency < 1; vct/saf with
+ * vcDepth < packetLength) are errors: they would silently change what
+ * a sweep measures, or abort the run.
  */
 std::optional<SimConfig> configFromJson(const JsonValue &v,
                                         std::string *error = nullptr);

@@ -436,6 +436,26 @@ TEST(FaultPlanJson, ErrorsNameTheFullKeyPath)
     expectError(R"({"faults":{"seed":"x"}})", "'faults.seed'");
     expectError(R"({"faults":{"events":[{"cycle":1,"kind":"blimp"}]}})",
                 "faults.events[0]");
+    // Integer fields take only integral values in their type's range.
+    expectError(R"({"faults":{"seed":-1}})",
+                "'faults.seed' must be an integer");
+    expectError(R"({"faults":{"spacing":2.5}})",
+                "'faults.spacing' must be an integer");
+    expectError(R"({"faults":{"events":[{"cycle":1,"kind":"router",
+                "node":"x"}]}})",
+                "'faults.events[0].node' must be a number");
+    expectError(R"({"faults":{"events":[{"cycle":1,"kind":"router",
+                "node":4294967296}]}})",
+                "'faults.events[0].node' must be an integer");
+    expectError(R"({"faults":{"events":[{"cycle":1,"kind":"link",
+                "src":-1,"dst":2}]}})",
+                "'faults.events[0].src' must be an integer");
+    expectError(R"({"faults":{"events":[{"cycle":1,"kind":"link",
+                "src":1}]}})",
+                "faults.events[0].dst");
+    expectError(R"({"faults":{"events":[{"kind":"link","src":1,
+                "dst":2}]}})",
+                "'faults.events[0].cycle' must be a number");
 }
 
 } // namespace
