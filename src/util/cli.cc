@@ -54,23 +54,40 @@ Args::Args(int argc, char **argv, int first)
     }
 }
 
+const std::string *
+Args::find(const std::string &key) const
+{
+    read.insert(key);
+    const auto it = values.find(key);
+    return it == values.end() ? nullptr : &it->second;
+}
+
+std::string
+Args::unread() const
+{
+    for (const auto &[key, value] : values)
+        if (!read.count(key))
+            return key;
+    return {};
+}
+
 std::string
 Args::get(const std::string &key, const std::string &fallback) const
 {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
+    const std::string *v = find(key);
+    return v ? *v : fallback;
 }
 
 double
 Args::getDouble(const std::string &key, double fallback) const
 {
-    const auto it = values.find(key);
-    if (it == values.end())
+    const std::string *text = find(key);
+    if (!text)
         return fallback;
     char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (!end || *end != '\0' || end == it->second.c_str()) {
-        bad = "--" + key + " expects a number, got '" + it->second + "'";
+    const double v = std::strtod(text->c_str(), &end);
+    if (!end || *end != '\0' || end == text->c_str()) {
+        bad = "--" + key + " expects a number, got '" + *text + "'";
         return fallback;
     }
     return v;
@@ -79,14 +96,14 @@ Args::getDouble(const std::string &key, double fallback) const
 long
 Args::getInt(const std::string &key, long fallback) const
 {
-    const auto it = values.find(key);
-    if (it == values.end())
+    const std::string *text = find(key);
+    if (!text)
         return fallback;
     errno = 0;
     char *end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0' || end == it->second.c_str()) {
-        bad = "--" + key + " expects an integer, got '" + it->second + "'";
+    const long v = std::strtol(text->c_str(), &end, 10);
+    if (errno != 0 || !end || *end != '\0' || end == text->c_str()) {
+        bad = "--" + key + " expects an integer, got '" + *text + "'";
         return fallback;
     }
     return v;
@@ -95,15 +112,15 @@ Args::getInt(const std::string &key, long fallback) const
 std::uint64_t
 Args::getU64(const std::string &key, std::uint64_t fallback) const
 {
-    const auto it = values.find(key);
-    if (it == values.end())
+    const std::string *text = find(key);
+    if (!text)
         return fallback;
     errno = 0;
     char *end = nullptr;
-    const auto v = std::strtoull(it->second.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0' || end == it->second.c_str()) {
-        bad = "--" + key + " expects an unsigned integer, got '"
-              + it->second + "'";
+    const auto v = std::strtoull(text->c_str(), &end, 10);
+    if (errno != 0 || !end || *end != '\0' || end == text->c_str()) {
+        bad = "--" + key + " expects an unsigned integer, got '" + *text
+              + "'";
         return fallback;
     }
     return v;

@@ -12,7 +12,9 @@
  *                   begin with '-'/'--';
  *   --key           boolean flag (stored as "true").
  *
- * Unknown positional tokens are an error reported via error().
+ * Unknown positional tokens are an error reported via error(). Every
+ * lookup marks its key as read, so a front end can reject, via
+ * unread(), an option that the chosen command never looked at.
  */
 
 #ifndef EBDA_UTIL_CLI_HH
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 namespace ebda {
@@ -36,7 +39,7 @@ class Args
                     const std::string &fallback = "") const;
 
     /** True when --key was given (with or without a value). */
-    bool has(const std::string &key) const { return values.count(key); }
+    bool has(const std::string &key) const { return find(key); }
 
     /** @name Typed getters.
      *  Return fallback and record an error() when the value does not
@@ -50,11 +53,19 @@ class Args
     /** Empty when parsing succeeded. */
     const std::string &error() const { return bad; }
 
+    /** The first given --key that no lookup has asked for, or empty. */
+    std::string unread() const;
+
   private:
+    /** Value of --key (nullptr when absent); marks the key read. */
+    const std::string *find(const std::string &key) const;
+
     /** Full-token numeric check ("-0.5", "3e-2", ...). */
     static bool looksNumeric(const std::string &token);
 
     std::map<std::string, std::string> values;
+    /** Keys looked up so far (lookups are logically const). */
+    mutable std::set<std::string> read;
     /** Parse/typed-getter diagnostics (getters are logically const). */
     mutable std::string bad;
 };

@@ -80,6 +80,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -1130,30 +1131,28 @@ main(int argc, char **argv)
         return usage();
     }
 
+    static const std::map<std::string, int (*)(const Args &)> commands = {
+        {"design", cmdDesign},     {"verify", cmdVerify},
+        {"turns", cmdTurns},       {"simulate", cmdSimulate},
+        {"compare", cmdCompare},   {"space", cmdSpace},
+        {"topo", cmdTopo},         {"forensics", cmdForensics},
+        {"faults", cmdFaults},     {"protocol", cmdProtocol},
+    };
+    const auto it = commands.find(cmd);
+    if (it == commands.end())
+        return usage();
+    int rc = 0;
     try {
-        if (cmd == "design")
-            return cmdDesign(args);
-        if (cmd == "verify")
-            return cmdVerify(args);
-        if (cmd == "turns")
-            return cmdTurns(args);
-        if (cmd == "simulate")
-            return cmdSimulate(args);
-        if (cmd == "compare")
-            return cmdCompare(args);
-        if (cmd == "space")
-            return cmdSpace(args);
-        if (cmd == "topo")
-            return cmdTopo(args);
-        if (cmd == "forensics")
-            return cmdForensics(args);
-        if (cmd == "faults")
-            return cmdFaults(args);
-        if (cmd == "protocol")
-            return cmdProtocol(args);
+        rc = it->second(args);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 2;
     }
-    return usage();
+    // An option the command never read was mistyped or belongs to
+    // another command: fail rather than report a run it did not shape.
+    if (const std::string key = args.unread(); rc != 2 && !key.empty()) {
+        std::cerr << "unknown option --" << key << " for " << cmd << '\n';
+        return 2;
+    }
+    return rc;
 }
