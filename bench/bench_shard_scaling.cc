@@ -15,6 +15,11 @@
  *    byte-identical result JSON across EBDA_SHARD_THREADS = 1 and 2
  *    (the shard count, not the worker count, is the simulation's
  *    identity). Always enforced.
+ *  - every point really shards: the count the simulator resolves for
+ *    a run must equal the requested one. The fig7b table (~100 MiB)
+ *    exceeds the default 64 MiB route-table budget, and without a
+ *    compiled table every run silently falls back to one shard, so
+ *    the config raises the budget to fit it. Always enforced.
  *  - speedup: >= 2.5x at 4 shards and >= 4x at 8 shards over the
  *    shards=1 rate. Enforced ONLY when the host exposes at least as
  *    many hardware threads as shards; on smaller hosts (CI runners,
@@ -39,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/shard_partition.hh"
 #include "sim/sim_json.hh"
 #include "sim/simulator.hh"
 #include "sweep/router_factory.hh"
@@ -58,6 +64,8 @@ struct RepResult
     std::string resultJson;
     std::uint64_t packetsEjected = 0;
     std::uint64_t packetsMeasured = 0;
+    /** The shard count the simulator resolved the request to. */
+    int shards = 0;
 };
 
 /** The 32x32 point runs ABOVE saturation (that is the regime the
@@ -77,6 +85,9 @@ saturationConfig()
     cfg.watchdogCycles = 20000;
     cfg.seed = 2026;
     cfg.routeTable = true;
+    // The 32x32 fig7b table is 105,132,416 B: over the 64 MiB default,
+    // which would leave the table uncompiled and every run unsharded.
+    cfg.routeTableBudget = 128ull << 20;
     cfg.schedMode = sim::SchedMode::Cycle;
     return cfg;
 }
@@ -126,7 +137,23 @@ runOnce(const topo::Network &net, const cdg::RoutingRelation &rel,
     rep.resultJson = sim::toJson(result);
     rep.packetsEjected = result.packetsEjected;
     rep.packetsMeasured = result.packetsMeasured;
+    rep.shards = sim::resolveShardCount(shards, net.numNodes(),
+                                        result.routeTableCompiled,
+                                        !cfg.faults.empty(),
+                                        cfg.protocol.enabled());
     return rep;
+}
+
+/** False (with a notice) when a run resolved to another shard count
+ *  than it asked for: its rate would not measure that count. */
+bool
+shardedAsRequested(const RepResult &rep, int requested)
+{
+    if (rep.shards == requested)
+        return true;
+    std::printf("  shards=%d resolved to %d shard(s)\n", requested,
+                rep.shards);
+    return false;
 }
 
 /** Pin the worker-thread count for one run (restores the env). */
@@ -200,7 +227,7 @@ benchMain()
         for (int r = 0; r < kReps; ++r) {
             RepResult rep =
                 runOnce(net, *rel, gen, cfg, kShardPoints[i], false);
-            if (!rep.clean)
+            if (!rep.clean || !shardedAsRequested(rep, kShardPoints[i]))
                 pass = false;
             // Sanity: a saturated window must actually move traffic.
             if (rep.packetsEjected == 0 || rep.packetsMeasured == 0) {
@@ -226,6 +253,7 @@ benchMain()
     const auto det1 = runWithThreads(net, *rel, gen, cfg, 4, 1);
     const auto det2 = runWithThreads(net, *rel, gen, cfg, 4, 2);
     const bool determinismPass = det1.clean && det2.clean
+        && shardedAsRequested(det1, 4) && shardedAsRequested(det2, 4)
         && det1.resultJson == det2.resultJson
         && det1.resultJson == bestRep[2].resultJson;
     std::printf("shards=4 determinism across worker counts: %s\n",
