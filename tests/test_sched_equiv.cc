@@ -18,6 +18,10 @@
  * so any new field is automatically covered.
  */
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/catalog.hh"
@@ -45,6 +49,36 @@ stripSchedTail(const sim::SimResult &r)
         json.erase(pos, json.size() - 1 - pos); // keep the final '}'
     return json;
 }
+
+/** Clears EBDA_SCHED_MODE for one test and restores the caller's
+ *  value afterwards, so the Auto cases see the heuristic and not a
+ *  CI-wide override (nor a value an earlier test left behind). */
+class SchedModeEnvGuard
+{
+  public:
+    SchedModeEnvGuard()
+    {
+#if !defined(_WIN32)
+        if (const char *v = std::getenv("EBDA_SCHED_MODE"))
+            saved = v;
+        ::unsetenv("EBDA_SCHED_MODE");
+#endif
+    }
+    ~SchedModeEnvGuard()
+    {
+#if !defined(_WIN32)
+        if (saved)
+            ::setenv("EBDA_SCHED_MODE", saved->c_str(), 1);
+        else
+            ::unsetenv("EBDA_SCHED_MODE");
+#endif
+    }
+    SchedModeEnvGuard(const SchedModeEnvGuard &) = delete;
+    SchedModeEnvGuard &operator=(const SchedModeEnvGuard &) = delete;
+
+  private:
+    std::optional<std::string> saved;
+};
 
 struct ModeRun
 {
@@ -302,10 +336,11 @@ TEST(SchedEquiv, CycleLimitedRunAborts)
 
 /** Auto resolution: the rate heuristic picks event mode below the
  *  threshold and cycle mode above, and an explicit setting wins over
- *  the environment (the config here is explicit, so this test is
- *  stable under a CI-wide EBDA_SCHED_MODE override). */
+ *  the environment. The guard clears any CI-wide EBDA_SCHED_MODE
+ *  override for the Auto cases and restores it afterwards. */
 TEST(SchedEquiv, AutoResolvesByInjectionRate)
 {
+    const SchedModeEnvGuard env;
     EXPECT_EQ(sim::resolveSchedMode(sim::SchedMode::Cycle, 0.001),
               sim::SchedMode::Cycle);
     EXPECT_EQ(sim::resolveSchedMode(sim::SchedMode::Event, 0.9),
@@ -334,6 +369,7 @@ TEST(SchedEquiv, AutoResolvesByInjectionRate)
  *  2-arg overload — pre-existing Auto picks are unchanged. */
 TEST(SchedEquiv, AutoCutoffScalesWithFabricSize)
 {
+    const SchedModeEnvGuard env;
     const double rate = sim::kEventModeRateThreshold / 2;
     // Small fabrics (and the 0 = unknown default): same as 2-arg.
     for (const std::size_t n : {std::size_t{0}, std::size_t{16},
