@@ -1,7 +1,9 @@
 #include "sim/fault_injector.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <optional>
+#include <string>
 
 #include "util/random.hh"
 
@@ -252,6 +254,64 @@ FaultInjector::purge(Fabric &fab, ActiveSet &allocActive,
         }
     }
     return purged;
+}
+
+bool
+parseFaultEvents(const std::string &text,
+                 std::vector<FaultEvent> &out, std::string *err)
+{
+    auto fail = [&](const std::string &what, const std::string &entry) {
+        if (err)
+            *err = what + " in fault event '" + entry + "'";
+        return false;
+    };
+    auto number = [](const std::string &s, std::uint64_t &v) {
+        if (s.empty())
+            return false;
+        char *end = nullptr;
+        v = std::strtoull(s.c_str(), &end, 10);
+        return end && *end == '\0';
+    };
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        auto semi = text.find(';', pos);
+        if (semi == std::string::npos)
+            semi = text.size();
+        const std::string entry = text.substr(pos, semi - pos);
+        pos = semi + 1;
+        if (entry.empty())
+            continue;
+        const auto c1 = entry.find(':');
+        const auto c2 =
+            c1 == std::string::npos ? c1 : entry.find(':', c1 + 1);
+        if (c2 == std::string::npos)
+            return fail("expected CYCLE:kind:WHAT", entry);
+        FaultEvent ev;
+        if (!number(entry.substr(0, c1), ev.cycle))
+            return fail("bad cycle", entry);
+        const std::string kind = entry.substr(c1 + 1, c2 - c1 - 1);
+        const std::string what = entry.substr(c2 + 1);
+        std::uint64_t a = 0;
+        std::uint64_t b = 0;
+        if (kind == "node") {
+            ev.router = true;
+            if (!number(what, a))
+                return fail("bad node id", entry);
+            ev.node = static_cast<std::uint32_t>(a);
+        } else if (kind == "link") {
+            const auto arrow = what.find("->");
+            if (arrow == std::string::npos
+                || !number(what.substr(0, arrow), a)
+                || !number(what.substr(arrow + 2), b))
+                return fail("bad SRC->DST", entry);
+            ev.src = static_cast<std::uint32_t>(a);
+            ev.dst = static_cast<std::uint32_t>(b);
+        } else {
+            return fail("kind must be 'link' or 'node'", entry);
+        }
+        out.push_back(ev);
+    }
+    return true;
 }
 
 } // namespace ebda::sim

@@ -39,6 +39,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cdg/routing_relation.hh"
@@ -205,6 +206,15 @@ class FaultedRelationView final : public cdg::RoutingRelation
     const cdg::RoutingRelation &base;
     const FaultInjector &faults;
 };
+
+/**
+ * Parse the command-line fault list: semicolon-separated entries of
+ * the form "CYCLE:link:SRC->DST" or "CYCLE:node:N", appended to `out`
+ * in order (empty entries are skipped). On malformed input, returns
+ * false with *err naming the offending entry.
+ */
+bool parseFaultEvents(const std::string &text,
+                      std::vector<FaultEvent> &out, std::string *err);
 
 } // namespace ebda::sim
 

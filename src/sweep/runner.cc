@@ -4,12 +4,43 @@
 #include <chrono>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
 #include "sim/sim_json.hh"
 #include "sweep/router_factory.hh"
 #include "sweep/thread_pool.hh"
 
 namespace ebda::sweep {
+
+namespace {
+
+std::unique_ptr<cdg::RoutingRelation>
+routerFor(const topo::Network &net, const std::string &spec)
+{
+    std::string err;
+    auto router = makeRouter(net, spec, &err);
+    if (!router)
+        throw std::invalid_argument(err);
+    return router;
+}
+
+sim::SimConfig
+withSchedOverride(sim::SimConfig cfg, sim::SchedMode sched)
+{
+    if (sched != sim::SchedMode::Auto)
+        cfg.schedMode = sched;
+    return cfg;
+}
+
+} // namespace
+
+JobInstance::JobInstance(const SweepJob &job, sim::SchedMode sched)
+    : net(job.topo.build()),
+      router(routerFor(net, job.router)),
+      gen(net, job.pattern),
+      simulator(net, *router, gen, withSchedOverride(job.cfg, sched))
+{
+}
 
 JobOutcome
 runJob(const SweepJob &job)
@@ -22,25 +53,8 @@ runJob(const SweepJob &job, const RunOptions &opts)
 {
     JobOutcome out;
     try {
-        const auto net = job.topo.build();
-        std::string err;
-        const auto router = makeRouter(net, job.router, &err);
-        if (!router) {
-            out.ok = false;
-            out.error = err;
-            return out;
-        }
-        const sim::TrafficGenerator gen(net, job.pattern);
-        // Resolve the scheduling backend per job, after the cache key
-        // was derived from the canonical config: an explicit override
-        // from the options wins, then the job's own setting, then the
-        // injection-rate heuristic (sim/scheduler.hh).
-        sim::SimConfig cfg = job.cfg;
-        cfg.schedMode = sim::resolveSchedMode(
-            opts.schedMode != sim::SchedMode::Auto ? opts.schedMode
-                                                   : cfg.schedMode,
-            cfg.injectionRate, net.numNodes());
-        sim::Simulator simr(net, *router, gen, cfg);
+        JobInstance inst(job, opts.schedMode);
+        sim::Simulator &simr = inst.simulator;
         if (opts.jobCycleBudget > 0)
             simr.setCycleLimit(opts.jobCycleBudget);
         const bool deadline = opts.jobWallClockBudgetSeconds > 0.0;

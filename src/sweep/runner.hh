@@ -18,10 +18,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "cdg/routing_relation.hh"
 #include "sweep/manifest.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_spec.hh"
@@ -135,6 +137,32 @@ struct RunOptions
  */
 std::vector<std::size_t> costOrder(const std::vector<SweepJob> &jobs,
                                    const ResultCache *cache);
+
+/**
+ * One job's network, routing relation, traffic generator and
+ * Simulator, built in place from the job's declarative fields. The
+ * relation and the generator hold references into the network, and the
+ * simulator into all three, so the members are constructed in
+ * declaration order and the object is neither copied nor moved. Every
+ * run of a job goes through here: runJob and the ebda_tool run
+ * commands alike.
+ */
+struct JobInstance
+{
+    /** Throws std::invalid_argument on a bad topology, router spec,
+     *  pattern or protocol config. An explicit `sched` overrides the
+     *  job's own schedMode (RunOptions::schedMode); Auto keeps it, and
+     *  Simulator::run resolves whatever Auto remains. */
+    explicit JobInstance(const SweepJob &job,
+                         sim::SchedMode sched = sim::SchedMode::Auto);
+    JobInstance(const JobInstance &) = delete;
+    JobInstance &operator=(const JobInstance &) = delete;
+
+    const topo::Network net;
+    const std::unique_ptr<cdg::RoutingRelation> router;
+    const sim::TrafficGenerator gen;
+    sim::Simulator simulator;
+};
 
 /** Execute one job, no cache involved (also used by the runner). */
 JobOutcome runJob(const SweepJob &job);

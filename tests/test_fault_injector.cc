@@ -124,6 +124,31 @@ TEST(FaultInjector, InvalidExplicitEventsAreDropped)
     EXPECT_EQ(inj.schedule().front().dst, 1u);
 }
 
+TEST(FaultInjector, ParsesCommandLineEventList)
+{
+    std::vector<FaultEvent> events;
+    std::string err;
+    ASSERT_TRUE(parseFaultEvents("100:link:0->1;;200:node:5", events, &err))
+        << err;
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].cycle, 100u);
+    EXPECT_FALSE(events[0].router);
+    EXPECT_EQ(events[0].src, 0u);
+    EXPECT_EQ(events[0].dst, 1u);
+    EXPECT_EQ(events[1].cycle, 200u);
+    EXPECT_TRUE(events[1].router);
+    EXPECT_EQ(events[1].node, 5u);
+
+    // Each malformed entry is rejected with a message quoting it.
+    for (const std::string bad : {"100", "x:node:1", "100:node:",
+                                  "100:link:0-1", "100:wire:1"}) {
+        std::vector<FaultEvent> out;
+        std::string why;
+        EXPECT_FALSE(parseFaultEvents(bad, out, &why)) << bad;
+        EXPECT_NE(why.find("'" + bad + "'"), std::string::npos) << why;
+    }
+}
+
 TEST(FaultInjector, MasksAndDegradedViewAfterApply)
 {
     const auto net = topo::Network::mesh({4, 4}, {1, 2});

@@ -2,86 +2,23 @@
  * @file
  * ebda_tool — command-line front end for the EbDa library.
  *
- * Subcommands:
- *   design   --vcs A,B[,C..] [--all] [--max N]
- *            Derive deadlock-free partition schemes for a VC budget
- *            (Algorithm 1; with --all also Arrangements 2/3 and
- *            Algorithm 2 derivations) and rank them by adaptiveness.
- *   verify   --scheme "{X+ X- Y-} -> {Y+}" [--mesh 8x8] [--vcs 1,1]
- *            [--torus]
- *            Validate (Theorem 1), run the Dally oracle, report
- *            connectivity and adaptiveness. Exit code 0 iff valid and
- *            deadlock-free.
- *   turns    --scheme "..."
- *            Print the extracted turn set with theorem provenance.
- *   simulate --scheme "..." [--mesh 8x8] [--vcs 1,1] [--rate 0.2]
- *            [--pattern uniform] [--cycles 4000] [--torus]
- *            [--watchdog C] [--recovery-passes N]
- *            [--sched auto|cycle|event] [--json]
- *            Run the wormhole simulator with the scheme's routing; the
- *            report ends with the backend that ran and its wakeups.
- *            --sched picks the scheduling backend (sim/scheduler.hh);
- *            auto resolves from the injection rate and fabric size.
- *            --watchdog sets the progress-watchdog window,
- *            --recovery-passes the escalation budget before a wedge
- *            is declared.
- *   space    --dims N [--vcs A,B,..]
- *            Report the turn-model design-space size EbDa avoids.
- *   forensics [--router minimal | --scheme "..."] [--mesh 4x4]
- *            [--vcs 1,1] [--torus] [--rate 0.3] [--cycles 2000]
- *            [--watchdog 1000] [--pattern uniform]
- *            Run the simulator until the progress watchdog fires, then
- *            print the stall-attribution breakdown, the hottest
- *            channels, and the deadlock forensic dump: the concrete
- *            wait-for cycle among channels cross-referenced against
- *            the Dally relation-CDG. Exit 0 when a deadlock was caught
- *            and dumped, 1 when the run completed without one.
- *   topo     [--dragonfly a,p,h | --fullmesh N | --mesh 4x4 [--torus]
- *            | --map-file FILE | --map "..."] [--vcs ...]
- *            [--router SPEC]
- *            Print topology statistics (nodes, links, channels, degree,
- *            diameter), the raw-graph routing-existence verdict, and —
- *            for the chosen routing engine — the Dally relation-CDG
- *            oracle, the Mendlovic–Matias fixpoint checker, their
- *            agreement, and routing connectivity. Exit 0 iff the
- *            relation is deadlock-free under both checkers and
- *            connected.
- *   faults   [--router SPEC | --scheme "..."] [--mesh 4x4] [--vcs 1,1]
- *            [--torus] [--rate 0.1] [--cycles 4000] [--watchdog 2000]
- *            [--link-faults N] [--node-faults N] [--fault-seed S]
- *            [--fault-start C] [--fault-spacing C]
- *            [--events "C:link:SRC->DST;C:node:N;..."] [--json]
- *            Run the simulator under a runtime fault schedule: print
- *            the materialized schedule, then the degradation report —
- *            delivery fraction, drops / retransmits / losses, recovery
- *            passes, and the per-event degraded-CDG oracle verdicts.
- *            Exit 0 when the run degraded gracefully, 1 when it
- *            wedged (forensics printed), 2 on usage errors.
- *   protocol [--router SPEC | --scheme "..."] [--mesh 4x4] [--vcs 2,2]
- *            [--torus] [--rate 0.3] [--cycles 4000] [--watchdog 1000]
- *            [--depth N] [--service-latency C] [--service-jitter C]
- *            [--classes 1|2] [--reserve] [--recovery-passes N]
- *            [--pattern uniform] [--json]
- *            Run the request–reply protocol layer on a Dally-verified
- *            fabric: finite per-node reply buffers plus a service
- *            latency make message-dependency deadlock reachable with
- *            --classes 1; --classes 2 carves a reply VC class as the
- *            escape and --reserve throttles requests against local
- *            reply-buffer space instead. Prints the endpoint report;
- *            on a wedge, the cross-message wait-for cycle with the
- *            protocol-vs-channel classification and the channel-level
- *            oracle cross-check. Exit 0 when the run completed, 1 on
- *            a protocol wedge (forensics printed), 2 on usage errors.
+ * usage() is the one list of subcommands and their options; the
+ * comment on each cmd* function says what that subcommand reports and
+ * what its exit codes mean. Every command prints a short report to
+ * stdout. Malformed input, and any option the chosen subcommand never
+ * reads, exits with code 2 and a message on stderr.
  *
- * Every command prints a short report to stdout; malformed input exits
- * with code 2 and a message on stderr.
+ * The run commands (simulate, forensics, faults, protocol) describe
+ * their run as one sweep::SweepJob (topology, router spec, traffic
+ * pattern and SimConfig) built from the flags by jobFromArgs, and run
+ * it through sweep::JobInstance, the path every ebda_sweep job takes.
+ * Each command is then a view of the one Simulator and its result.
  */
 
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,12 +36,12 @@
 #include "core/derivation.hh"
 #include "core/minimal.hh"
 #include "core/parse.hh"
-#include "routing/ebda_routing.hh"
-#include "sim/forensics.hh"
 #include "sim/shard_partition.hh"
 #include "sim/sim_json.hh"
 #include "sim/simulator.hh"
 #include "sweep/router_factory.hh"
+#include "sweep/runner.hh"
+#include "sweep/sweep_spec.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/table.hh"
@@ -154,45 +91,8 @@ usage()
     return 2;
 }
 
-/** Infer a VC budget covering the scheme when none is given. */
-std::vector<int>
-vcsFor(const core::PartitionScheme &scheme, const Args &args,
-       std::size_t dims)
-{
-    if (args.has("vcs")) {
-        std::string err;
-        if (auto v = core::parseVcList(args.get("vcs"), &err)) {
-            v->resize(std::max(v->size(), dims), 1);
-            return *v;
-        }
-        std::cerr << "bad --vcs: " << err << '\n';
-        std::exit(2);
-    }
-    auto v = core::vcsRequired(scheme);
-    v.resize(std::max(v.size(), dims), 1);
-    for (auto &x : v)
-        x = std::max(x, 1);
-    return v;
-}
-
-topo::Network
-networkFor(const core::PartitionScheme &scheme, const Args &args)
-{
-    std::string err;
-    auto dims = core::parseDims(args.get("mesh", "8x8"), &err);
-    if (!dims) {
-        std::cerr << "bad --mesh: " << err << '\n';
-        std::exit(2);
-    }
-    if (dims->size() < scheme.dimensionSpan()) {
-        std::cerr << "scheme uses " << int{scheme.dimensionSpan()}
-                  << " dimensions but --mesh has " << dims->size() << '\n';
-        std::exit(2);
-    }
-    const auto vcs = vcsFor(scheme, args, dims->size());
-    return args.has("torus") ? topo::Network::torus(*dims, vcs)
-                             : topo::Network::mesh(*dims, vcs);
-}
+/** The router-spec prefix that names an EbDa partition scheme. */
+const std::string kEbdaSpec = "ebda:";
 
 core::PartitionScheme
 schemeFromArgs(const Args &args)
@@ -206,6 +106,61 @@ schemeFromArgs(const Args &args)
     return *scheme;
 }
 
+/**
+ * --mesh, --torus and --vcs as a mesh/torus TopologySpec. With a
+ * scheme the mesh defaults to 8x8 and the VCs to those the scheme
+ * uses; without one, to 4x4 and `default_vcs`. Dimensions the VC list
+ * leaves out get one VC. Returns 0, or 2 after reporting bad input.
+ */
+int
+gridFromArgs(const Args &args, const core::PartitionScheme *scheme,
+             const char *default_vcs, sweep::TopologySpec &out)
+{
+    std::string err;
+    const auto dims =
+        core::parseDims(args.get("mesh", scheme ? "8x8" : "4x4"), &err);
+    if (!dims) {
+        std::cerr << "bad --mesh: " << err << '\n';
+        return 2;
+    }
+    if (scheme && dims->size() < scheme->dimensionSpan()) {
+        std::cerr << "scheme uses " << int{scheme->dimensionSpan()}
+                  << " dimensions but --mesh has " << dims->size() << '\n';
+        return 2;
+    }
+    std::optional<std::vector<int>> vcs;
+    if (scheme && !args.has("vcs")) {
+        vcs = core::vcsRequired(*scheme);
+        for (auto &x : *vcs)
+            x = std::max(x, 1);
+    } else {
+        vcs = core::parseVcList(
+            args.has("vcs") ? args.get("vcs") : default_vcs, &err);
+        if (!vcs) {
+            std::cerr << "bad --vcs: " << err << '\n';
+            return 2;
+        }
+    }
+    vcs->resize(std::max(vcs->size(), dims->size()), 1);
+    out.kind = args.has("torus") ? sweep::TopologySpec::Kind::Torus
+                                 : sweep::TopologySpec::Kind::Mesh;
+    out.dims = *dims;
+    out.vcs = std::move(*vcs);
+    return 0;
+}
+
+/** A mesh network, built through TopologySpec like every other. */
+topo::Network
+meshNetwork(std::vector<int> dims, std::vector<int> vcs)
+{
+    sweep::TopologySpec spec;
+    spec.dims = std::move(dims);
+    spec.vcs = std::move(vcs);
+    return spec.build();
+}
+
+/** Rank the schemes Algorithm 1 derives for a VC budget (with --all
+ *  also Arrangements 2/3 and Algorithm 2) by adaptiveness. */
 int
 cmdDesign(const Args &args)
 {
@@ -215,8 +170,16 @@ cmdDesign(const Args &args)
         std::cerr << "bad --vcs: " << err << '\n';
         return 2;
     }
-    const std::size_t max_schemes =
-        static_cast<std::size_t>(std::stoul(args.get("max", "16")));
+    const long max_schemes = args.getInt("max", 16);
+    if (!args.error().empty()) {
+        std::cerr << args.error() << '\n';
+        return 2;
+    }
+    if (max_schemes < 1) {
+        std::cerr << "--max must be at least 1, got " << max_schemes
+                  << '\n';
+        return 2;
+    }
 
     std::vector<core::PartitionScheme> schemes;
     if (args.has("all")) {
@@ -228,8 +191,7 @@ cmdDesign(const Args &args)
         schemes.push_back(core::partitionSets(core::makeSets(*vcs)));
     }
 
-    std::vector<int> dims(vcs->size(), 4);
-    const auto net = topo::Network::mesh(dims, *vcs);
+    const auto net = meshNetwork(std::vector<int>(vcs->size(), 4), *vcs);
 
     // Rank by measured adaptiveness.
     std::vector<std::pair<double, const core::PartitionScheme *>> ranked;
@@ -242,8 +204,8 @@ cmdDesign(const Args &args)
                      [](const auto &a, const auto &b) {
                          return a.first > b.first;
                      });
-    if (ranked.size() > max_schemes)
-        ranked.resize(max_schemes);
+    if (ranked.size() > static_cast<std::size_t>(max_schemes))
+        ranked.resize(static_cast<std::size_t>(max_schemes));
 
     TextTable t;
     t.setHeader({"scheme", "partitions", "adaptiveness", "deadlock-free"});
@@ -264,10 +226,15 @@ cmdDesign(const Args &args)
     return 0;
 }
 
+/** Theorem 1, the Dally oracle, connectivity and adaptiveness of a
+ *  scheme. Exit 0 iff valid, deadlock-free and connected, else 1. */
 int
 cmdVerify(const Args &args)
 {
     const auto scheme = schemeFromArgs(args);
+    sweep::TopologySpec spec;
+    if (const int rc = gridFromArgs(args, &scheme, nullptr, spec))
+        return rc;
     std::cout << "scheme: " << scheme.toString() << '\n';
 
     const auto validation = scheme.validate();
@@ -277,7 +244,7 @@ cmdVerify(const Args &args)
     if (!validation.ok)
         return 1;
 
-    const auto net = networkFor(scheme, args);
+    const auto net = spec.build();
     const auto verdict = cdg::checkDeadlockFree(net, scheme);
     std::cout << "Dally oracle: "
               << (verdict.deadlockFree ? "deadlock-free" : "CYCLIC")
@@ -290,11 +257,14 @@ cmdVerify(const Args &args)
         return 1;
     }
 
-    const routing::EbDaRouting router(
-        net, scheme, {},
-        net.isTorus() ? routing::EbDaRouting::Mode::ShortestState
-                      : routing::EbDaRouting::Mode::Minimal);
-    const auto conn = cdg::checkConnectivity(router);
+    std::string err;
+    const auto router =
+        sweep::makeRouter(net, kEbdaSpec + scheme.toString(), &err);
+    if (!router) {
+        std::cerr << err << '\n';
+        return 2;
+    }
+    const auto conn = cdg::checkConnectivity(*router);
     std::cout << "connectivity: "
               << (conn.connected ? "every pair routable" : "INCOMPLETE")
               << '\n';
@@ -307,6 +277,7 @@ cmdVerify(const Args &args)
     return conn.connected ? 0 : 1;
 }
 
+/** Print a scheme's extracted turn set with theorem provenance. */
 int
 cmdTurns(const Args &args)
 {
@@ -334,109 +305,98 @@ cmdTurns(const Args &args)
     return 0;
 }
 
-/** Network + routing relation for the runtime commands: either an
- *  EbDa scheme or a sweep router-factory spec. The members are
- *  constructed in place and must not be moved — the relation holds a
- *  reference into `net`. */
-struct RouterSetup
+/** What a run command defaults to. */
+struct RunDefaults
 {
-    std::optional<topo::Network> net;
-    std::unique_ptr<cdg::RoutingRelation> owned;
-    std::optional<routing::EbDaRouting> ebda;
-    const cdg::RoutingRelation *router = nullptr;
-    /** The --scheme text as parsed (empty for a factory router). */
-    std::string scheme;
+    /** --router when --scheme is absent; null when --scheme is
+     *  required. */
+    const char *router;
+    /** --vcs of a --router run; a --scheme run covers its scheme. */
+    const char *vcs;
+    double rate;
+    std::uint64_t cycles;
+    /** --watchdog; unset keeps the SimConfig default. */
+    std::optional<std::uint64_t> watchdog;
 };
 
+// forensics defaults to the deadlock-prone unrestricted minimal-
+// adaptive negative control. faults defaults to the paper's Fig 7(b)
+// fully adaptive scheme (VC budget 1,2), whose U-/I-turns are what
+// Theorem 2 says make degradation graceful. protocol defaults to XY
+// with 2 VCs per link: Dally-verified at the channel level, which is
+// what makes the protocol wedge interesting, since the channel CDG
+// stays acyclic while the request→endpoint→reply dependency closes a
+// cycle above it.
+const RunDefaults kSimulateRun{nullptr, nullptr, 0.2, 4000, std::nullopt};
+const RunDefaults kForensicsRun{"minimal", "1,1", 0.3, 2000, 1000};
+const RunDefaults kFaultsRun{"fig7b", "1,2", 0.1, 4000, 2000};
+const RunDefaults kProtocolRun{"xy", "2,2", 0.3, 4000, 1000};
+
 /**
- * Build the run's network and router. --scheme takes the EbDa path
- * (required when `default_router` is null); otherwise --router names a
- * sweep factory router, default `default_router`, on a --mesh/--vcs
- * fabric. Returns 0, or the exit code on failure: 1 for a scheme
- * Theorem 1 rejects, 2 for malformed input.
+ * Fill a run command's job from the flags every run command shares.
+ * The router is --scheme S (the spec "ebda:S"), else --router; the
+ * fabric comes from gridFromArgs; the run measures --cycles cycles
+ * after a quarter of that in warmup, with up to ten times that to
+ * drain. The command reads its own flags into job.cfg first, so every
+ * flag has been read before the Theorem 1 verdict and main's
+ * unread-option check never fires on a run that stopped early.
+ * Returns 0; 1 after reporting a scheme Theorem 1 rejects; 2 after
+ * reporting bad input.
  */
 int
-setupRouter(const Args &args, const char *default_router,
-            const char *default_vcs, RouterSetup &out)
+jobFromArgs(const Args &args, const RunDefaults &d, sweep::SweepJob &job)
 {
-    if (args.has("scheme") || !default_router) {
-        const auto scheme = schemeFromArgs(args);
-        const auto validation = scheme.validate();
+    std::optional<core::PartitionScheme> scheme;
+    if (args.has("scheme") || !d.router) {
+        scheme = schemeFromArgs(args);
+        job.router = kEbdaSpec + scheme->toString();
+    } else {
+        job.router = args.get("router", d.router);
+    }
+    if (const int rc = gridFromArgs(args, scheme ? &*scheme : nullptr,
+                                    d.vcs, job.topo))
+        return rc;
+    const auto pattern =
+        sim::patternFromString(args.get("pattern", "uniform"));
+    if (!pattern) {
+        std::cerr << "unknown --pattern\n";
+        return 2;
+    }
+    job.pattern = *pattern;
+
+    sim::SimConfig &cfg = job.cfg;
+    cfg.injectionRate = args.getDouble("rate", d.rate);
+    cfg.measureCycles = args.getU64("cycles", d.cycles);
+    cfg.warmupCycles = cfg.measureCycles / 4;
+    cfg.drainCycles = cfg.measureCycles * 10;
+    cfg.watchdogCycles =
+        args.getU64("watchdog", d.watchdog.value_or(cfg.watchdogCycles));
+    if (!args.error().empty()) {
+        std::cerr << args.error() << '\n';
+        return 2;
+    }
+    if (scheme) {
+        const auto validation = scheme->validate();
         if (!validation.ok) {
             std::cerr << "invalid scheme: " << validation.reason << '\n';
             return 1;
         }
-        out.net = networkFor(scheme, args);
-        out.ebda.emplace(
-            *out.net, scheme, core::TurnExtractionOptions{},
-            out.net->isTorus()
-                ? routing::EbDaRouting::Mode::ShortestState
-                : routing::EbDaRouting::Mode::Minimal);
-        out.router = &*out.ebda;
-        out.scheme = scheme.toString();
-        return 0;
     }
-    std::string err;
-    const auto dims = core::parseDims(args.get("mesh", "4x4"), &err);
-    if (!dims) {
-        std::cerr << "bad --mesh: " << err << '\n';
-        return 2;
-    }
-    auto vcs = core::parseVcList(args.get("vcs", default_vcs), &err);
-    if (!vcs) {
-        std::cerr << "bad --vcs: " << err << '\n';
-        return 2;
-    }
-    vcs->resize(std::max(vcs->size(), dims->size()), 1);
-    out.net = args.has("torus") ? topo::Network::torus(*dims, *vcs)
-                                : topo::Network::mesh(*dims, *vcs);
-    out.owned =
-        sweep::makeRouter(*out.net, args.get("router", default_router),
-                          &err);
-    if (!out.owned) {
-        std::cerr << err << '\n';
-        return 2;
-    }
-    out.router = out.owned.get();
     return 0;
 }
 
-/** --pattern (default uniform); nullopt after reporting a bad one. */
-std::optional<sim::TrafficPattern>
-patternFromArgs(const Args &args)
-{
-    const auto pattern =
-        sim::patternFromString(args.get("pattern", "uniform"));
-    if (!pattern)
-        std::cerr << "unknown --pattern\n";
-    return pattern;
-}
-
-/** The runtime commands' run phases: --cycles measured cycles
- *  (default `default_cycles`) after a quarter of that in warmup, with
- *  up to ten times that to drain. */
-void
-setPhases(sim::SimConfig &cfg, const Args &args,
-          std::uint64_t default_cycles)
-{
-    cfg.measureCycles = args.getU64("cycles", default_cycles);
-    cfg.warmupCycles = cfg.measureCycles / 4;
-    cfg.drainCycles = cfg.measureCycles * 10;
-}
-
-/** The runtime commands' --json document: the router (or scheme), the
+/** The run commands' --json document: the router (or scheme), the
  *  traffic pattern, the config and the result. */
 void
 printRunJson(const char *router_key, const std::string &router,
-             sim::TrafficPattern pattern, const sim::SimConfig &cfg,
-             const sim::SimResult &result)
+             const sweep::SweepJob &job, const sim::SimResult &result)
 {
     JsonWriter w;
     w.beginObject();
     w.field(router_key, router);
-    w.field("pattern", sim::toString(pattern));
+    w.field("pattern", sim::toString(job.pattern));
     w.beginObject("config");
-    sim::jsonFields(w, cfg);
+    sim::jsonFields(w, job.cfg);
     w.end();
     w.beginObject("result");
     sim::jsonFields(w, result);
@@ -445,27 +405,21 @@ printRunJson(const char *router_key, const std::string &router,
     std::cout << w.str() << '\n';
 }
 
+/** Simulate a scheme's routing; the report ends with the backend that
+ *  ran (--sched, sim/scheduler.hh) and its wakeups. Exit 1 on a
+ *  deadlock or a scheme Theorem 1 rejects. */
 int
 cmdSimulate(const Args &args)
 {
-    RouterSetup setup;
-    if (const int rc = setupRouter(args, nullptr, nullptr, setup))
-        return rc;
-    const auto pattern = patternFromArgs(args);
-    if (!pattern)
-        return 2;
-    const sim::TrafficGenerator gen(*setup.net, *pattern);
-
-    sim::SimConfig cfg;
-    cfg.injectionRate = args.getDouble("rate", 0.2);
-    setPhases(cfg, args, 4000);
+    const bool json = args.has("json");
+    sweep::SweepJob job;
     if (args.has("sched")) {
         const auto mode = sim::schedModeFromString(args.get("sched"));
         if (!mode) {
             std::cerr << "--sched must be auto, cycle or event\n";
             return 2;
         }
-        cfg.schedMode = *mode;
+        job.cfg.schedMode = *mode;
     }
     if (args.has("shards")) {
         const long long s = args.getInt("shards", 0);
@@ -474,21 +428,18 @@ cmdSimulate(const Args &args)
                       << sim::kMaxShards << "] (0 = auto)\n";
             return 2;
         }
-        cfg.shards = static_cast<int>(s);
+        job.cfg.shards = static_cast<int>(s);
     }
-    cfg.watchdogCycles = args.getU64("watchdog", cfg.watchdogCycles);
-    cfg.faults.maxRecoveryAttempts = static_cast<int>(args.getInt(
-        "recovery-passes", cfg.faults.maxRecoveryAttempts));
-    if (!args.error().empty()) {
-        std::cerr << args.error() << '\n';
-        return 2;
-    }
+    job.cfg.faults.maxRecoveryAttempts = static_cast<int>(args.getInt(
+        "recovery-passes", job.cfg.faults.maxRecoveryAttempts));
+    if (const int rc = jobFromArgs(args, kSimulateRun, job))
+        return rc;
+    sweep::JobInstance run(job);
+    const auto result = run.simulator.run();
 
-    const auto result =
-        sim::runSimulation(*setup.net, *setup.router, gen, cfg);
-
-    if (args.has("json")) {
-        printRunJson("scheme", setup.scheme, *pattern, cfg, result);
+    if (json) {
+        printRunJson("scheme", job.router.substr(kEbdaSpec.size()), job,
+                     result);
         return result.deadlocked ? 1 : 0;
     }
 
@@ -508,84 +459,90 @@ cmdSimulate(const Args &args)
     return 0;
 }
 
+/** Topology statistics, the raw-graph routing-existence verdict, and
+ *  both checkers plus connectivity for the --router engine. Exit 0 iff
+ *  deadlock-free under both checkers and connected. */
 int
 cmdTopo(const Args &args)
 {
-    // ---- Build the network from whichever declaration was given.
-    topo::Network net = topo::Network::mesh({2}, {1}); // placeholder
-    std::vector<std::pair<topo::NodeId, topo::NodeId>> dead_links;
+    // ---- Declare the network from whichever option was given.
+    using Kind = sweep::TopologySpec::Kind;
+    sweep::TopologySpec spec;
     std::string kind_label;
     std::string default_router = "updown";
     std::string err;
+    if (args.has("dragonfly")) {
+        const auto abc = core::parseVcList(args.get("dragonfly"), &err);
+        if (!abc || abc->size() != 3) {
+            std::cerr << "bad --dragonfly: want a,p,h"
+                      << (err.empty() ? "" : " (" + err + ")") << '\n';
+            return 2;
+        }
+        const auto vcs = core::parseVcList(args.get("vcs", "2,1"), &err);
+        if (!vcs || vcs->size() != 2) {
+            std::cerr << "bad --vcs (want localVcs,globalVcs): " << err
+                      << '\n';
+            return 2;
+        }
+        spec.kind = Kind::Dragonfly;
+        spec.a = (*abc)[0];
+        spec.p = (*abc)[1];
+        spec.h = (*abc)[2];
+        spec.localVcs = (*vcs)[0];
+        spec.globalVcs = (*vcs)[1];
+        kind_label = "dragonfly";
+        default_router = "dragonfly-min";
+    } else if (args.has("fullmesh")) {
+        spec.kind = Kind::FullMesh;
+        spec.nodes = static_cast<int>(args.getInt("fullmesh", 0));
+        spec.nodeVcs = static_cast<int>(args.getInt("vcs", 1));
+        kind_label = "fullmesh";
+        default_router = "fullmesh-2hop";
+    } else if (args.has("map") || args.has("map-file")) {
+        spec.kind = Kind::Ascii;
+        spec.map = args.get("map");
+        spec.defaultVcs = static_cast<int>(args.getInt("default-vcs", 1));
+        if (args.has("map-file")) {
+            std::ifstream in(args.get("map-file"));
+            if (!in) {
+                std::cerr << "cannot read --map-file '"
+                          << args.get("map-file") << "'\n";
+                return 2;
+            }
+            std::ostringstream ss;
+            ss << in.rdbuf();
+            spec.map = ss.str();
+        }
+        kind_label = "ascii map";
+    } else {
+        if (const int rc = gridFromArgs(args, nullptr, "1", spec))
+            return rc;
+        kind_label = args.has("torus") ? "torus" : "mesh";
+        default_router = args.has("torus") ? "updown" : "xy";
+    }
+    const std::string router_spec = args.get("router", default_router);
+    if (!args.error().empty()) {
+        std::cerr << args.error() << '\n';
+        return 2;
+    }
+    std::optional<topo::Network> built;
+    std::vector<std::pair<topo::NodeId, topo::NodeId>> dead_links;
     try {
-        if (args.has("dragonfly")) {
-            const auto abc = core::parseVcList(args.get("dragonfly"), &err);
-            if (!abc || abc->size() != 3) {
-                std::cerr << "bad --dragonfly: want a,p,h"
-                          << (err.empty() ? "" : " (" + err + ")") << '\n';
-                return 2;
-            }
-            const auto vcs =
-                core::parseVcList(args.get("vcs", "2,1"), &err);
-            if (!vcs || vcs->size() != 2) {
-                std::cerr << "bad --vcs (want localVcs,globalVcs): " << err
-                          << '\n';
-                return 2;
-            }
-            net = topo::Network::dragonfly((*abc)[0], (*abc)[1], (*abc)[2],
-                                           (*vcs)[0], (*vcs)[1]);
-            kind_label = "dragonfly";
-            default_router = "dragonfly-min";
-        } else if (args.has("fullmesh")) {
-            const int n = static_cast<int>(args.getInt("fullmesh", 0));
-            const int vcs = static_cast<int>(args.getInt("vcs", 1));
-            net = topo::Network::fullMesh(n, vcs);
-            kind_label = "fullmesh";
-            default_router = "fullmesh-2hop";
-        } else if (args.has("map") || args.has("map-file")) {
-            std::string text = args.get("map");
-            if (args.has("map-file")) {
-                std::ifstream in(args.get("map-file"));
-                if (!in) {
-                    std::cerr << "cannot read --map-file '"
-                              << args.get("map-file") << "'\n";
-                    return 2;
-                }
-                std::ostringstream ss;
-                ss << in.rdbuf();
-                text = ss.str();
-            }
+        if (spec.kind == Kind::Ascii) {
+            // Parse the map here rather than in spec.build(): the
+            // report lists the links the map marks dead.
             auto parsed = topo::parseAsciiMap(
-                text, topo::AsciiMapOptions{
-                          static_cast<int>(args.getInt("default-vcs", 1))});
-            net = std::move(parsed.network);
+                spec.map, topo::AsciiMapOptions{spec.defaultVcs});
+            built.emplace(std::move(parsed.network));
             dead_links = std::move(parsed.deadLinks);
-            kind_label = "ascii map";
         } else {
-            const auto dims = core::parseDims(args.get("mesh", "4x4"), &err);
-            if (!dims) {
-                std::cerr << "bad --mesh: " << err << '\n';
-                return 2;
-            }
-            auto vcs = core::parseVcList(args.get("vcs", "1"), &err);
-            if (!vcs) {
-                std::cerr << "bad --vcs: " << err << '\n';
-                return 2;
-            }
-            vcs->resize(std::max(vcs->size(), dims->size()), 1);
-            net = args.has("torus") ? topo::Network::torus(*dims, *vcs)
-                                    : topo::Network::mesh(*dims, *vcs);
-            kind_label = args.has("torus") ? "torus" : "mesh";
-            default_router = args.has("torus") ? "updown" : "xy";
+            built.emplace(spec.build());
         }
     } catch (const std::invalid_argument &e) {
         std::cerr << "bad topology: " << e.what() << '\n';
         return 2;
     }
-    if (!args.error().empty()) {
-        std::cerr << args.error() << '\n';
-        return 2;
-    }
+    const topo::Network &net = *built;
 
     // ---- Stats.
     std::size_t min_deg = net.numNodes() ? net.numLinks() : 0, max_deg = 0;
@@ -645,7 +602,6 @@ cmdTopo(const Args &args)
     }
 
     // ---- Checker verdicts for the chosen routing engine.
-    const std::string router_spec = args.get("router", default_router);
     const auto router = sweep::makeRouter(net, router_spec, &err);
     if (!router) {
         std::cerr << "router '" << router_spec << "': " << err << '\n';
@@ -685,37 +641,22 @@ cmdTopo(const Args &args)
                                                                      : 1;
 }
 
+/** Stall attribution, the busiest channels and, when the watchdog
+ *  fired, the deadlock forensic dump. Exit 0 when a deadlock was
+ *  caught and dumped, 1 when the run completed without one. */
 int
 cmdForensics(const Args &args)
 {
-    // Network + router: either an EbDa scheme (like simulate) or a
-    // sweep router-factory spec (default: the deadlock-prone
-    // unrestricted minimal-adaptive negative control).
-    RouterSetup setup;
-    if (setupRouter(args, "minimal", "1,1", setup))
+    sweep::SweepJob job;
+    if (jobFromArgs(args, kForensicsRun, job))
         return 2;
-    const auto &net = setup.net;
-    const auto *router = setup.router;
-
-    const auto pattern = patternFromArgs(args);
-    if (!pattern)
-        return 2;
-    const sim::TrafficGenerator gen(*net, *pattern);
-
-    sim::SimConfig cfg;
-    cfg.injectionRate = args.getDouble("rate", 0.3);
-    setPhases(cfg, args, 2000);
-    cfg.watchdogCycles = args.getU64("watchdog", 1000);
-    if (!args.error().empty()) {
-        std::cerr << args.error() << '\n';
-        return 2;
-    }
-
-    sim::Simulator simulator(*net, *router, gen, cfg);
+    sweep::JobInstance run(job);
+    sim::Simulator &simulator = run.simulator;
     const auto result = simulator.run();
+    const topo::Network &net = run.net;
 
-    std::cout << router->name() << " on " << net->numNodes()
-              << " nodes, rate " << cfg.injectionRate << ": ran "
+    std::cout << run.router->name() << " on " << net.numNodes()
+              << " nodes, rate " << job.cfg.injectionRate << ": ran "
               << result.cycles << " cycles, "
               << (result.deadlocked ? "DEADLOCKED" : "no deadlock")
               << "\n\nstall attribution (stall-cycles, whole run):\n";
@@ -742,11 +683,11 @@ cmdForensics(const Args &args)
                   return occ[a].mean > occ[b].mean;
               });
     std::cout << "\nbusiest channels (mean occupancy / peak, of depth "
-              << cfg.vcDepth << "):\n";
+              << job.cfg.vcDepth << "):\n";
     for (std::size_t k = 0; k < std::min<std::size_t>(5, by_occ.size());
          ++k) {
         const topo::ChannelId c = by_occ[k];
-        std::cout << "  " << net->channelName(c) << ": "
+        std::cout << "  " << net.channelName(c) << ": "
                   << occ[c].mean << " / " << occ[c].peak << '\n';
     }
 
@@ -754,131 +695,51 @@ cmdForensics(const Args &args)
         std::cout << "\nno deadlock caught; nothing to dissect\n";
         return 1;
     }
-    std::cout << '\n' << simulator.forensics().describe(*net);
+    std::cout << '\n' << simulator.forensics().describe(net);
     return 0;
 }
 
-/** Parse "--events" fault lists: semicolon-separated entries of the
- *  form "CYCLE:link:SRC->DST" or "CYCLE:node:N". */
-bool
-parseFaultEvents(const std::string &text,
-                 std::vector<sim::FaultEvent> &out, std::string *err)
-{
-    auto fail = [&](const std::string &what, const std::string &entry) {
-        if (err)
-            *err = what + " in fault event '" + entry + "'";
-        return false;
-    };
-    auto number = [](const std::string &s, std::uint64_t &v) {
-        if (s.empty())
-            return false;
-        char *end = nullptr;
-        v = std::strtoull(s.c_str(), &end, 10);
-        return end && *end == '\0';
-    };
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        auto semi = text.find(';', pos);
-        if (semi == std::string::npos)
-            semi = text.size();
-        const std::string entry = text.substr(pos, semi - pos);
-        pos = semi + 1;
-        if (entry.empty())
-            continue;
-        const auto c1 = entry.find(':');
-        const auto c2 =
-            c1 == std::string::npos ? c1 : entry.find(':', c1 + 1);
-        if (c2 == std::string::npos)
-            return fail("expected CYCLE:kind:WHAT", entry);
-        sim::FaultEvent ev;
-        if (!number(entry.substr(0, c1), ev.cycle))
-            return fail("bad cycle", entry);
-        const std::string kind = entry.substr(c1 + 1, c2 - c1 - 1);
-        const std::string what = entry.substr(c2 + 1);
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        if (kind == "node") {
-            ev.router = true;
-            if (!number(what, a))
-                return fail("bad node id", entry);
-            ev.node = static_cast<std::uint32_t>(a);
-        } else if (kind == "link") {
-            const auto arrow = what.find("->");
-            if (arrow == std::string::npos
-                || !number(what.substr(0, arrow), a)
-                || !number(what.substr(arrow + 2), b))
-                return fail("bad SRC->DST", entry);
-            ev.src = static_cast<std::uint32_t>(a);
-            ev.dst = static_cast<std::uint32_t>(b);
-        } else {
-            return fail("kind must be 'link' or 'node'", entry);
-        }
-        out.push_back(ev);
-    }
-    return true;
-}
-
+/** The materialized fault schedule and the degradation report. Exit 0
+ *  when the run degraded gracefully, 1 when it wedged (forensics
+ *  printed). */
 int
 cmdFaults(const Args &args)
 {
-    // Default: the paper's Fig 7(b) fully adaptive scheme (needs VC
-    // budget 1,2 on a mesh), the configuration whose U-/I-turns are
-    // what Theorem 2 says make degradation graceful.
-    RouterSetup setup;
-    if (setupRouter(args, "fig7b", "1,2", setup))
-        return 2;
-    const auto &net = setup.net;
-    const auto *router = setup.router;
-
-    const auto pattern = patternFromArgs(args);
-    if (!pattern)
-        return 2;
-    const sim::TrafficGenerator gen(*net, *pattern);
-
-    sim::SimConfig cfg;
-    cfg.injectionRate = args.getDouble("rate", 0.1);
-    setPhases(cfg, args, 4000);
-    cfg.watchdogCycles = args.getU64("watchdog", 2000);
-    cfg.faults.randomLinkFaults =
-        static_cast<int>(args.getInt("link-faults", 0));
-    cfg.faults.randomRouterFaults =
+    const bool json = args.has("json");
+    sweep::SweepJob job;
+    sim::FaultPlan &plan = job.cfg.faults;
+    plan.randomLinkFaults = static_cast<int>(args.getInt("link-faults", 0));
+    plan.randomRouterFaults =
         static_cast<int>(args.getInt("node-faults", 0));
-    cfg.faults.seed = args.getU64("fault-seed", cfg.faults.seed);
-    cfg.faults.firstCycle =
-        args.getU64("fault-start", cfg.faults.firstCycle);
-    cfg.faults.spacing =
-        args.getU64("fault-spacing", cfg.faults.spacing);
-    if (!args.error().empty()) {
-        std::cerr << args.error() << '\n';
+    plan.seed = args.getU64("fault-seed", plan.seed);
+    plan.firstCycle = args.getU64("fault-start", plan.firstCycle);
+    plan.spacing = args.getU64("fault-spacing", plan.spacing);
+    std::string err;
+    if (args.has("events")
+        && !sim::parseFaultEvents(args.get("events"), plan.events, &err)) {
+        std::cerr << err << '\n';
         return 2;
     }
-    if (args.has("events")) {
-        std::string err;
-        if (!parseFaultEvents(args.get("events"), cfg.faults.events,
-                              &err)) {
-            std::cerr << err << '\n';
-            return 2;
-        }
-    }
-    if (cfg.faults.empty()) {
+    if (jobFromArgs(args, kFaultsRun, job))
+        return 2;
+    if (plan.empty()) {
         // A faults run without faults is a usage error, not a silent
         // fault-free simulation.
         std::cerr << "no faults scheduled: give --link-faults, "
                      "--node-faults or --events\n";
         return 2;
     }
+    sweep::JobInstance run(job);
+    const auto result = run.simulator.run();
+    const auto &injector = run.simulator.faults();
 
-    sim::Simulator simulator(*net, *router, gen, cfg);
-    const auto result = simulator.run();
-    const auto &injector = simulator.faults();
-
-    if (args.has("json")) {
-        printRunJson("router", router->name(), *pattern, cfg, result);
+    if (json) {
+        printRunJson("router", run.router->name(), job, result);
         return result.degradedGracefully ? 0 : 1;
     }
 
-    std::cout << router->name() << " on " << net->numNodes()
-              << " nodes, rate " << cfg.injectionRate
+    std::cout << run.router->name() << " on " << run.net.numNodes()
+              << " nodes, rate " << job.cfg.injectionRate
               << "\n\nfault schedule ("
               << injector.schedule().size() << " event(s), "
               << result.faultEventsApplied << " applied):\n";
@@ -916,108 +777,78 @@ cmdFaults(const Args &args)
     }
     std::cout << "\nWEDGED after " << result.recoveryPasses
               << " recovery pass(es)\n\n"
-              << simulator.forensics().describe(*net);
+              << run.simulator.forensics().describe(run.net);
     return 1;
 }
 
+/** The request–reply layer's endpoint report (docs/PROTOCOL.md) and,
+ *  on a wedge, the cross-message wait-for cycle. Exit 0 when the run
+ *  completed, 1 on a wedge (forensics printed). */
 int
 cmdProtocol(const Args &args)
 {
-    // Default: XY on a 4x4 mesh with 2 VCs per link — Dally-verified
-    // at the channel level, which is exactly what makes the protocol
-    // wedge interesting: the channel CDG stays acyclic while the
-    // request→endpoint→reply dependency closes a cycle above it.
-    RouterSetup setup;
-    if (setupRouter(args, "xy", "2,2", setup))
+    const bool json = args.has("json");
+    sweep::SweepJob job;
+    sim::ProtocolConfig &proto = job.cfg.protocol;
+    proto.requestReply = true;
+    proto.replyBufferDepth =
+        static_cast<int>(args.getInt("depth", proto.replyBufferDepth));
+    proto.serviceLatency =
+        args.getU64("service-latency", proto.serviceLatency);
+    proto.serviceJitter = args.getU64("service-jitter", proto.serviceJitter);
+    proto.messageClasses =
+        static_cast<int>(args.getInt("classes", proto.messageClasses));
+    proto.reserveReplyBuffer = args.has("reserve");
+    job.cfg.faults.maxRecoveryAttempts = static_cast<int>(args.getInt(
+        "recovery-passes", job.cfg.faults.maxRecoveryAttempts));
+    if (jobFromArgs(args, kProtocolRun, job))
         return 2;
-    const auto &net = setup.net;
-    const auto *router = setup.router;
+    sweep::JobInstance run(job);
+    const auto result = run.simulator.run();
 
-    const auto pattern = patternFromArgs(args);
-    if (!pattern)
-        return 2;
-    const sim::TrafficGenerator gen(*net, *pattern);
-
-    sim::SimConfig cfg;
-    cfg.injectionRate = args.getDouble("rate", 0.3);
-    setPhases(cfg, args, 4000);
-    cfg.watchdogCycles = args.getU64("watchdog", 1000);
-    cfg.protocol.requestReply = true;
-    cfg.protocol.replyBufferDepth = static_cast<int>(
-        args.getInt("depth", cfg.protocol.replyBufferDepth));
-    cfg.protocol.serviceLatency =
-        args.getU64("service-latency", cfg.protocol.serviceLatency);
-    cfg.protocol.serviceJitter =
-        args.getU64("service-jitter", cfg.protocol.serviceJitter);
-    cfg.protocol.messageClasses = static_cast<int>(
-        args.getInt("classes", cfg.protocol.messageClasses));
-    if (args.has("reserve"))
-        cfg.protocol.reserveReplyBuffer = true;
-    cfg.faults.maxRecoveryAttempts = static_cast<int>(args.getInt(
-        "recovery-passes", cfg.faults.maxRecoveryAttempts));
-    if (!args.error().empty()) {
-        std::cerr << args.error() << '\n';
-        return 2;
+    if (json) {
+        printRunJson("router", run.router->name(), job, result);
+        return result.deadlocked ? 1 : 0;
     }
 
-    try {
-        sim::Simulator simulator(*net, *router, gen, cfg);
-        const auto result = simulator.run();
+    std::cout << run.router->name() << " on " << run.net.numNodes()
+              << " nodes, rate " << job.cfg.injectionRate
+              << ", reply buffer depth " << proto.replyBufferDepth << ", "
+              << proto.messageClasses << " message class(es)"
+              << (proto.reserveReplyBuffer ? ", buffer reservation" : "")
+              << "\n\nendpoint report:\n  requests delivered: "
+              << result.protocolRequestsDelivered
+              << "\n  replies injected: " << result.protocolRepliesInjected
+              << ", delivered " << result.protocolRepliesDelivered
+              << "\n  endpoint stalls (full-buffer refusals): "
+              << result.protocolEndpointStalls
+              << "\n  requests throttled by reservation: "
+              << result.protocolThrottled
+              << "\n  peak buffer occupancy: "
+              << result.protocolPeakOccupancy << " / "
+              << proto.replyBufferDepth
+              << "\n  delivered fraction: " << result.deliveredFraction
+              << "\n  recovery passes: " << result.recoveryPasses << '\n';
+    if (result.packetsMeasured > 0)
+        std::cout << "  avg latency: " << result.avgLatency
+                  << " cycles over " << result.packetsMeasured
+                  << " measured packets\n";
 
-        if (args.has("json")) {
-            printRunJson("router", router->name(), *pattern, cfg,
-                         result);
-            return result.deadlocked ? 1 : 0;
-        }
-
-        std::cout << router->name() << " on " << net->numNodes()
-                  << " nodes, rate " << cfg.injectionRate
-                  << ", reply buffer depth "
-                  << cfg.protocol.replyBufferDepth << ", "
-                  << cfg.protocol.messageClasses
-                  << " message class(es)"
-                  << (cfg.protocol.reserveReplyBuffer
-                          ? ", buffer reservation"
-                          : "")
-                  << "\n\nendpoint report:\n  requests delivered: "
-                  << result.protocolRequestsDelivered
-                  << "\n  replies injected: "
-                  << result.protocolRepliesInjected << ", delivered "
-                  << result.protocolRepliesDelivered
-                  << "\n  endpoint stalls (full-buffer refusals): "
-                  << result.protocolEndpointStalls
-                  << "\n  requests throttled by reservation: "
-                  << result.protocolThrottled
-                  << "\n  peak buffer occupancy: "
-                  << result.protocolPeakOccupancy << " / "
-                  << cfg.protocol.replyBufferDepth
-                  << "\n  delivered fraction: "
-                  << result.deliveredFraction
-                  << "\n  recovery passes: " << result.recoveryPasses
-                  << '\n';
-        if (result.packetsMeasured > 0)
-            std::cout << "  avg latency: " << result.avgLatency
-                      << " cycles over " << result.packetsMeasured
-                      << " measured packets\n";
-
-        if (!result.deadlocked) {
-            std::cout << "\ncompleted watchdog-clean\n";
-            return 0;
-        }
-        std::cout << "\nWEDGED ("
-                  << (result.protocolDeadlock
-                          ? "protocol / message-dependency"
-                          : "channel")
-                  << " deadlock) after " << result.recoveryPasses
-                  << " recovery pass(es)\n\n"
-                  << simulator.forensics().describe(*net);
-        return 1;
-    } catch (const std::invalid_argument &e) {
-        std::cerr << "bad protocol config: " << e.what() << '\n';
-        return 2;
+    if (!result.deadlocked) {
+        std::cout << "\ncompleted watchdog-clean\n";
+        return 0;
     }
+    std::cout << "\nWEDGED ("
+              << (result.protocolDeadlock ? "protocol / message-dependency"
+                                          : "channel")
+              << " deadlock) after " << result.recoveryPasses
+              << " recovery pass(es)\n\n"
+              << run.simulator.forensics().describe(run.net);
+    return 1;
 }
 
+/** Two schemes side by side on a radix-5 mesh. Exit 1 when Theorem 1
+ *  rejects either. */
 int
 cmdCompare(const Args &args)
 {
@@ -1047,17 +878,13 @@ cmdCompare(const Args &args)
     }
 
     auto dims_needed = std::max(a->dimensionSpan(), b->dimensionSpan());
-    std::vector<int> vcs_a = core::vcsRequired(*a);
-    std::vector<int> vcs_b = core::vcsRequired(*b);
     std::vector<int> vcs(dims_needed, 1);
-    for (std::size_t d = 0; d < vcs.size(); ++d) {
-        if (d < vcs_a.size())
-            vcs[d] = std::max(vcs[d], vcs_a[d]);
-        if (d < vcs_b.size())
-            vcs[d] = std::max(vcs[d], vcs_b[d]);
+    for (const core::PartitionScheme *s : {&*a, &*b}) {
+        const auto need = core::vcsRequired(*s);
+        for (std::size_t d = 0; d < need.size(); ++d)
+            vcs[d] = std::max(vcs[d], need[d]);
     }
-    std::vector<int> dims(dims_needed, 5);
-    const auto net = topo::Network::mesh(dims, vcs);
+    const auto net = meshNetwork(std::vector<int>(dims_needed, 5), vcs);
 
     auto row = [&](const char *label, auto fn) {
         t.addRow({label, fn(*a), fn(*b)});
@@ -1086,12 +913,17 @@ cmdCompare(const Args &args)
     return 0;
 }
 
+/** Report the size of the turn-model design space EbDa avoids. */
 int
 cmdSpace(const Args &args)
 {
-    const int n = std::stoi(args.get("dims", "2"));
+    const long n = args.getInt("dims", 2);
+    if (!args.error().empty()) {
+        std::cerr << args.error() << '\n';
+        return 2;
+    }
     if (n < 2 || n > 16) {
-        std::cerr << "--dims out of range\n";
+        std::cerr << "--dims must be in [2, 16], got " << n << '\n';
         return 2;
     }
     std::vector<int> vcs(static_cast<std::size_t>(n), 1);
