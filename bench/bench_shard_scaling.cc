@@ -1,14 +1,14 @@
 /**
  * @file
- * Scaling curve and correctness gate for the sharded cycle backend
+ * Scaling curve and correctness gate for the sharded loop
  * (sim/shard_sched.hh): cycles/s at shards in {1,2,4,8} on the 32x32,
  * 2-VC mesh saturation point (fig7b router, uniform 0.30
- * flits/node/cycle) — the single-big-run regime the backend exists
- * for.
+ * flits/node/cycle) — the single-big-run regime the sharded loop
+ * exists for.
  *
  * Three gates, in order of importance:
  *  - shards=1 bit-identity: with an explicit shard count of 1 the
- *    simulator must dispatch to the classic CycleScheduler, so the
+ *    simulator must dispatch to the serial loop, so the
  *    full result JSON must match a default (auto) run on a
  *    below-cutoff network bit for bit. Always enforced.
  *  - fixed-shard-count determinism: the shards=4 run must produce a
@@ -69,7 +69,7 @@ struct RepResult
 };
 
 /** The 32x32 point runs ABOVE saturation (that is the regime the
- *  backend exists for), so it never drains: measured packets are
+ *  sharded loop exists for), so it never drains: measured packets are
  *  still in flight when the short drain budget expires. The timing
  *  figure only needs the measurement window, so `requireDrain` is
  *  false for the scaling sweep and true for the light-load identity
@@ -175,9 +175,9 @@ benchMain()
     bool pass = true;
 
     // ----------------------------------------------------------------
-    // Gate 1: shards=1 is the classic CycleScheduler, bit for bit.
+    // Gate 1: shards=1 is the serial loop, bit for bit.
     // Run on an 8x8 mesh — below the Auto cutoff, so shards=0 resolves
-    // to the classic backend and the comparison pins the dispatch
+    // to the serial loop and the comparison pins the dispatch
     // contract (an explicit 1 must not perturb anything, result JSON
     // included).
     bool identityPass = false;
@@ -197,7 +197,7 @@ benchMain()
         const auto one = runOnce(net8, *rel8, gen8, cfg8, 1, true);
         identityPass = classic.clean && one.clean
             && classic.resultJson == one.resultJson;
-        std::printf("shards=1 vs CycleScheduler bit-identity: %s\n",
+        std::printf("shards=1 vs serial loop bit-identity: %s\n",
                     identityPass ? "ok" : "MISMATCH");
         if (!identityPass)
             pass = false;
@@ -215,7 +215,7 @@ benchMain()
     const sim::SimConfig cfg = saturationConfig();
 
     // Timing sweep: best of two identical runs per shard count. The
-    // shards=1 point is the classic scheduler — the denominator every
+    // shards=1 point is the serial loop — the denominator every
     // speedup is quoted against.
     constexpr int kReps = 2;
     std::vector<double> rate(std::size(kShardPoints), 0.0);

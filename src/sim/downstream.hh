@@ -6,7 +6,7 @@
  * Every stage kernel (VcAllocator::allocate, SwitchAllocator::traverse
  * and eject, Simulator::fillInjectionVcs and the per-node generation
  * body) is a template over one of these policies. The kernels never
- * ask which backend runs them; everything that differs lives here:
+ * ask which loop runs them; everything that differs lives here:
  *
  *  - `space(c)`: free slots of channel c's downstream buffer, as the
  *    caller may observe them. VC selection (MaxCredits), the atomic
@@ -20,7 +20,7 @@
  *    pushes and ejections, and for flits in the fabric.
  *  - `allocPacket(rec)` / `freePacket(id)`: packet-table slots.
  *
- * LiveDownstream is the classic instance (the cycle and event loops):
+ * LiveDownstream is the serial loop's instance:
  * one domain over the whole fabric, so every buffer is read live, a
  * flit is pushed straight into it, a pop needs no credit message, and
  * the sinks are the fabric's own counters and free list.
@@ -51,7 +51,8 @@
 
 namespace ebda::sim {
 
-/** The classic policy: every downstream buffer is local and live. */
+/** The serial loop's policy: every downstream buffer is local and
+ *  live. */
 struct LiveDownstream
 {
     explicit LiveDownstream(Fabric &f) : fab(f), depth(f.cfg.vcDepth) {}

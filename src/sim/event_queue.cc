@@ -1,18 +1,12 @@
 /**
  * @file
- * EventScheduler implementation: mode resolution, the block-batched
- * injection draw engine, and the jump-capable event loop.
+ * The block-batched injection draw engine behind idle-span skipping.
  * See event_queue.hh for the model and the equivalence argument.
  */
 
 #include "sim/event_queue.hh"
 
 #include <cmath>
-#include <cstdlib>
-#include <optional>
-
-#include "sim/simulator.hh"
-#include "util/logging.hh"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -20,40 +14,7 @@
 
 namespace ebda::sim {
 
-SchedMode
-resolveSchedMode(SchedMode requested, double injectionRate,
-                 std::size_t numNodes)
-{
-    if (requested != SchedMode::Auto)
-        return requested;
-    if (const char *env = std::getenv("EBDA_SCHED_MODE")) {
-        if (const auto m = schedModeFromString(env);
-            m && *m != SchedMode::Auto)
-            return *m;
-    }
-    // Scale the per-node cutoff so it tracks the fabric-wide arrival
-    // rate: above the reference size the cutoff shrinks by
-    // refNodes/numNodes (at or below it, the calibrated value holds —
-    // every pre-existing Auto resolution is unchanged).
-    double cutoff = kEventModeRateThreshold;
-    if (numNodes > kEventModeRefNodes)
-        cutoff *= static_cast<double>(kEventModeRefNodes)
-            / static_cast<double>(numNodes);
-    return injectionRate < cutoff ? SchedMode::Event
-                                  : SchedMode::Cycle;
-}
-
 namespace {
-
-/**
- * Four xoshiro256** streams in structure-of-arrays form: state word w
- * of lane i at s[w][i], so one aligned 256-bit load fetches word w of
- * all four lanes. One Lanes4 covers nodes [4g, 4g+4) of group g.
- */
-struct alignas(32) Lanes4
-{
-    std::uint64_t s[4][4];
-};
 
 int
 detectSimdPath()
@@ -196,204 +157,6 @@ passPairAvx512(Lanes4 &a, Lanes4 &b, std::uint64_t thr)
 
 #endif // __x86_64__
 
-/**
- * The injection timer source: advances every node's RNG stream in
- * 64-cycle blocks, 4 (AVX2/scalar) or 8 (AVX-512) streams in lockstep,
- * and materializes the rare sub-threshold draws as (cycle, node, dest)
- * hit records. The vector pass only *detects* lanes with a hit; any
- * such lane is re-played through the scalar Rng from a pre-block state
- * snapshot so the interleaved TrafficGenerator::dest draws land in the
- * exact positions the cycle loop would have given them, and the
- * replayed state overwrites the vector lane. A no-hit vector lane
- * consumed exactly one draw per cycle, so by induction every lane
- * state at every block boundary equals the true stream's.
- *
- * The engine owns the streams for the whole run: the fast path has no
- * other RNG consumer (injection is the only draw site when faults are
- * off and selection is not Random), so the live per-router Rng objects
- * are left untouched at their seed state.
- */
-class InjectionEngine
-{
-  public:
-    /**
-     * @param routers     per-node routers; their rng states seed the
-     *                    lanes (the objects are not modified)
-     * @param traffic     destination generator for replayed hits
-     * @param packet_rate per-cycle Bernoulli probability, in (0, 1)
-     * @param horizon     no hits are sought at or beyond this cycle
-     */
-    InjectionEngine(const std::vector<Router> &routers,
-                    const TrafficGenerator &traffic, double packet_rate,
-                    std::uint64_t horizon)
-        : traffic(traffic), horizon(horizon),
-          numNodes(static_cast<std::uint32_t>(routers.size())),
-          path(detectSimdPath())
-    {
-        // nextDouble() < p  <=>  (next() >> 11) < ceil(p * 2^53):
-        // p * 2^53 is exact in a double (the product only shifts the
-        // exponent), so the integer threshold reproduces the Bernoulli
-        // comparison bit for bit.
-        thr = static_cast<std::uint64_t>(
-            std::ceil(packet_rate * 9007199254740992.0));
-        // Pad to a whole, even number of groups so the AVX-512 path
-        // can always take pairs; padding lanes draw from throwaway
-        // streams and can never become hits (node id out of range).
-        const std::size_t groups = (routers.size() + 3) / 4;
-        lanes.resize(groups + (groups & 1));
-        SplitMix64 filler(0x9e3779b97f4a7c15ULL);
-        for (std::size_t g = 0; g < lanes.size(); ++g) {
-            for (int i = 0; i < 4; ++i) {
-                const std::size_t node = g * 4
-                    + static_cast<std::size_t>(i);
-                if (node < routers.size()) {
-                    const auto st = routers[node].rng.state();
-                    for (int w = 0; w < 4; ++w)
-                        lanes[g].s[w][i] = st[w];
-                } else {
-                    for (int w = 0; w < 4; ++w)
-                        lanes[g].s[w][i] = filler.next();
-                }
-            }
-        }
-    }
-
-    /**
-     * Cycle of the earliest pending hit, generating blocks on demand;
-     * std::nullopt when no stream hits again before the horizon.
-     */
-    std::optional<std::uint64_t>
-    nextHitCycle()
-    {
-        while (hitHead >= hits.size()) {
-            if (frontier >= horizon)
-                return std::nullopt;
-            runBlock();
-        }
-        return hits[hitHead].cycle;
-    }
-
-    /**
-     * Apply every hit landing exactly at `cycle` (non-decreasing
-     * between calls), in ascending node order — the order the cycle
-     * loop's per-node generation scan allocates packets in.
-     */
-    template <typename Fn>
-    void
-    consumeHits(std::uint64_t cycle, Fn &&apply)
-    {
-        while (frontier <= cycle)
-            runBlock();
-        EBDA_ASSERT(hitHead >= hits.size()
-                        || hits[hitHead].cycle >= cycle,
-                    "injection hit skipped by the event loop");
-        while (hitHead < hits.size() && hits[hitHead].cycle == cycle) {
-            apply(hits[hitHead].node, hits[hitHead].dest);
-            ++hitHead;
-        }
-    }
-
-  private:
-    struct Hit
-    {
-        std::uint64_t cycle;
-        std::uint32_t node;
-        std::uint32_t dest;
-    };
-
-    void
-    runBlock()
-    {
-        if (hitHead == hits.size()) {
-            hits.clear();
-            hitHead = 0;
-        }
-        const std::uint64_t base = frontier;
-        const std::size_t first_new = hits.size();
-        std::size_t g = 0;
-#if defined(__x86_64__)
-        if (path == 2) {
-            for (; g < lanes.size(); g += 2) {
-                const Lanes4 snap_a = lanes[g];
-                const Lanes4 snap_b = lanes[g + 1];
-                const unsigned m =
-                    passPairAvx512(lanes[g], lanes[g + 1], thr);
-                if (m & 0x0fu)
-                    replayGroup(g, m & 0x0fu, snap_a, base);
-                if (m & 0xf0u)
-                    replayGroup(g + 1, (m >> 4) & 0x0fu, snap_b, base);
-            }
-        } else if (path == 1) {
-            for (; g < lanes.size(); ++g) {
-                const Lanes4 snap = lanes[g];
-                const unsigned m = passGroupAvx2(lanes[g], thr);
-                if (m)
-                    replayGroup(g, m, snap, base);
-            }
-        }
-#endif
-        for (; g < lanes.size(); ++g) {
-            const Lanes4 snap = lanes[g];
-            const unsigned m = passGroupScalar(lanes[g], thr);
-            if (m)
-                replayGroup(g, m, snap, base);
-        }
-        frontier += kBlockCycles;
-        // Lanes appended their hits lane-by-lane; the consumer needs
-        // global (cycle, node) order. Blocks are disjoint cycle
-        // ranges, so sorting the new tail suffices.
-        std::sort(hits.begin() + static_cast<std::ptrdiff_t>(first_new),
-                  hits.end(), [](const Hit &a, const Hit &b) {
-                      return a.cycle != b.cycle ? a.cycle < b.cycle
-                                                : a.node < b.node;
-                  });
-    }
-
-    /** Authoritative scalar replay of the flagged lanes of one group
-     *  over the block starting at `base` (see class comment). */
-    void
-    replayGroup(std::size_t g, unsigned lane_mask, const Lanes4 &snap,
-                std::uint64_t base)
-    {
-        for (int i = 0; i < 4; ++i) {
-            if (!(lane_mask & (1u << i)))
-                continue;
-            const std::size_t node = g * 4 + static_cast<std::size_t>(i);
-            if (node >= numNodes)
-                continue;
-            Rng rng(0);
-            rng.setState({snap.s[0][i], snap.s[1][i], snap.s[2][i],
-                          snap.s[3][i]});
-            for (int b = 0; b < kBlockCycles; ++b) {
-                if ((rng.next() >> 11) >= thr)
-                    continue;
-                // Self-addressed destinations consume their draws but
-                // produce no packet, exactly like the cycle loop.
-                const auto d = traffic.dest(
-                    static_cast<topo::NodeId>(node), rng);
-                if (d)
-                    hits.push_back(
-                        {base + static_cast<std::uint64_t>(b),
-                         static_cast<std::uint32_t>(node), *d});
-            }
-            const auto st = rng.state();
-            for (int w = 0; w < 4; ++w)
-                lanes[g].s[w][i] = st[w];
-        }
-    }
-
-    const TrafficGenerator &traffic;
-    std::uint64_t thr = 0;
-    std::uint64_t horizon;
-    /** Cycles [0, frontier) have been drawn for every lane. */
-    std::uint64_t frontier = 0;
-    std::uint32_t numNodes;
-    int path;
-    std::vector<Lanes4> lanes;
-    std::vector<Hit> hits;
-    std::size_t hitHead = 0;
-};
-
 } // namespace
 
 const char *
@@ -409,110 +172,115 @@ injectionEngineSimdPath()
     }
 }
 
-std::uint64_t
-EventScheduler::run(Simulator &sim, SimResult &result)
+InjectionEngine::InjectionEngine(const std::vector<Router> &routers,
+                                 const TrafficGenerator &traffic,
+                                 double packet_rate,
+                                 std::uint64_t horizon)
+    : traffic(traffic), horizon(horizon),
+      numNodes(static_cast<std::uint32_t>(routers.size())),
+      path(detectSimdPath())
 {
-    const std::uint64_t measure_start = sim.cfg.warmupCycles;
-    const std::uint64_t measure_end =
-        measure_start + sim.cfg.measureCycles;
-    const std::uint64_t hard_stop = measure_end + sim.cfg.drainCycles;
-
-    const double packet_rate = sim.packetRate;
-    if (sim.injector.enabled() || sim.cfg.protocol.enabled()
-        || sim.cfg.selection == SelectionPolicy::Random
-        || !(packet_rate > 0.0) || packet_rate >= 1.0) {
-        // Cycle-granular fallback (see event_queue.hh): fault plans,
-        // protocol endpoints (service timers and reply injection fire
-        // off the injection-draw schedule), allocation-interleaved
-        // Random draws and degenerate rates make (almost) every cycle
-        // a potential event, so the cycle loop IS the event loop there
-        // — results identical by construction, wakeups == cycles.
-        CycleScheduler dense;
-        const std::uint64_t end = dense.run(sim, result);
-        wakeups = dense.wakeups;
-        return end;
-    }
-
-    InjectionEngine engine(sim.routerTable, sim.traffic, packet_rate,
-                           hard_stop);
-    EventQueue deadlines;
-    deadlines.push(measure_start, EventKind::MeasureStart);
-    deadlines.push(measure_end, EventKind::MeasureEnd);
-    if (sim.cycleLimit && sim.cycleLimit < hard_stop)
-        deadlines.push(sim.cycleLimit, EventKind::CycleLimit);
-    if (sim.abortCheck)
-        deadlines.push(0, EventKind::AbortPoll);
-
-    std::uint64_t last_progress = 0;
-    std::uint64_t cycle = 0;
-    while (cycle < hard_stop) {
-        if (sim.fab.flitsInFlight == 0
-            && sim.dom.injectActive.size() == 0) {
-            // The fabric is empty and no packet awaits injection (the
-            // injection set tracks exactly the nodes with non-empty
-            // source queues after each executed cycle), so every cycle
-            // until the next deadline is a provable no-op. Retire the
-            // deadlines that already fired — re-arming the abort
-            // poller at its next 1024-cycle boundary — and jump.
-            while (!deadlines.empty()
-                   && deadlines.top().cycle < cycle) {
-                const SchedEvent ev = deadlines.pop();
-                if (ev.kind == EventKind::AbortPoll)
-                    deadlines.push((cycle + 1023)
-                                       & ~std::uint64_t{1023},
-                                   EventKind::AbortPoll);
-            }
-            if (const auto hit = engine.nextHitCycle())
-                deadlines.push(*hit, EventKind::Injection);
-            std::uint64_t target = hard_stop;
-            if (!deadlines.empty())
-                target = std::min(target, deadlines.top().cycle);
-            if (target > cycle) {
-                // Each skipped iteration has exactly three side
-                // effects, reproduced in closed form: the genCycles
-                // tick, and the two unconditional arbiter-rotation
-                // advances (resyncOffset re-derives both from the
-                // cycle count). The watchdog saw progress throughout
-                // (an empty fabric resets it every cycle).
-                sim.genCycles += target - cycle;
-                sim.dom.vcAlloc.resyncOffset(target);
-                sim.dom.swAlloc.resyncOffset(target);
-                last_progress = target - 1;
-                cycle = target;
-                if (cycle >= hard_stop)
-                    break;
+    // nextDouble() < p  <=>  (next() >> 11) < ceil(p * 2^53):
+    // p * 2^53 is exact in a double (the product only shifts the
+    // exponent), so the integer threshold reproduces the Bernoulli
+    // comparison bit for bit.
+    thr = static_cast<std::uint64_t>(
+        std::ceil(packet_rate * 9007199254740992.0));
+    // Pad to a whole, even number of groups so the AVX-512 path
+    // can always take pairs; padding lanes draw from throwaway
+    // streams and can never become hits (node id out of range).
+    const std::size_t groups = (routers.size() + 3) / 4;
+    lanes.resize(groups + (groups & 1));
+    SplitMix64 filler(0x9e3779b97f4a7c15ULL);
+    for (std::size_t g = 0; g < lanes.size(); ++g) {
+        for (int i = 0; i < 4; ++i) {
+            const std::size_t node = g * 4 + static_cast<std::size_t>(i);
+            if (node < routers.size()) {
+                const auto st = routers[node].rng.state();
+                for (int w = 0; w < 4; ++w)
+                    lanes[g].s[w][i] = st[w];
+            } else {
+                for (int w = 0; w < 4; ++w)
+                    lanes[g].s[w][i] = filler.next();
             }
         }
-
-        ++wakeups;
-        if (sim.abortBefore(cycle))
-            break;
-        const bool measuring =
-            cycle >= measure_start && cycle < measure_end;
-        // The engine stands in for Simulator::generate: identical
-        // draws, identical packet-allocation order (ascending node
-        // within the cycle).
-        engine.consumeHits(
-            cycle, [&](std::uint32_t node, std::uint32_t dst) {
-                sim.enqueuePacket(static_cast<topo::NodeId>(node),
-                                  static_cast<topo::NodeId>(dst), cycle,
-                                  measuring);
-            });
-        ++sim.genCycles;
-        const bool moved = sim.pipelineStep(cycle, measuring);
-        if (moved || sim.fab.flitsInFlight == 0)
-            last_progress = cycle;
-        if (cycle - last_progress > sim.cfg.watchdogCycles) {
-            // Fault-free run: no recovery escalation to try (the
-            // fallback above owns every faulted run).
-            sim.declareDeadlock(result, cycle);
-            break;
-        }
-        if (cycle >= measure_end && sim.dom.stats.measuredInFlight == 0)
-            break;
-        ++cycle;
     }
-    return cycle;
 }
 
+void
+InjectionEngine::runBlock()
+{
+    if (hitHead == hits.size()) {
+        hits.clear();
+        hitHead = 0;
+    }
+    const std::uint64_t base = frontier;
+    const std::size_t first_new = hits.size();
+    std::size_t g = 0;
+#if defined(__x86_64__)
+    if (path == 2) {
+        for (; g < lanes.size(); g += 2) {
+            const Lanes4 snap_a = lanes[g];
+            const Lanes4 snap_b = lanes[g + 1];
+            const unsigned m = passPairAvx512(lanes[g], lanes[g + 1], thr);
+            if (m & 0x0fu)
+                replayGroup(g, m & 0x0fu, snap_a, base);
+            if (m & 0xf0u)
+                replayGroup(g + 1, (m >> 4) & 0x0fu, snap_b, base);
+        }
+    } else if (path == 1) {
+        for (; g < lanes.size(); ++g) {
+            const Lanes4 snap = lanes[g];
+            const unsigned m = passGroupAvx2(lanes[g], thr);
+            if (m)
+                replayGroup(g, m, snap, base);
+        }
+    }
+#endif
+    for (; g < lanes.size(); ++g) {
+        const Lanes4 snap = lanes[g];
+        const unsigned m = passGroupScalar(lanes[g], thr);
+        if (m)
+            replayGroup(g, m, snap, base);
+    }
+    frontier += kBlockCycles;
+    // Lanes appended their hits lane-by-lane; the consumer needs
+    // global (cycle, node) order. Blocks are disjoint cycle
+    // ranges, so sorting the new tail suffices.
+    std::sort(hits.begin() + static_cast<std::ptrdiff_t>(first_new),
+              hits.end(), [](const Hit &a, const Hit &b) {
+                  return a.cycle != b.cycle ? a.cycle < b.cycle
+                                            : a.node < b.node;
+              });
+}
+
+void
+InjectionEngine::replayGroup(std::size_t g, unsigned lane_mask,
+                             const Lanes4 &snap, std::uint64_t base)
+{
+    for (int i = 0; i < 4; ++i) {
+        if (!(lane_mask & (1u << i)))
+            continue;
+        const std::size_t node = g * 4 + static_cast<std::size_t>(i);
+        if (node >= numNodes)
+            continue;
+        Rng rng(0);
+        rng.setState({snap.s[0][i], snap.s[1][i], snap.s[2][i],
+                      snap.s[3][i]});
+        for (int b = 0; b < kBlockCycles; ++b) {
+            if ((rng.next() >> 11) >= thr)
+                continue;
+            // Self-addressed destinations consume their draws but
+            // produce no packet, exactly like per-cycle generation.
+            const auto d = traffic.dest(static_cast<topo::NodeId>(node),
+                                        rng);
+            if (d)
+                hits.push_back({base + static_cast<std::uint64_t>(b),
+                                static_cast<std::uint32_t>(node), *d});
+        }
+        const auto st = rng.state();
+        for (int w = 0; w < 4; ++w)
+            lanes[g].s[w][i] = st[w];
+    }
+}
 } // namespace ebda::sim

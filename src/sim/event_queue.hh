@@ -1,45 +1,48 @@
 /**
  * @file
- * The event-driven scheduling backend (sim/scheduler.hh seam).
+ * Idle-span skipping for the serial loop (Simulator::runSerial).
  *
  * Model: in this single-cycle-per-hop simulator every in-flight flit
  * is eligible to move every cycle, so while the fabric holds flits
- * the event loop must execute every cycle — there it is the cycle
- * loop with different bookkeeping. The win is elsewhere: at low
- * injection rates almost all cycles are *empty* (no flits in flight,
- * no queued packets), and an empty cycle's only side effects are
+ * every cycle must execute. The win is elsewhere: at low injection
+ * rates almost all cycles are *empty* (no flits in flight, no queued
+ * packets), and an empty cycle's only side effects are
  *  - one Bernoulli draw per live node (the injection coin),
  *  - the unconditional advance of the two arbiter rotations,
  *  - the genCycles counter.
  * All three are reproducible out of band: the injection draws by
  * running the per-node xoshiro256** streams forward in a block-batched
- * engine (below), the rotations by closed-form resync
+ * engine (InjectionEngine, below), the rotations by closed-form resync
  * (VcAllocator::resyncOffset / SwitchAllocator::resyncOffset), and the
- * counter by adding the span length. So the scheduler sits on a
+ * counter by adding the span length. So a skipping run keeps a
  * timestamp-ordered EventQueue of deadlines — injection timers from
  * the draw engine, measurement-phase boundaries, the abort-poll
  * cadence, the cycle limit — and when the fabric is empty it jumps
  * straight to the earliest one. Idle routers are never touched.
  *
- * Trace equivalence (tests/test_sched_equiv.cc): both backends consume
- * identical per-router RNG streams and execute identical phase code on
- * every non-empty cycle, so every SimResult field except the trailing
- * schedMode/wakeups pair is identical by construction. The injection
- * engine guarantees the stream part: its vectorized pass is the exact
- * xoshiro256** recurrence (any divergence from interleaved destination
- * draws is impossible because a lane that hits is re-played through
- * the scalar Rng — including TrafficGenerator::dest — from a
- * pre-block state snapshot, and the replayed state is written back).
- * By induction over blocks the engine's streams equal the streams the
- * cycle loop would have produced.
+ * Trace equivalence (tests/test_sched_equiv.cc): a skipping and a
+ * non-skipping run consume identical per-router RNG streams and execute
+ * identical phase code on every non-empty cycle, so every SimResult
+ * field except the trailing schedMode/wakeups pair is identical by
+ * construction. The injection engine guarantees the stream part: its
+ * vectorized pass is the exact xoshiro256** recurrence (any divergence
+ * from interleaved destination draws is impossible because a lane that
+ * hits is re-played through the scalar Rng — including
+ * TrafficGenerator::dest — from a pre-block state snapshot, and the
+ * replayed state is written back). By induction over blocks the
+ * engine's streams equal the streams per-cycle generation would have
+ * produced.
  *
- * Runs the event loop cannot accelerate fall back to cycle-granular
- * stepping via CycleScheduler (wakeups == cycles, results again
- * identical by construction): fault plans (fault events, retry
- * deadlines and stranded scans make almost every cycle a potential
- * event), the Random selection policy (draws interleave with
- * allocation, so streams cannot be precomputed), and degenerate
- * injection rates (p <= 0 or p >= 1 per-flit packet rate).
+ * Which runs skip is decided once, by Simulator::resolveSchedule: the
+ * mode must resolve to Event, and the run must have no fault plan
+ * (fault events, retry deadlines and stranded scans make almost every
+ * cycle a potential event), the protocol layer off (service timers and
+ * reply injection fire off the injection-draw schedule), a selection
+ * policy other than Random (its draws interleave with allocation, so
+ * streams cannot be precomputed) and a per-flit packet rate strictly
+ * between 0 and 1. Every other Event run executes each cycle, exactly
+ * as a Cycle run does (same wakeups; results identical by
+ * construction).
  */
 
 #ifndef EBDA_SIM_EVENT_QUEUE_HH
@@ -47,10 +50,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <vector>
 
-#include "sim/scheduler.hh"
+#include "sim/router.hh"
+#include "sim/traffic.hh"
+#include "util/logging.hh"
 
 namespace ebda::sim {
 
@@ -96,14 +101,19 @@ class EventQueue
     /** Earliest deadline; queue must be non-empty. */
     const SchedEvent &top() const { return heap.front(); }
 
-    /** Remove and return the earliest deadline. */
-    SchedEvent
-    pop()
+    /** Drop the deadlines that fired before `cycle`, re-arming the
+     *  abort poller at its next 1024-cycle boundary. */
+    void
+    retireBefore(std::uint64_t cycle)
     {
-        std::pop_heap(heap.begin(), heap.end(), later);
-        const SchedEvent ev = heap.back();
-        heap.pop_back();
-        return ev;
+        while (!heap.empty() && heap.front().cycle < cycle) {
+            std::pop_heap(heap.begin(), heap.end(), later);
+            const EventKind kind = heap.back().kind;
+            heap.pop_back();
+            if (kind == EventKind::AbortPoll)
+                push((cycle + 1023) & ~std::uint64_t{1023},
+                     EventKind::AbortPoll);
+        }
     }
 
   private:
@@ -118,11 +128,107 @@ class EventQueue
     std::vector<SchedEvent> heap;
 };
 
-/** The event-driven backend. */
-class EventScheduler final : public SchedulerBackend
+/**
+ * Four xoshiro256** streams in structure-of-arrays form: state word w
+ * of lane i at s[w][i], so one aligned 256-bit load fetches word w of
+ * all four lanes. One Lanes4 covers nodes [4g, 4g+4) of group g.
+ */
+struct alignas(32) Lanes4
+{
+    std::uint64_t s[4][4];
+};
+
+/**
+ * The injection timer source: advances every node's RNG stream in
+ * 64-cycle blocks, 4 (AVX2/scalar) or 8 (AVX-512) streams in lockstep,
+ * and materializes the rare sub-threshold draws as (cycle, node, dest)
+ * hit records. The vector pass only *detects* lanes with a hit; any
+ * such lane is re-played through the scalar Rng from a pre-block state
+ * snapshot so the interleaved TrafficGenerator::dest draws land in the
+ * exact positions per-cycle generation would have given them, and the
+ * replayed state overwrites the vector lane. A no-hit vector lane
+ * consumed exactly one draw per cycle, so by induction every lane
+ * state at every block boundary equals the true stream's.
+ *
+ * The engine owns the streams for the whole run: a skipping run has no
+ * other RNG consumer (injection is the only draw site when faults are
+ * off and selection is not Random), so the live per-router Rng objects
+ * are left untouched at their seed state.
+ */
+class InjectionEngine
 {
   public:
-    std::uint64_t run(Simulator &sim, SimResult &result) override;
+    /**
+     * @param routers     per-node routers; their rng states seed the
+     *                    lanes (the objects are not modified)
+     * @param traffic     destination generator for replayed hits
+     * @param packet_rate per-cycle Bernoulli probability, in (0, 1)
+     * @param horizon     no hits are sought at or beyond this cycle
+     */
+    InjectionEngine(const std::vector<Router> &routers,
+                    const TrafficGenerator &traffic, double packet_rate,
+                    std::uint64_t horizon);
+
+    /**
+     * Cycle of the earliest pending hit, generating blocks on demand;
+     * std::nullopt when no stream hits again before the horizon.
+     */
+    std::optional<std::uint64_t>
+    nextHitCycle()
+    {
+        while (hitHead >= hits.size()) {
+            if (frontier >= horizon)
+                return std::nullopt;
+            runBlock();
+        }
+        return hits[hitHead].cycle;
+    }
+
+    /**
+     * Apply every hit landing exactly at `cycle` (non-decreasing
+     * between calls), in ascending node order — the order per-cycle
+     * generation scans the nodes and allocates packets in.
+     */
+    template <typename Fn>
+    void
+    consumeHits(std::uint64_t cycle, Fn &&apply)
+    {
+        while (frontier <= cycle)
+            runBlock();
+        EBDA_ASSERT(hitHead >= hits.size()
+                        || hits[hitHead].cycle >= cycle,
+                    "injection hit skipped by an idle jump");
+        while (hitHead < hits.size() && hits[hitHead].cycle == cycle) {
+            apply(hits[hitHead].node, hits[hitHead].dest);
+            ++hitHead;
+        }
+    }
+
+  private:
+    struct Hit
+    {
+        std::uint64_t cycle;
+        std::uint32_t node;
+        std::uint32_t dest;
+    };
+
+    /** Draw the next kBlockCycles cycles for every lane. */
+    void runBlock();
+    /** Authoritative scalar replay of the flagged lanes of one group
+     *  over the block starting at `base` (see class comment). */
+    void replayGroup(std::size_t g, unsigned lane_mask,
+                     const Lanes4 &snap, std::uint64_t base);
+
+    const TrafficGenerator &traffic;
+    std::uint64_t thr = 0;
+    std::uint64_t horizon;
+    /** Cycles [0, frontier) have been drawn for every lane. */
+    std::uint64_t frontier = 0;
+    std::uint32_t numNodes;
+    int path;
+    std::vector<Lanes4> lanes;
+    std::vector<Hit> hits;
+    std::size_t hitHead = 0;
 };
 
 /** The SIMD path the injection draw engine dispatched to on this

@@ -165,7 +165,7 @@ struct Fabric
 
     /** Append a flit to `vc` (== ivcs[idx], hoisted by the caller),
      *  maintaining occupancy integrals. The move is charged to
-     *  `moves` — the fabric-wide counter for the classic backends, a
+     *  `moves` — the fabric-wide counter for the serial loop, a
      *  per-shard counter for the sharded one (shard workers must not
      *  contend on one shared scalar; the scheduler sums the shard
      *  counters into `flitMoves` after the run). */

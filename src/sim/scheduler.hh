@@ -1,41 +1,36 @@
 /**
  * @file
- * The scheduler seam: how simulated time advances.
+ * How simulated time advances: the scheduling mode and its resolution.
  *
  * The pipeline stages (generate, injection fill, route compute and VC
- * allocation, switch traversal, eject) are one kernel set shared by
- * every backend: templates over a downstream policy
- * (sim/downstream.hh) that run over a pipeline domain's active sets and
- * take the current cycle as a parameter. Simulator::pipelineStep runs
- * fill, allocate, traverse and eject for one cycle; the top-of-cycle
- * hooks, limit and abort poll (Simulator::abortBefore) and the deadlock
- * verdict (Simulator::declareDeadlock) are shared too. A
- * SchedulerBackend only decides WHICH cycles to execute, and over
- * which domains:
+ * allocation, switch traversal, eject) are one kernel set: templates
+ * over a downstream policy (sim/downstream.hh) that run over a pipeline
+ * domain's active sets and take the current cycle as a parameter. Two
+ * loops drive them, and Simulator::resolveSchedule picks one per run,
+ * together with the shard count and whether idle spans are skipped:
  *
- *  - CycleScheduler executes every cycle in order over one domain
- *    spanning the whole fabric: the classic cycle-driven loop
- *    (tests/test_golden_sim.cc pins its results).
- *  - EventScheduler (sim/event_queue.hh) executes only cycles on which
- *    something can happen. Injection timers are precomputed from the
- *    per-node RNG streams by a block-batched draw engine, and spans
- *    where the fabric is empty and no timer is due are skipped in one
- *    jump; while flits are in flight every cycle is executed, because
- *    in this single-cycle-per-hop model every in-flight flit is
- *    eligible to move each cycle. Both backends consume identical
- *    per-router RNG streams, so results are trace-equivalent
- *    (tests/test_sched_equiv.cc diffs the full result JSON).
- *  - ShardedCycleScheduler (sim/shard_sched.hh) executes every cycle
- *    over one domain per spatial shard, on worker threads, with the
- *    cut-link policy in place of the live-buffer one.
+ *  - Simulator::runSerial executes the cycles in order over one domain
+ *    spanning the whole fabric (tests/test_golden_sim.cc pins its
+ *    results). It owns all per-run bookkeeping: fault events, retry
+ *    release, stranded scans, protocol replies, the watchdog with
+ *    recovery escalation and the drain test. When the run can skip
+ *    (sim/event_queue.hh) it also jumps over spans where the fabric is
+ *    empty and no deadline is due, and draws injections from a
+ *    block-batched engine; skipping and non-skipping runs are
+ *    trace-equivalent (tests/test_sched_equiv.cc diffs the full result
+ *    JSON).
+ *  - runSharded (sim/shard_sched.hh) executes every cycle over one
+ *    domain per spatial shard, on worker threads, with the cut-link
+ *    policy in place of the live-buffer one. Its barrier hook uses the
+ *    serial loop's watchdog and drain test.
  *
  * Mode selection: SimConfig::schedMode is a tri-state. Auto defers to
- * the EBDA_SCHED_MODE environment variable if set ("cycle"/"event"),
- * otherwise to the load heuristic in resolveSchedMode — event mode
- * pays off exactly where most cycles are empty, i.e. at low injection
- * rates; near saturation the cycle loop's linear scan wins. An
- * explicit Cycle/Event setting always wins (so equivalence tests stay
- * meaningful under a CI-wide EBDA_SCHED_MODE override).
+ * the EBDA_SCHED_MODE environment variable if set ("cycle", "event" or
+ * "auto"; anything else is an error), otherwise to the load heuristic
+ * in resolveSchedMode — skipping pays off exactly where most cycles are
+ * empty, i.e. at low injection rates; near saturation the plain loop
+ * wins. An explicit Cycle/Event setting always wins (so equivalence
+ * tests stay meaningful under a CI-wide EBDA_SCHED_MODE override).
  */
 
 #ifndef EBDA_SIM_SCHEDULER_HH
@@ -48,9 +43,6 @@
 
 namespace ebda::sim {
 
-class Simulator;
-struct SimResult;
-
 /** How simulated time advances (SimConfig::schedMode). */
 enum class SchedMode : std::uint8_t
 {
@@ -58,9 +50,10 @@ enum class SchedMode : std::uint8_t
      *  heuristic. The default: existing configs keep their exact
      *  serialized form (Auto is never emitted to JSON). */
     Auto,
-    /** Execute every cycle (the pre-seam loop, bit for bit). */
+    /** Execute every cycle. */
     Cycle,
-    /** Skip provably idle cycles via the event queue. */
+    /** Skip provably idle cycles where the run allows it
+     *  (sim/event_queue.hh). */
     Event,
 };
 
@@ -68,13 +61,13 @@ std::string toString(SchedMode mode);
 std::optional<SchedMode> schedModeFromString(const std::string &text);
 
 /**
- * Resolve Auto to a concrete backend for a run at the given injection
+ * Resolve Auto to a concrete mode for a run at the given injection
  * rate: the EBDA_SCHED_MODE environment variable ("cycle" / "event")
  * wins when set; otherwise event mode below the load heuristic's
  * cutoff, cycle mode at or above it. Explicit Cycle/Event pass through
- * untouched. The sweep runner calls this per job (after cache-key
- * computation, so both modes share cache entries); Simulator::run
- * calls it for direct users.
+ * untouched. Simulator::resolveSchedule calls this once per run (after
+ * the sweep runner has computed the cache key, so both modes share
+ * cache entries).
  *
  * `numNodes` scales the cutoff to the fabric: what makes a cycle worth
  * skipping is the *fabric-wide* arrival rate (rate x nodes), so on
@@ -83,6 +76,9 @@ std::optional<SchedMode> schedModeFromString(const std::string &text);
  * 4096-node dragonfly busy every cycle. At or below the reference
  * size (and with numNodes 0, the legacy form) the cutoff is exactly
  * kEventModeRateThreshold, so existing resolutions are unchanged.
+ *
+ * @throws std::invalid_argument when Auto consults an EBDA_SCHED_MODE
+ *         that is not "cycle", "event" or "auto".
  */
 SchedMode resolveSchedMode(SchedMode requested, double injectionRate,
                            std::size_t numNodes = 0);
@@ -97,30 +93,15 @@ inline constexpr double kEventModeRateThreshold = 0.01;
  *  Larger fabrics scale the cutoff down by refNodes/numNodes. */
 inline constexpr std::size_t kEventModeRefNodes = 256;
 
-/**
- * A scheduling backend: drives the warmup / measurement / drain phases
- * over the simulator's phase code and returns the final cycle (the
- * value the cycle counter held when the loop ended). Termination
- * verdicts (deadlock, abort) are written into `result`; the caller
- * fills in everything derivable from post-run state.
- */
-class SchedulerBackend
+/** What one run executes, resolved once by Simulator::run. */
+struct Schedule
 {
-  public:
-    virtual ~SchedulerBackend() = default;
-
-    virtual std::uint64_t run(Simulator &sim, SimResult &result) = 0;
-
-    /** Cycles the backend actually executed (== cycles for the cycle
-     *  loop; typically far fewer for the event loop at low load). */
-    std::uint64_t wakeups = 0;
-};
-
-/** The cycle-driven backend: every cycle, in order. */
-class CycleScheduler final : public SchedulerBackend
-{
-  public:
-    std::uint64_t run(Simulator &sim, SimResult &result) override;
+    /** The resolved mode (never Auto); reported in SimResult. */
+    SchedMode mode = SchedMode::Cycle;
+    /** Spatial shards: 1 runs the serial loop, more the sharded one. */
+    int shards = 1;
+    /** The serial loop jumps idle spans (sim/event_queue.hh). */
+    bool skipIdle = false;
 };
 
 } // namespace ebda::sim

@@ -1,7 +1,11 @@
 #include "sim/shard_partition.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace ebda::sim {
@@ -33,9 +37,12 @@ shardWorkerThreads(int shards)
 {
     unsigned t = 0;
     if (const char *env = std::getenv("EBDA_SHARD_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            t = static_cast<unsigned>(v);
+        const char *end = env + std::strlen(env);
+        const auto [ptr, ec] = std::from_chars(env, end, t);
+        if (ec != std::errc{} || ptr != end || t == 0)
+            throw std::invalid_argument(
+                std::string("EBDA_SHARD_THREADS='") + env
+                + "': expected a whole number >= 1");
     }
     if (t == 0)
         t = std::thread::hardware_concurrency();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Spatial domain decomposition for the sharded cycle scheduler
+ * Spatial domain decomposition for the sharded loop
  * (sim/shard_sched.hh): split a network's nodes into contiguous
  * shards, and resolve a SimConfig::shards request to a concrete shard
  * count for one run.
@@ -45,8 +45,8 @@ inline constexpr int kMaxShards = 256;
 
 /**
  * Resolve a SimConfig::shards request to the shard count one run will
- * actually use. Returns 1 (the classic single-threaded CycleScheduler)
- * whenever the sharded backend cannot run the configuration in v1:
+ * actually use. Returns 1 (the single-threaded serial loop) whenever
+ * the sharded loop cannot run the configuration in v1:
  * fault plans and the request-reply protocol layer mutate global state
  * the shard workers do not partition, and an uncompiled route table
  * falls back to the virtual relation, which memoises internally and is
@@ -68,6 +68,9 @@ int resolveShardCount(int requested, std::size_t num_nodes,
  * std::thread::hardware_concurrency(), clamped to [1, shards]. The
  * thread count never affects results — only how the fixed shard list
  * is divided among executors.
+ *
+ * @throws std::invalid_argument when EBDA_SHARD_THREADS is set to
+ *         anything but a whole number >= 1.
  */
 unsigned shardWorkerThreads(int shards);
 

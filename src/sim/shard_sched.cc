@@ -85,7 +85,7 @@ class SpinBarrier
  * pipeline domain the shared stage kernels sweep for it (active sets,
  * allocators with their arbitration offsets, statistics) and its
  * downstream policy (cut-link view, move and in-flight counters,
- * packet-slot pool). The offsets start where the classic ones do and
+ * packet-slot pool). The offsets start where the serial loop's do and
  * advance identically, so each is the same pure function of the cycle
  * count. alignas keeps neighbouring shards' hot counters off each
  * other's cache lines.
@@ -114,8 +114,7 @@ struct alignas(64) Shard
 /**
  * The whole run: the simulator whose kernels every shard calls, the
  * shard array, the cut-link tables and mailboxes, and the barrier-hook
- * control state. A Simulator friend, built by
- * ShardedCycleScheduler::run.
+ * control state. A Simulator friend, built by runSharded.
  */
 struct ShardRun
 {
@@ -129,10 +128,6 @@ struct ShardRun
     std::vector<std::vector<std::uint16_t>> threadShards;
     SpinBarrier barrier;
 
-    std::uint64_t measureStart = 0;
-    std::uint64_t measureEnd = 0;
-    std::uint64_t hardStop = 0;
-
     /** Written only by the barrier hook, read by workers after the
      *  barrier releases them — the barrier's release/acquire pair is
      *  the publication. */
@@ -142,7 +137,6 @@ struct ShardRun
         bool measuring = false;
     } ctrl;
 
-    std::uint64_t lastProgress = 0;
     std::uint64_t executedCycles = 0;
     std::uint64_t finalCycle = 0;
     std::uint64_t wakeups = 0;
@@ -303,10 +297,10 @@ struct ShardRun
     }
 
     /** Runs once per cycle, by the last barrier arriver, while every
-     *  worker is parked: global reductions, watchdog, termination,
-     *  packet-pool upkeep — everything the classic loop does with
-     *  whole-fabric state — then the classic top-of-cycle bookkeeping
-     *  for cycle c+1, so counters stay comparable. */
+     *  worker is parked: global reductions, packet-pool upkeep, and the
+     *  serial loop's watchdog and drain test over the reduced counts —
+     *  then the serial loop's top-of-cycle bookkeeping for cycle c+1,
+     *  so counters stay comparable. */
     void
     hook(std::uint64_t c)
     {
@@ -321,10 +315,8 @@ struct ShardRun
             in_flight += sp->down.inFlight;
             measured += sp->dom.stats.measuredInFlight;
         }
-        if (moved || in_flight == 0)
-            lastProgress = c;
         refillPools();
-        if (c - lastProgress > sim.cfg.watchdogCycles) {
+        if (sim.watchdogExpired(c, moved, in_flight)) {
             // Nothing moved for the whole window, so no mailbox has
             // held a message for that long either: the frozen fabric
             // the forensics walk after the join is complete.
@@ -332,20 +324,20 @@ struct ShardRun
             stop(c, executedCycles);
             return;
         }
-        if (c >= measureEnd && measured == 0) {
+        if (sim.drainComplete(c, measured)) {
             stop(c, executedCycles);
             return;
         }
         const std::uint64_t next = c + 1;
-        if (next >= hardStop) {
-            stop(hardStop, executedCycles);
+        if (next >= sim.hardStop) {
+            stop(sim.hardStop, executedCycles);
             return;
         }
         if (sim.abortBefore(next)) {
             stop(next, executedCycles + 1);
             return;
         }
-        ctrl.measuring = next >= measureStart && next < measureEnd;
+        ctrl.measuring = sim.inMeasurement(next);
     }
 
     void
@@ -364,38 +356,32 @@ struct ShardRun
 };
 
 std::uint64_t
-ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
+runSharded(Simulator &sim, SimResult &result, int shard_count)
 {
-    ShardRun R(sim);
-    R.measureStart = sim.cfg.warmupCycles;
-    R.measureEnd = R.measureStart + sim.cfg.measureCycles;
-    R.hardStop = R.measureEnd + sim.cfg.drainCycles;
-
-    if (R.hardStop == 0) {
-        wakeups = 0;
+    if (sim.hardStop == 0)
         return 0;
-    }
     // Top-of-cycle-0 bookkeeping the barrier hook handles for every
-    // later cycle (the classic loop does this inside the iteration).
+    // later cycle (the serial loop does this inside the iteration).
     if (sim.abortBefore(0)) {
-        wakeups = 1;
+        result.wakeups = 1;
         return 0;
     }
-    R.ctrl.measuring = R.measureStart == 0 && R.measureEnd > 0;
+    ShardRun R(sim);
+    R.ctrl.measuring = sim.inMeasurement(0);
 
-    R.build(shardCount);
+    R.build(shard_count);
     R.refillPools();
 
-    const unsigned threads = shardWorkerThreads(shardCount);
+    const unsigned threads = shardWorkerThreads(shard_count);
     R.barrier.init(threads);
     R.threadShards.resize(threads);
-    for (int s = 0; s < shardCount; ++s) {
+    for (int s = 0; s < shard_count; ++s) {
         // Contiguous static assignment: thread t runs shards
         // [t*S/T, (t+1)*S/T) — neighbouring shards, which exchange the
         // most mailbox traffic, share a thread when oversubscribed.
         const auto t = static_cast<std::size_t>(s)
             * static_cast<std::size_t>(threads)
-            / static_cast<std::size_t>(shardCount);
+            / static_cast<std::size_t>(shard_count);
         R.threadShards[t].push_back(static_cast<std::uint16_t>(s));
     }
 
@@ -409,8 +395,8 @@ ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
 
     // Fold the per-shard state back into the simulator, in ascending
     // shard order so the merged results are deterministic. From here
-    // Simulator::run assembles the SimResult exactly as it does for
-    // the classic backend.
+    // Simulator::run assembles the SimResult exactly as it does after
+    // the serial loop.
     for (auto &sp : R.shards) {
         sim.dom.stats.merge(sp->dom.stats);
         sim.fab.flitMoves += sp->down.moves;
@@ -428,7 +414,7 @@ ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
 
     if (R.deadlocked)
         sim.declareDeadlock(result, R.finalCycle);
-    wakeups = R.wakeups;
+    result.wakeups = R.wakeups;
     return R.finalCycle;
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * The sharded cycle backend: one big simulation split across cores by
- * spatial domain decomposition, behind the same SchedulerBackend seam
- * as the classic cycle loop and the event scheduler.
+ * The sharded loop: one big simulation split across cores by spatial
+ * domain decomposition. Simulator::run calls runSharded when its
+ * schedule resolves to more than one shard.
  *
  * Nodes are partitioned into contiguous spatial shards
  * (sim/shard_partition.hh). Each shard owns a pipeline domain (its own
  * active sets, VcAllocator, SwitchAllocator and statistics) and runs
- * the same stage kernels as the classic loop over it: generation and
+ * the same stage kernels as the serial loop over it: generation and
  * injection at its nodes, VC allocation for the input buffers
  * terminating there, traversal of the links leaving there, and
  * ejection. The kernels run through CutDownstream (sim/downstream.hh)
@@ -25,8 +25,9 @@
  *
  * What this file keeps is the decomposition itself: partitioning and
  * mailbox setup, the inbound drain, the barrier and its hook
- * (reductions, watchdog, termination, packet-pool upkeep), and the
- * fold of per-shard state back into the simulator.
+ * (reductions and packet-pool upkeep; the watchdog and drain test are
+ * the serial loop's), and the fold of per-shard state back into the
+ * simulator.
  *
  * Determinism, the non-negotiable property: no shard ever reads
  * another shard's mutable state except through a drained mailbox, and
@@ -38,13 +39,12 @@
  * lets tests/test_shard_equiv.cc pin sharded outputs to result digests
  * without a reference machine. Cross-shard credit visibility lags one
  * cycle (the mailbox hop), so a sharded run is a slightly different —
- * but equally valid — simulation than the classic loop; shards = 1
- * always takes the classic CycleScheduler, bit for bit.
+ * but equally valid — simulation than the serial loop; shards = 1
+ * always takes the serial loop, bit for bit.
  *
  * v1 scope: fault plans, the protocol layer and uncompiled route
- * tables fall back to the classic backend (sim/shard_partition.hh
- * documents why); the event scheduler takes precedence when the load
- * heuristic picks it.
+ * tables run on the serial loop (sim/shard_partition.hh documents
+ * why), and so does every run whose mode resolves to Event.
  */
 
 #ifndef EBDA_SIM_SHARD_SCHED_HH
@@ -52,29 +52,20 @@
 
 #include <cstdint>
 
-#include "sim/scheduler.hh"
-
 namespace ebda::sim {
 
-/** The multi-core cycle backend: every cycle, in order, across all
- *  shards, with a barrier between cycles. */
-class ShardedCycleScheduler final : public SchedulerBackend
-{
-  public:
-    /** @param shard_count concrete shard count (>= 2), already
-     *  resolved via resolveShardCount(). */
-    explicit ShardedCycleScheduler(int shard_count)
-        : shardCount(shard_count)
-    {
-    }
+class Simulator;
+struct SimResult;
 
-    std::uint64_t run(Simulator &sim, SimResult &result) override;
-
-    int shards() const { return shardCount; }
-
-  private:
-    int shardCount;
-};
+/**
+ * Run `sim` over `shards` (>= 2, already resolved via
+ * resolveShardCount) spatial shards: every cycle, in order, across all
+ * shards, with a barrier between cycles. Sets result.wakeups and the
+ * deadlock verdict; returns the final cycle.
+ *
+ * @throws std::invalid_argument on a malformed EBDA_SHARD_THREADS.
+ */
+std::uint64_t runSharded(Simulator &sim, SimResult &result, int shards);
 
 } // namespace ebda::sim
 

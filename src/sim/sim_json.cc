@@ -168,12 +168,12 @@ fields(V &v, Is<SimConfig> auto &c)
     // every pre-existing spec keeps its byte-identical canonical form
     // (and with it its sweep cache key), and an Auto run stays
     // cache-compatible with both resolutions — legitimate because the
-    // two backends are trace-equivalent.
+    // two modes are trace-equivalent.
     v("schedMode", c.schedMode, kSchedModeNames,
       c.schedMode != SchedMode::Auto);
     // Omitted at the Auto default (0), like schedMode, so every
     // pre-sharding spec keeps its byte-identical cache key. Explicit
-    // values — including the forcing-classic 1 — are emitted: a
+    // values — including the serial-forcing 1 — are emitted: a
     // forced shard count changes the per-shard arbitration domains
     // and must therefore be distinguishable from Auto in the cache
     // identity (Auto resolves from the fabric size, which is itself

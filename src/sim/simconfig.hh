@@ -189,20 +189,20 @@ struct SimConfig
     /** Route-table size cap in bytes; a table that would exceed it
      *  falls back to the virtual relation. */
     std::uint64_t routeTableBudget = 64ull << 20;
-    /** Scheduling backend (sim/scheduler.hh). Auto resolves per run
+    /** Scheduling mode (sim/scheduler.hh). Auto resolves per run
      *  via EBDA_SCHED_MODE / the injection-rate heuristic; both
-     *  backends produce trace-equivalent results, so the resolved
+     *  modes produce trace-equivalent results, so the resolved
      *  choice is an execution detail, not part of the cache identity
      *  (Auto is never serialized). */
     SchedMode schedMode = SchedMode::Auto;
-    /** Spatial shard count for the multi-core cycle backend
+    /** Spatial shard count for the multi-core sharded loop
      *  (sim/shard_sched.hh). 0 = Auto: engage sharding only on fabrics
      *  at or above the node-count cutoff, with a shard count derived
      *  from the fabric size alone — never from the machine — so a
      *  result stays a pure function of its config (worker threads are
      *  the hardware-adaptive knob and never change results). 1 forces
-     *  the classic single-threaded CycleScheduler (bit-identical to
-     *  the golden rows); >1 forces that many shards. Values other
+     *  the single-threaded serial loop (bit-identical to the golden
+     *  rows); >1 forces that many shards. Values other
      *  than 0 are serialized and therefore part of the sweep cache
      *  identity: a sharded run arbitrates per shard domain, so its
      *  results legitimately differ from the single-shard run. */
@@ -352,14 +352,14 @@ struct SimResult
     bool protocolDeadlock = false;
     /** @} */
 
-    /** @name Scheduling backend (sim/scheduler.hh)
+    /** @name Scheduling mode (sim/scheduler.hh)
      *  Execution metadata, appended after every other field in the
      *  JSON wire format: equivalence tests strip exactly these two
      *  when diffing cycle- against event-mode results.
      *  @{ */
-    /** The resolved backend that produced this result (never Auto). */
+    /** The resolved mode that produced this result (never Auto). */
     SchedMode schedMode = SchedMode::Cycle;
-    /** Cycles the backend actually executed. Equals `cycles` (+1) in
+    /** Cycles the loop actually executed. Equals `cycles` (+1) in
      *  cycle mode; far fewer in event mode at low load. */
     std::uint64_t wakeups = 0;
     /** @} */

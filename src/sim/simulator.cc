@@ -1,6 +1,9 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 
 #include "cdg/relation_cdg.hh"
 #include "sim/downstream.hh"
@@ -27,7 +30,10 @@ Simulator::Simulator(const topo::Network &network,
                            cfg.routeTable, cfg.routeTableBudget}),
       fab(network, cfg), dom(fab, table),
       packetRate(cfg.injectionRate
-                 / static_cast<double>(cfg.packetLength))
+                 / static_cast<double>(cfg.packetLength)),
+      measureStart(cfg.warmupCycles),
+      measureEnd(measureStart + cfg.measureCycles),
+      hardStop(measureEnd + cfg.drainCycles)
 {
     sourceQueues.resize(net.numNodes());
     // Pre-size every queue so a node's first-ever enqueue during the
@@ -104,15 +110,6 @@ Simulator::generate(std::uint64_t cycle, bool measuring)
     const topo::NodeId nodes = net.numNodes();
     for (topo::NodeId n = 0; n < nodes; ++n)
         generateAt(live, dom, n, cycle, measuring);
-    ++genCycles;
-}
-
-void
-Simulator::enqueuePacket(topo::NodeId n, topo::NodeId dest,
-                         std::uint64_t cycle, bool measuring)
-{
-    LiveDownstream live(fab);
-    enqueuePacket(live, dom, n, dest, cycle, measuring);
 }
 
 void
@@ -464,13 +461,6 @@ template void Simulator::generateAt(CutDownstream &, PipelineDomain &,
 template bool Simulator::pipelineStep(CutDownstream &, PipelineDomain &,
                                       std::uint64_t, bool);
 
-bool
-Simulator::pipelineStep(std::uint64_t cycle, bool measuring)
-{
-    LiveDownstream live(fab);
-    return pipelineStep(live, dom, cycle, measuring);
-}
-
 void
 Simulator::purgeStranded(PipelineDomain &d, std::uint64_t cycle)
 {
@@ -492,9 +482,9 @@ Simulator::purgeStranded(PipelineDomain &d, std::uint64_t cycle)
 bool
 Simulator::abortBefore(std::uint64_t cycle)
 {
-    if (cycle == cfg.warmupCycles && measureStartHook)
+    if (cycle == measureStart && measureStartHook)
         measureStartHook();
-    if (cycle == cfg.warmupCycles + cfg.measureCycles && measureEndHook)
+    if (cycle == measureEnd && measureEndHook)
         measureEndHook();
     if ((cycleLimit && cycle >= cycleLimit)
         || (abortCheck && (cycle & 1023u) == 0 && abortCheck())) {
@@ -514,88 +504,182 @@ Simulator::declareDeadlock(SimResult &result, std::uint64_t cycle)
     result.deadlockCycleInCdg = forensicsDump.cycleInRelationCdg;
 }
 
-std::uint64_t
-CycleScheduler::run(Simulator &sim, SimResult &result)
+SchedMode
+resolveSchedMode(SchedMode requested, double injectionRate,
+                 std::size_t numNodes)
 {
-    const std::uint64_t measure_start = sim.cfg.warmupCycles;
-    const std::uint64_t measure_end =
-        measure_start + sim.cfg.measureCycles;
-    const std::uint64_t hard_stop = measure_end + sim.cfg.drainCycles;
+    if (requested != SchedMode::Auto)
+        return requested;
+    if (const char *env = std::getenv("EBDA_SCHED_MODE")) {
+        const auto m = schedModeFromString(env);
+        if (!m)
+            throw std::invalid_argument(
+                std::string("EBDA_SCHED_MODE='") + env
+                + "': expected cycle, event or auto");
+        if (*m != SchedMode::Auto)
+            return *m;
+    }
+    // Scale the per-node cutoff so it tracks the fabric-wide arrival
+    // rate: above the reference size the cutoff shrinks by
+    // refNodes/numNodes (at or below it, the calibrated value holds —
+    // every pre-existing Auto resolution is unchanged).
+    double cutoff = kEventModeRateThreshold;
+    if (numNodes > kEventModeRefNodes)
+        cutoff *= static_cast<double>(kEventModeRefNodes)
+            / static_cast<double>(numNodes);
+    return injectionRate < cutoff ? SchedMode::Event
+                                  : SchedMode::Cycle;
+}
 
-    const bool faults_on = sim.injector.enabled();
-    const bool proto_on = sim.proto != nullptr;
-    std::uint64_t last_progress = 0;
+Schedule
+Simulator::resolveSchedule() const
+{
+    Schedule s;
+    s.mode = resolveSchedMode(cfg.schedMode, cfg.injectionRate,
+                              net.numNodes());
+    const bool faults_on = injector.enabled();
+    if (s.mode != SchedMode::Event) {
+        s.shards = resolveShardCount(cfg.shards, net.numNodes(),
+                                     table.compiled(), faults_on,
+                                     proto != nullptr);
+        return s;
+    }
+    // Event mode never shards. It skips idle spans unless a cycle the
+    // injection engine cannot foresee may matter (see event_queue.hh):
+    // fault plans and protocol endpoints raise events off the
+    // injection-draw schedule, Random selection draws during
+    // allocation, and degenerate rates leave nothing to skip.
+    s.skipIdle = !faults_on && !proto
+        && cfg.selection != SelectionPolicy::Random && packetRate > 0.0
+        && packetRate < 1.0;
+    return s;
+}
+
+std::uint64_t
+Simulator::runSerial(SimResult &result, bool skip_idle)
+{
+    const bool faults_on = injector.enabled();
+    const bool proto_on = proto != nullptr;
+    LiveDownstream live(fab);
+    std::optional<InjectionEngine> engine;
+    EventQueue deadlines;
+    if (skip_idle) {
+        engine.emplace(routerTable, traffic, packetRate, hardStop);
+        deadlines.push(measureStart, EventKind::MeasureStart);
+        deadlines.push(measureEnd, EventKind::MeasureEnd);
+        if (cycleLimit && cycleLimit < hardStop)
+            deadlines.push(cycleLimit, EventKind::CycleLimit);
+        if (abortCheck)
+            deadlines.push(0, EventKind::AbortPoll);
+    }
     std::uint64_t cycle = 0;
-    for (; cycle < hard_stop; ++cycle) {
-        ++wakeups;
-        if (sim.abortBefore(cycle))
+    while (cycle < hardStop) {
+        if (engine && fab.flitsInFlight == 0
+            && dom.injectActive.size() == 0) {
+            // The fabric is empty and no packet awaits injection (the
+            // injection set tracks exactly the nodes with non-empty
+            // source queues after each executed cycle), so every cycle
+            // until the next deadline is a provable no-op.
+            deadlines.retireBefore(cycle);
+            if (const auto hit = engine->nextHitCycle())
+                deadlines.push(*hit, EventKind::Injection);
+            const std::uint64_t target = deadlines.empty()
+                ? hardStop
+                : std::min(hardStop, deadlines.top().cycle);
+            if (target > cycle) {
+                // Each skipped cycle has exactly three side effects,
+                // reproduced in closed form: the genCycles tick, and
+                // the two unconditional arbiter-rotation advances
+                // (resyncOffset re-derives both from the cycle count).
+                // The watchdog saw progress throughout (an empty
+                // fabric resets it every cycle).
+                genCycles += target - cycle;
+                dom.vcAlloc.resyncOffset(target);
+                dom.swAlloc.resyncOffset(target);
+                lastProgress = target - 1;
+                cycle = target;
+                if (cycle >= hardStop)
+                    break;
+            }
+        }
+
+        ++result.wakeups;
+        if (abortBefore(cycle))
             break;
         if (faults_on) {
-            if (sim.injector.nextEventCycle() <= cycle) {
-                const auto purged = sim.applyFaultEvents(cycle);
+            if (injector.nextEventCycle() <= cycle) {
+                const auto purged = applyFaultEvents(cycle);
                 // Sync the compiled table with the grown masks before
                 // any route query (handleDropped checks injection
                 // routability): only rows touching the newly dead
                 // channels are rewritten.
                 for (const topo::ChannelId c :
-                     sim.injector.takeNewlyDeadChannels())
-                    sim.table.filterDeadChannel(c);
-                sim.handleDropped(purged, cycle);
-                sim.dropDeadQueuedPackets();
+                     injector.takeNewlyDeadChannels())
+                    table.filterDeadChannel(c);
+                handleDropped(purged, cycle);
+                dropDeadQueuedPackets();
                 // From here on route compute reports dead ends for
                 // same-cycle purging (a stranded head would otherwise
                 // block its VC until the periodic scan).
-                sim.dom.vcAlloc.collectStranded = true;
+                dom.vcAlloc.collectStranded = true;
                 // Machine check of the Theorem-2 claim: the degraded
                 // relation must still pass the Dally oracle.
-                if (sim.cfg.faults.checkDegradedCdg) {
-                    ++sim.faultCheckCount;
-                    if (cdg::checkDeadlockFree(sim.effective)
-                            .deadlockFree)
-                        ++sim.faultCheckCleanCount;
+                if (cfg.faults.checkDegradedCdg) {
+                    ++faultCheckCount;
+                    if (cdg::checkDeadlockFree(effective).deadlockFree)
+                        ++faultCheckCleanCount;
                 }
                 // Fresh progress window after the fabric surgery.
-                last_progress = cycle;
+                lastProgress = cycle;
             }
-            sim.releaseRetries(cycle);
-            if (sim.injector.eventsApplied() > 0
-                && cycle % sim.strandedPeriod == 0)
-                sim.strandedScan(cycle);
+            releaseRetries(cycle);
+            if (injector.eventsApplied() > 0
+                && cycle % strandedPeriod == 0)
+                strandedScan(cycle);
         } else if (proto_on) {
             // Protocol recovery reuses the retransmit backoff queue.
-            sim.releaseRetries(cycle);
+            releaseRetries(cycle);
         }
-        const bool measuring =
-            cycle >= measure_start && cycle < measure_end;
-
-        sim.generate(cycle, measuring);
+        const bool measuring = inMeasurement(cycle);
+        if (engine) {
+            // The engine stands in for per-node generation: identical
+            // draws, identical packet-allocation order (ascending node
+            // within the cycle).
+            engine->consumeHits(
+                cycle, [&](std::uint32_t node, std::uint32_t dst) {
+                    enqueuePacket(live, dom, node, dst, cycle,
+                                  measuring);
+                });
+        } else {
+            generate(cycle, measuring);
+        }
+        ++genCycles;
         if (proto_on)
-            sim.injectReplies(cycle, measuring);
-        const bool moved = sim.pipelineStep(cycle, measuring);
+            injectReplies(cycle, measuring);
+        const bool moved = pipelineStep(live, dom, cycle, measuring);
 
-        if (moved || sim.fab.flitsInFlight == 0)
-            last_progress = cycle;
-        if (cycle - last_progress > sim.cfg.watchdogCycles) {
+        if (watchdogExpired(cycle, moved, fab.flitsInFlight)) {
             if ((faults_on || proto_on)
-                && sim.recoveryPassCount
+                && recoveryPassCount
                     < static_cast<std::uint64_t>(std::max(
-                        0, sim.cfg.faults.maxRecoveryAttempts))) {
+                        0, cfg.faults.maxRecoveryAttempts))) {
                 // Escalation instead of giving up: protocol wedges
                 // abort the oldest request (targeted), fault wedges
                 // drain-and-reroute everything.
-                ++sim.recoveryPassCount;
+                ++recoveryPassCount;
                 if (proto_on && !faults_on)
-                    sim.recoverProtocolWedge(cycle);
+                    recoverProtocolWedge(cycle);
                 else
-                    sim.recoverWedged(cycle);
-                last_progress = cycle;
+                    recoverWedged(cycle);
+                lastProgress = cycle;
             } else {
-                sim.declareDeadlock(result, cycle);
+                declareDeadlock(result, cycle);
                 break;
             }
         }
-        if (cycle >= measure_end && sim.dom.stats.measuredInFlight == 0)
+        if (drainComplete(cycle, dom.stats.measuredInFlight))
             break;
+        ++cycle;
     }
     return cycle;
 }
@@ -604,30 +688,11 @@ SimResult
 Simulator::run()
 {
     SimResult result;
-    const SchedMode mode =
-        resolveSchedMode(cfg.schedMode, cfg.injectionRate,
-                         net.numNodes());
-    std::uint64_t cycle;
-    if (mode == SchedMode::Event) {
-        EventScheduler sched;
-        cycle = sched.run(*this, result);
-        result.wakeups = sched.wakeups;
-    } else if (const int shards = resolveShardCount(
-                   cfg.shards, net.numNodes(), table.compiled(),
-                   injector.enabled(), proto != nullptr);
-               shards > 1) {
-        ShardedCycleScheduler sched(shards);
-        cycle = sched.run(*this, result);
-        result.wakeups = sched.wakeups;
-    } else {
-        CycleScheduler sched;
-        cycle = sched.run(*this, result);
-        result.wakeups = sched.wakeups;
-    }
-    result.schedMode = mode;
-    finalCycle = cycle;
-
-    result.cycles = cycle;
+    const Schedule sched = resolveSchedule();
+    result.schedMode = sched.mode;
+    finalCycle = sched.shards > 1 ? runSharded(*this, result, sched.shards)
+                                  : runSerial(result, sched.skipIdle);
+    result.cycles = finalCycle;
     result.drained =
         !result.deadlocked && dom.stats.measuredInFlight == 0;
     result.aborted = abortedFlag;

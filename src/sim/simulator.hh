@@ -39,11 +39,11 @@
  * against captured pre-refactor outputs); per-cycle cost scales with
  * traffic in flight rather than fabric size.
  *
- * The stages are one kernel set for every scheduling backend: templates
+ * The stages are one kernel set for both loops: templates
  * over a downstream policy (sim/downstream.hh) that sweep a
- * PipelineDomain. The cycle and event loops run the live-buffer policy
- * over one whole-fabric domain; the sharded loop runs the cut-link
- * policy over one domain per shard.
+ * PipelineDomain. The serial loop runs the live-buffer policy over one
+ * whole-fabric domain; the sharded loop runs the cut-link policy over
+ * one domain per shard.
  *
  * Simplifications vs. a full Booksim: single-stage router pipeline (no
  * extra RC/VA/SA latency cycles) and instantaneous credit return. Both
@@ -75,13 +75,11 @@
 
 namespace ebda::sim {
 
-class EventScheduler;
-
 /**
  * One pipeline domain: the active sets the stage kernels sweep, the
  * allocators holding their arbitration state, and the statistics they
- * charge. The cycle and event loops run one domain over the whole
- * fabric; the sharded loop runs one per shard (sim/shard_sched.hh).
+ * charge. The serial loop runs one domain over the whole fabric; the
+ * sharded loop runs one per shard (sim/shard_sched.hh).
  * Sweeping active sets instead of rescanning the fabric keeps the
  * per-cycle cost proportional to the traffic in flight.
  */
@@ -112,9 +110,10 @@ struct PipelineDomain
 };
 
 /**
- * The simulator: holds the fabric, the pipeline stages and the
- * per-run bookkeeping; a SchedulerBackend (sim/scheduler.hh) decides
- * which cycles to execute. Construct once per run.
+ * The simulator: holds the fabric, the pipeline stages, the per-run
+ * bookkeeping and the serial loop; resolveSchedule (sim/scheduler.hh)
+ * decides which cycles execute, and over which domains. Construct once
+ * per run.
  */
 class Simulator
 {
@@ -123,8 +122,10 @@ class Simulator
               const cdg::RoutingRelation &routing,
               const TrafficGenerator &traffic, const SimConfig &config);
 
-    /** Execute warmup, measurement and drain under the backend
-     *  resolved from cfg.schedMode; return the results. */
+    /** Execute warmup, measurement and drain under the schedule
+     *  resolved from cfg; return the results.
+     *  @throws std::invalid_argument on a malformed EBDA_SCHED_MODE or
+     *          EBDA_SHARD_THREADS. */
     SimResult run();
 
     /** @name Cooperative abort hooks (sweep job budgets)
@@ -191,27 +192,33 @@ class Simulator
     /** @} */
 
   private:
-    /** The scheduling backends drive the private phase code directly:
-     *  CycleScheduler is the classic loop (simulator.cc),
-     *  EventScheduler the queue-driven one (event_queue.cc),
-     *  ShardedCycleScheduler and its ShardRun the multi-core cycle
-     *  loop (shard_sched.cc). */
-    friend class CycleScheduler;
-    friend class EventScheduler;
-    friend class ShardedCycleScheduler;
+    /** The sharded loop and its ShardRun (shard_sched.cc) drive the
+     *  private phase code directly. */
+    friend std::uint64_t runSharded(Simulator &sim, SimResult &result,
+                                    int shards);
     friend struct ShardRun;
+
+    /** The one scheduling decision: resolve cfg.schedMode, the shard
+     *  count and whether the serial loop may skip idle spans. */
+    Schedule resolveSchedule() const;
+    /** The serial loop: the cycles in order over `dom`, jumping idle
+     *  spans when `skip_idle`. Counts result.wakeups and returns the
+     *  final cycle. */
+    std::uint64_t runSerial(SimResult &result, bool skip_idle);
 
     /** @name Pipeline kernels
      *  Templates over the downstream policy (sim/downstream.hh) and the
-     *  domain they sweep. The classic and event loops use the
-     *  LiveDownstream wrappers below on `dom`; each shard runs the
-     *  CutDownstream instances on its own domain.
+     *  domain they sweep. The serial loop runs the LiveDownstream
+     *  instances on `dom`; each shard runs the CutDownstream instances
+     *  on its own domain.
      *  @{ */
     /** Per-node body of generation: draw node n's injection coin and
      *  destination and queue the packet. */
     template <class Down>
     void generateAt(Down &down, PipelineDomain &d, topo::NodeId n,
                     std::uint64_t cycle, bool measuring);
+    /** Queue a packet n -> dest generated this cycle (per-node
+     *  generation and the injection engine's hits). */
     template <class Down>
     void enqueuePacket(Down &down, PipelineDomain &d, topo::NodeId n,
                        topo::NodeId dest, std::uint64_t cycle,
@@ -227,18 +234,39 @@ class Simulator
                       bool measuring);
     /** @} */
 
-    /** Generation at every node for one cycle. */
+    /** Generation at every node for one cycle. Kept out of runSerial's
+     *  body: written inline there, the per-node draw loop ran about 40%
+     *  slower on an idle 16x16 cycle-mode run (4-core x86 host). */
     void generate(std::uint64_t cycle, bool measuring);
-    /** Queue a packet n -> dest generated this cycle (generate and the
-     *  event engine's injection hits). */
-    void enqueuePacket(topo::NodeId n, topo::NodeId dest,
-                       std::uint64_t cycle, bool measuring);
-    /** pipelineStep over the whole fabric. */
-    bool pipelineStep(std::uint64_t cycle, bool measuring);
     /** Purge the packets whose heads VC allocation found stranded on a
      *  dead end of the degraded relation (fault runs only). */
     void purgeStranded(PipelineDomain &d, std::uint64_t cycle);
-    /** Top-of-cycle bookkeeping shared by every loop: fire the
+    /** True during the measurement window. */
+    bool
+    inMeasurement(std::uint64_t cycle) const
+    {
+        return cycle >= measureStart && cycle < measureEnd;
+    }
+    /** The watchdog shared by both loops: record whether `cycle` made
+     *  progress (a flit moved, or none was in flight) and report
+     *  whether nothing has moved for more than cfg.watchdogCycles. */
+    bool
+    watchdogExpired(std::uint64_t cycle, bool moved,
+                    std::uint64_t in_flight)
+    {
+        if (moved || in_flight == 0)
+            lastProgress = cycle;
+        return cycle - lastProgress > cfg.watchdogCycles;
+    }
+    /** The drain test shared by both loops: the measurement window has
+     *  closed and every measured packet has left the fabric. */
+    bool
+    drainComplete(std::uint64_t cycle,
+                  std::uint64_t measured_in_flight) const
+    {
+        return cycle >= measureEnd && measured_in_flight == 0;
+    }
+    /** Top-of-cycle bookkeeping shared by both loops: fire the
      *  measurement-phase hooks due at `cycle`, then poll the cycle
      *  limit and the abort callback. True (and the run marked aborted)
      *  when the run must stop before executing `cycle`. */
@@ -250,7 +278,7 @@ class Simulator
     /** @name Request–reply protocol path (no-ops when disabled)
      *  @{ */
     /** Inject ready replies into (reply-class) injection VCs, freeing
-     *  their endpoint slots. Runs between generate() and the request
+     *  their endpoint slots. Runs between generation and the request
      *  injection fill each cycle. */
     void injectReplies(std::uint64_t cycle, bool measuring);
     /** Watchdog escalation for protocol runs: abort-and-retransmit the
@@ -308,8 +336,8 @@ class Simulator
 
     Fabric fab;
     std::vector<Router> routerTable;
-    /** The whole-fabric domain of the classic and event loops (a
-     *  sharded run folds its shards' statistics into it). */
+    /** The whole-fabric domain of the serial loop (a sharded run folds
+     *  its shards' statistics into it). */
     PipelineDomain dom;
     /** Per-node packet probability per cycle (injectionRate over
      *  packetLength). */
@@ -324,6 +352,14 @@ class Simulator
      *  Ring queues: steady-state push/pop/erase never allocates (a
      *  deque's chunked storage would, at every chunk boundary). */
     std::vector<RingQueue<std::uint32_t>> sourceQueues;
+
+    /** Phase boundaries: measurement covers [measureStart,
+     *  measureEnd); the drain phase ends at hardStop. */
+    std::uint64_t measureStart = 0;
+    std::uint64_t measureEnd = 0;
+    std::uint64_t hardStop = 0;
+    /** Last cycle the watchdog saw progress (watchdogExpired). */
+    std::uint64_t lastProgress = 0;
 
     std::uint64_t genCycles = 0;
 

@@ -14,11 +14,11 @@
  * switch-lost), and reactivates the VC-allocation set when a tail
  * departure exposes the next packet's head.
  *
- * traverse() and eject() are one kernel for every backend: templates
+ * traverse() and eject() are one kernel for both loops: templates
  * over the downstream policy (sim/downstream.hh), which supplies the
  * downstream space a move needs, delivers the moved flit, hears about
  * every freed input slot, and owns the move, in-flight and packet-slot
- * sinks. The classic loops run one allocator over the whole fabric;
+ * sinks. The serial loop runs one allocator over the whole fabric;
  * the sharded loop runs one per shard.
  */
 
@@ -38,7 +38,7 @@ class ProtocolState;
 
 /**
  * Statistics one pipeline domain accumulates: the whole fabric for the
- * classic and event loops, one shard for the sharded loop (folded into
+ * serial loop, one shard for the sharded loop (folded into
  * the simulator's in ascending shard order after the run).
  */
 struct PipelineStats

@@ -15,9 +15,9 @@
  * allocations to the owning router's stall counters, and activates the
  * downstream link / ejection sets for the switch stage.
  *
- * allocate() is one kernel for every backend: a template over the
+ * allocate() is one kernel for both loops: a template over the
  * downstream policy (sim/downstream.hh), whose space(c) is the only
- * view of downstream buffers the stage takes. The classic loops run
+ * view of downstream buffers the stage takes. The serial loop runs
  * one allocator over the whole fabric; the sharded loop runs one per
  * shard, each sweeping only its own nodes' VCs.
  */

@@ -1,10 +1,10 @@
 /**
  * @file
- * Correctness suite for the sharded cycle backend (sim/shard_sched.hh)
+ * Correctness suite for the sharded loop (sim/shard_sched.hh)
  * and its spatial partitioner (sim/shard_partition.hh).
  *
  * The contract under test, in order of importance:
- *  1. shards = 1 forces the classic CycleScheduler — every golden-sim
+ *  1. shards = 1 forces the serial loop — every golden-sim
  *     configuration must produce a bit-identical SimResult (full JSON,
  *     schedMode and wakeups included).
  *  2. A sharded run is a pure function of (config, shard count): for a
@@ -17,9 +17,9 @@
  *     JSON, so a change to sharded arbitration, credit flow or packet
  *     bookkeeping fails here even when it stays self-consistent
  *     across thread counts.
- *  3. Conservation against the classic backend: generation is driven
+ *  3. Conservation against the serial loop: generation is driven
  *     by per-node RNG substreams over the same cycle window, so a
- *     drained sharded run must eject exactly the classic run's packet
+ *     drained sharded run must eject exactly the serial run's packet
  *     and measured-flit counts (latency statistics may differ — the
  *     cut-credit lag makes a sharded run a slightly different, equally
  *     valid, simulation).
@@ -104,7 +104,7 @@ baseConfig()
 }
 
 // ---------------------------------------------------------------------
-// 1. shards = 1 is the classic backend, bit for bit, over the full
+// 1. shards = 1 is the serial loop, bit for bit, over the full
 //    golden grid (same 24 rows test_golden_sim.cc pins).
 
 struct GoldenRow
@@ -304,7 +304,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // 2+3. Sharded runs: deterministic for a fixed shard count across
 //      repeats and worker-thread counts, and conservation-equal to the
-//      classic run.
+//      serial run.
 
 void
 expectShardedDeterministic(const topo::Network &net,
@@ -334,15 +334,15 @@ expectShardedDeterministic(const topo::Network &net,
             << " worker thread(s)";
     }
 
-    // The sharded backend still reports a Cycle-mode run and keeps the
-    // classic wakeups accounting (one per executed cycle, plus the
+    // The sharded loop still reports a Cycle-mode run and keeps the
+    // serial loop's wakeups accounting (one per executed cycle, plus the
     // final bottom-break iteration when it drains).
     EXPECT_EQ(ref.schedMode, sim::SchedMode::Cycle);
     ASSERT_TRUE(classic.drained);
     ASSERT_TRUE(ref.drained);
     EXPECT_EQ(ref.wakeups, ref.cycles + 1);
 
-    // Conservation vs. classic: same generation stream, fully drained,
+    // Conservation vs. serial: same generation stream, fully drained,
     // so the delivered counts must match exactly even though latency
     // statistics legitimately differ (cut-credit lag).
     EXPECT_EQ(ref.packetsEjected, classic.packetsEjected);
@@ -421,7 +421,7 @@ TEST(ShardEquiv, DeadlockedShardedRunIsDeterministic)
     EXPECT_EQ(sim::toJson(a), sim::toJson(b));
     EXPECT_EQ(hex(digest(a)), hex(0x836d4ef7257725e6));
 
-    // The classic run deadlocks on this configuration too.
+    // The serial run deadlocks on this configuration too.
     EXPECT_TRUE(runWith(net, router, gen, cfg, 1).deadlocked);
 }
 
@@ -507,7 +507,7 @@ TEST(ShardPartition, ResolveRules)
     EXPECT_EQ(sim::resolveShardCount(100000, 1 << 20, true, false,
                                      false),
               sim::kMaxShards);
-    // Auto: classic below the cutoff, fabric-size-derived above —
+    // Auto: serial below the cutoff, fabric-size-derived above —
     // never a function of the machine.
     EXPECT_EQ(sim::resolveShardCount(0, 64, true, false, false), 1);
     EXPECT_EQ(sim::resolveShardCount(
@@ -547,7 +547,7 @@ TEST(ShardConfig, JsonRoundTripAndLegacyStability)
     // golden config byte stays identical.
     EXPECT_EQ(legacy_json.find("\"shards\""), std::string::npos);
     // Any explicit count — 1 included — is part of the config identity
-    // (shards = 1 forces the classic backend even on huge fabrics
+    // (shards = 1 forces the serial loop even on huge fabrics
     // where auto would shard, so it must not serialize like auto).
     EXPECT_NE(sim::toJson(sharded).find("\"shards\":4"),
               std::string::npos);
