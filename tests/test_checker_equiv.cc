@@ -1,0 +1,278 @@
+/**
+ * @file
+ * Equivalence pins for the relation-level checkers (Dally CDG,
+ * Mendlovic–Matias fixpoint, connectivity, Duato escape check).
+ *
+ * Pinned digests: every relation of the repo benchmark's verify catalog,
+ * plus a dateline torus, Elevator-First and a torus EbDa relation, has
+ * an FNV-1a digest of its full checker reports — the Dally dependency
+ * edges in insertion order and the cycle witness, the MM state count,
+ * occupiable channels, release order and stuck witness, the
+ * connectivity failures and the Duato report. Any change to how the
+ * checkers walk routing states must keep every byte.
+ *
+ * Differential cases: a wrapper that forwards every call but declares
+ * SrcSensitivity::Unknown forces the checkers to walk one source at a
+ * time. Over seeded random meshes and tori and every factory router
+ * they host, and over a relation that lies about source independence,
+ * the wrapped and unwrapped reports must be byte-identical.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cdg/duato_check.hh"
+#include "cdg/mm_check.hh"
+#include "cdg/relation_cdg.hh"
+#include "core/torus.hh"
+#include "routing/baselines.hh"
+#include "routing/dateline.hh"
+#include "routing/duato.hh"
+#include "routing/ebda_routing.hh"
+#include "routing/elevator.hh"
+#include "sweep/router_factory.hh"
+#include "sweep/sweep_spec.hh"
+
+namespace ebda::cdg {
+namespace {
+
+/** Forwards every call to `base` but declares no source sensitivity. */
+class UndeclaredView final : public RoutingRelation
+{
+  public:
+    explicit UndeclaredView(const RoutingRelation &base) : base(base) {}
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        base.candidatesInto(in, at, src, dest, out);
+    }
+    std::string name() const override { return base.name(); }
+    bool probeSafe() const override { return base.probeSafe(); }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+
+  private:
+    const RoutingRelation &base;
+};
+
+/**
+ * Lies about source independence: candidate order flips whenever the
+ * consulted source differs from the current node (the same lie as
+ * tests/test_route_table.cc). The checkers' spot check must catch it.
+ */
+class MisdeclaredRelation final : public RoutingRelation
+{
+  public:
+    explicit MisdeclaredRelation(const topo::Network &net) : base(net) {}
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        base.candidatesInto(in, at, src, dest, out);
+        if (src != at)
+            std::reverse(out.begin(), out.end());
+    }
+    std::string name() const override { return "Misdeclared"; }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+    SrcSensitivity
+    srcSensitivity() const override
+    {
+        return SrcSensitivity::Independent; // the lie
+    }
+
+  private:
+    routing::MinimalAdaptiveRouting base;
+};
+
+/** Every checker report of `rel`, as text. The Duato report is added
+ *  when an escape predicate is given. */
+std::string
+checkerText(const RoutingRelation &rel, const EscapePredicate &is_escape)
+{
+    std::ostringstream os;
+    const graph::Digraph g = buildRelationCdg(rel);
+    os << "dally edges";
+    for (graph::NodeId u = 0; u < g.numNodes(); ++u)
+        for (const graph::NodeId v : g.successors(u))
+            os << ' ' << u << '>' << v;
+    const CdgReport dally = checkDeadlockFree(rel);
+    os << "\ndally " << dally.deadlockFree << ' ' << dally.numChannels
+       << ' ' << dally.numDependencies << " witness";
+    for (const std::string &w : dally.witness)
+        os << ' ' << w;
+
+    const MmReport mm = checkMendlovicMatias(rel);
+    os << "\nmm " << mm.deadlockFree << ' ' << mm.numChannels << ' '
+       << mm.occupiableChannels << ' ' << mm.numStates << " order";
+    for (const topo::ChannelId c : mm.releaseOrder)
+        os << ' ' << c;
+    os << " stuck";
+    for (const std::string &w : mm.stuckWitness)
+        os << ' ' << w;
+
+    const ConnectivityReport conn = checkConnectivity(rel);
+    os << "\nconn " << conn.connected;
+    for (const auto &[s, d] : conn.failures)
+        os << ' ' << s << '>' << d;
+
+    if (is_escape) {
+        const DuatoReport du = checkDuatoDeadlockFree(rel, is_escape);
+        os << "\nduato " << du.ok << du.escapeAcyclic << du.escapeConnected
+           << du.escapeAlwaysAvailable << ' ' << du.numEscapeChannels;
+    }
+    return os.str();
+}
+
+/** Escape predicate: the first VC of every link. */
+EscapePredicate
+firstVc(const topo::Network &net)
+{
+    return [&net](topo::ChannelId c) { return net.vcOf(c) == 0; };
+}
+
+std::string
+digestOf(const RoutingRelation &rel, const EscapePredicate &is_escape)
+{
+    return sweep::keyToHex(sweep::fnv1a64(checkerText(rel, is_escape)));
+}
+
+/** One verify-catalog entry (perfbench/verify_catalog.cc, seed 1). */
+struct CatalogCase
+{
+    const char *label;
+    std::function<topo::Network()> build;
+    const char *router;
+    const char *digest;
+};
+
+TEST(CheckerEquiv, VerifyCatalogDigestsArePinned)
+{
+    const auto mesh = [](int k, int vcs) {
+        return [=] { return topo::Network::mesh({k, k}, {vcs, vcs}); };
+    };
+    const auto dragonfly = [] { return topo::Network::dragonfly(6, 3, 3); };
+    const auto fullmesh = [] { return topo::Network::fullMesh(16); };
+    const std::vector<CatalogCase> cases = {
+        {"mesh 24x24", mesh(24, 1), "xy", "8fafa86c1e029704"},
+        {"mesh 16x16 vc2", mesh(16, 2), "fig7b", "ec7b33679bb9e251"},
+        {"mesh 16x16", mesh(16, 1), "odd-even", "6f15dddb51dc69bb"},
+        {"torus 8x8 vc2",
+         [] { return topo::Network::torus({8, 8}, {2, 2}); }, "updown:1",
+         "919d10f47cb897fd"},
+        {"dragonfly(6,3,3)", dragonfly, "dragonfly-min",
+         "5a8f4c14310f09c5"},
+        {"fullmesh 16", fullmesh, "fullmesh-2hop", "fd229b4b149dcd1a"},
+        {"mesh 8x8 vc2", mesh(8, 2), "duato", "852a867679c488e1"},
+        {"mesh 8x8", mesh(8, 1), "minimal", "3a580d4c5c8b5e5a"},
+        {"dragonfly(6,3,3)", dragonfly, "dragonfly-noescape",
+         "7766af9717765128"},
+        {"fullmesh 16", fullmesh, "fullmesh-naive", "4f783128a17173d5"},
+    };
+    for (const CatalogCase &c : cases) {
+        const topo::Network net = c.build();
+        std::string err;
+        const auto rel = sweep::makeRouter(net, c.router, &err);
+        ASSERT_NE(rel, nullptr) << c.router << ": " << err;
+        EscapePredicate is_escape;
+        if (const auto *du =
+                dynamic_cast<const routing::DuatoFullyAdaptive *>(rel.get()))
+            is_escape = [du](topo::ChannelId ch) { return du->isEscape(ch); };
+        EXPECT_EQ(digestOf(*rel, is_escape), c.digest)
+            << c.router << " on " << c.label;
+    }
+}
+
+TEST(CheckerEquiv, DatelineTorusDigestIsPinned)
+{
+    const auto net = topo::Network::torus({6, 6}, {2, 2});
+    const routing::TorusDatelineRouting rel(net);
+    EXPECT_EQ(digestOf(rel, firstVc(net)), "de3cf6e1548469c4");
+}
+
+TEST(CheckerEquiv, ElevatorFirstDigestIsPinned)
+{
+    const std::vector<std::pair<int, int>> elevators = {{0, 0}, {2, 1}};
+    const auto net =
+        topo::Network::partialMesh3d({3, 3, 2}, {2, 2, 1}, elevators);
+    const routing::ElevatorFirstRouting rel(net, elevators);
+    EXPECT_EQ(digestOf(rel, firstVc(net)), "5f4e6a6621576e50");
+}
+
+TEST(CheckerEquiv, TorusEbdaDigestIsPinned)
+{
+    const auto net = topo::Network::torus({6, 6}, {2, 2});
+    const routing::EbDaRouting rel(
+        net, core::torusAdaptiveScheme2d(), {},
+        routing::EbDaRouting::Mode::ShortestState);
+    EXPECT_EQ(digestOf(rel, firstVc(net)), "e10504b9a2e6ff0f");
+}
+
+/** The sweep catalog's routers, per topology family. */
+const std::vector<const char *> kMeshSpecs = {
+    "xy",       "yx",       "west-first", "north-last", "negative-first",
+    "odd-even", "duato",    "minimal",    "fig7b",      "fig7c",
+    "region:4", "merged:4", "updown",
+};
+const std::vector<const char *> kTorusSpecs = {
+    "minimal", "fig7b", "fig7c", "region:4", "merged:4", "updown",
+};
+
+TEST(CheckerEquiv, UndeclaredSensitivityGivesIdenticalReports)
+{
+    std::mt19937_64 rng(20170624);
+    std::uniform_int_distribution<int> side(2, 6);
+    std::uniform_int_distribution<int> vcs(1, 3);
+    std::size_t compared = 0;
+    for (int trial = 0; trial < 16; ++trial) {
+        const bool torus = trial % 2 == 1;
+        const std::vector<int> dims = {side(rng), side(rng)};
+        const std::vector<int> vc = {vcs(rng), vcs(rng)};
+        const topo::Network net = torus ? topo::Network::torus(dims, vc)
+                                        : topo::Network::mesh(dims, vc);
+        for (const char *spec : torus ? kTorusSpecs : kMeshSpecs) {
+            // Duato's relation asserts on a dimension with one VC.
+            if (std::string(spec) == "duato" && std::min(vc[0], vc[1]) < 2)
+                continue;
+            const auto rel = sweep::makeRouter(net, spec);
+            if (!rel)
+                continue; // not hostable on this network
+            const UndeclaredView undeclared(*rel);
+            EXPECT_EQ(checkerText(*rel, firstVc(net)),
+                      checkerText(undeclared, firstVc(net)))
+                << spec << (torus ? " torus " : " mesh ") << dims[0] << 'x'
+                << dims[1] << " vcs " << vc[0] << ',' << vc[1];
+            ++compared;
+        }
+    }
+    // Guard against makeRouter silently rejecting everything.
+    EXPECT_GE(compared, 60u);
+}
+
+TEST(CheckerEquiv, MisdeclaredIndependenceIsCaught)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const MisdeclaredRelation rel(net);
+    const UndeclaredView undeclared(rel);
+    EXPECT_EQ(checkerText(rel, firstVc(net)),
+              checkerText(undeclared, firstVc(net)));
+}
+
+} // namespace
+} // namespace ebda::cdg
