@@ -10,17 +10,27 @@
  * combinations of a 4x4 mesh with 2 VCs per dimension, checked by the
  * turn-level Dally oracle.
  *
+ * A within-run ratio row times the grouped state walk: on the 24x24 XY
+ * mesh, the checkers once on the relation as declared (source-
+ * independent, so one state graph per destination) and once through a
+ * wrapper that declares no source sensitivity (one graph per (src,
+ * dest) pair). The Dally speedup of the grouped walk is gated at >= 4x;
+ * a ratio taken within one run holds on any host.
+ *
  * Machine-readable output: the JSON summary is printed to stdout and,
  * when EBDA_CHECKER_BENCH_JSON is set, written to that path (same
  * convention as bench_route_compute's BENCH_sim.json feed). Exits
  * non-zero when the checkers disagree, a relation is not deadlock-free,
- * or the enumeration counts drift from 65,536 / 68 / 68 / 68.
+ * the enumeration counts drift from 65,536 / 68 / 68 / 68, the two walks
+ * of the ratio row disagree, or its Dally speedup falls below 4x.
  */
 
 #include "common.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -74,6 +84,64 @@ secondsOf(const std::function<void()> &fn)
 /** Pinned outcome of the 4x4 2-VC turn-model space (EXPERIMENTS.md). */
 constexpr std::size_t kTurnCombinations = 65536;
 constexpr std::size_t kTurnDeadlockFree = 68;
+
+/** Minimum Dally speedup of the grouped walk over one-source graphs. */
+constexpr double kGroupedDallyGate = 4.0;
+
+/** Forwards every call to `base` but declares no source sensitivity,
+ *  which makes the checkers walk one source at a time. */
+class UndeclaredView final : public cdg::RoutingRelation
+{
+  public:
+    explicit UndeclaredView(const cdg::RoutingRelation &base) : base(base) {}
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        base.candidatesInto(in, at, src, dest, out);
+    }
+    std::string name() const override { return base.name(); }
+    bool probeSafe() const override { return base.probeSafe(); }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+
+  private:
+    const cdg::RoutingRelation &base;
+};
+
+/** Best of three timings of fn. */
+double
+bestSecondsOf(const std::function<void()> &fn)
+{
+    double best = secondsOf(fn);
+    for (int rep = 1; rep < 3; ++rep)
+        best = std::min(best, secondsOf(fn));
+    return best;
+}
+
+/** The host's CPU model from /proc/cpuinfo (JSON-safe), or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        std::string model = line.substr(colon + 1);
+        model.erase(0, model.find_first_not_of(' '));
+        std::replace_if(
+            model.begin(), model.end(),
+            [](char ch) { return ch == '"' || ch == '\\'; }, ' ');
+        return model;
+    }
+    return "unknown";
+}
 
 /** Print the tables and the JSON summary; exit 1 when a gate failed. */
 void
@@ -138,6 +206,30 @@ reproduce()
         && turns.connected == kTurnDeadlockFree
         && turns.distinctDeadlockFreeSets == kTurnDeadlockFree;
     pass = pass && turnsPinned;
+
+    // Grouped walk vs one-source graphs, same relation, same run.
+    const auto walkNet = topo::Network::mesh({24, 24}, {1, 1});
+    const auto xy = sweep::makeRouter(walkNet, "xy");
+    const UndeclaredView undeclared(*xy);
+    cdg::CdgReport dallyGrouped, dallyOne;
+    cdg::MmReport mmGrouped, mmOne;
+    const double dallyGroupedS = bestSecondsOf(
+        [&] { dallyGrouped = cdg::checkDeadlockFree(*xy); });
+    const double dallyOneS = bestSecondsOf(
+        [&] { dallyOne = cdg::checkDeadlockFree(undeclared); });
+    const double mmGroupedS = bestSecondsOf(
+        [&] { mmGrouped = cdg::checkMendlovicMatias(*xy); });
+    const double mmOneS = bestSecondsOf(
+        [&] { mmOne = cdg::checkMendlovicMatias(undeclared); });
+    const double dallyRatio =
+        dallyGroupedS > 0.0 ? dallyOneS / dallyGroupedS : 0.0;
+    const double mmRatio = mmGroupedS > 0.0 ? mmOneS / mmGroupedS : 0.0;
+    const bool walksAgree =
+        dallyGrouped.numDependencies == dallyOne.numDependencies
+        && mmGrouped.numStates == mmOne.numStates
+        && mmGrouped.releaseOrder == mmOne.releaseOrder;
+    const bool walkPass = walksAgree && dallyRatio >= kGroupedDallyGate;
+    pass = pass && walkPass;
     json << ",\"turn_enum\":{\"network\":\"mesh 4x4 vc2\""
          << ",\"combinations\":" << turns.combinations
          << ",\"deadlock_free\":" << turns.deadlockFree
@@ -149,8 +241,19 @@ reproduce()
                  ? enum_s * 1e6 / static_cast<double>(turns.combinations)
                  : 0.0)
          << ",\"pinned\":" << (turnsPinned ? "true" : "false") << "}"
+         << ",\"grouped_walk\":{\"network\":\"mesh 24x24\",\"router\":\"xy\""
+         << ",\"dally_grouped_ms\":" << dallyGroupedS * 1e3
+         << ",\"dally_one_source_ms\":" << dallyOneS * 1e3
+         << ",\"dally_ratio\":" << dallyRatio
+         << ",\"mm_grouped_ms\":" << mmGroupedS * 1e3
+         << ",\"mm_one_source_ms\":" << mmOneS * 1e3
+         << ",\"mm_ratio\":" << mmRatio
+         << ",\"dally_ratio_gate\":" << kGroupedDallyGate
+         << ",\"agree\":" << (walksAgree ? "true" : "false")
+         << ",\"pass\":" << (walkPass ? "true" : "false") << "}"
          << ",\"hardware_threads\":"
          << std::thread::hardware_concurrency()
+         << ",\"cpu_model\":\"" << cpuModel() << "\""
          << ",\"pass\":" << (pass ? "true" : "false") << "}";
 
     t.print(std::cout);
@@ -160,6 +263,15 @@ reproduce()
               << turns.distinctDeadlockFreeSets << " distinct sets in "
               << TextTable::num(enum_s * 1e3, 1) << " ms"
               << (turnsPinned ? "" : "  UNEXPECTED COUNTS") << '\n';
+    std::cout << "grouped walk, mesh 24x24 xy: dally "
+              << TextTable::num(dallyGroupedS * 1e3, 1) << " ms vs "
+              << TextTable::num(dallyOneS * 1e3, 1) << " ms one source ("
+              << TextTable::num(dallyRatio, 1) << "x, gate >= "
+              << TextTable::num(kGroupedDallyGate, 0) << "x), mm "
+              << TextTable::num(mmGroupedS * 1e3, 1) << " ms vs "
+              << TextTable::num(mmOneS * 1e3, 1) << " ms ("
+              << TextTable::num(mmRatio, 1) << "x)"
+              << (walksAgree ? "" : "  WALKS DISAGREE") << '\n';
     std::cout << "takeaway: MM examines per-destination routing states "
                  "where the CDG collapses them into channel edges; the "
                  "exact verdict costs a bounded constant factor, not an "
@@ -171,8 +283,8 @@ reproduce()
         out << json.str() << '\n';
     }
     if (!pass) {
-        std::cout << "UNEXPECTED checker disagreement, deadlock verdict "
-                     "or turn-model count above\n";
+        std::cout << "UNEXPECTED checker disagreement, deadlock verdict, "
+                     "turn-model count or grouped-walk ratio above\n";
         std::exit(1);
     }
 }

@@ -25,40 +25,73 @@ checkMendlovicMatias(const RoutingRelation &relation)
     MmReport report;
     report.numChannels = nc;
 
-    // Phase 1: enumerate every reachable packet state. A state is
+    // Phase 1: every distinct reachable packet state. A state is
     // (channel, src, dest) with the packet's head at the channel's
     // sink. Ejecting states (head == dest) impose no release
     // obligation; non-ejecting states record their candidate set.
-    struct Collect : StateVisitor
-    {
-        std::vector<std::uint8_t> occupied;
-        std::vector<std::uint32_t> pending;
-        std::vector<ChannelId> stateChannel;
-        std::vector<std::uint32_t> candOffset;
-        std::vector<ChannelId> candPool;
+    //
+    // The fixpoint visits the states waiting on a released channel in
+    // state order, which decides the release order within a step. That
+    // order is the per-pair enumeration: dest major, src minor, each
+    // pair's walk popping a stack seeded with its injection candidates.
+    // A grouped graph's state stands for one copy per source that
+    // reaches it, all with the same candidates; it is kept once, at its
+    // last copy's position — the copy that releases its channel in a
+    // per-pair fixpoint — so the release order is unchanged. Replaying
+    // each source's walk over the graph finds those positions.
+    std::vector<std::uint8_t> occupied(nc, 0);
+    std::vector<std::uint32_t> pending(nc, 0);
+    std::vector<ChannelId> stateChannel;
+    std::vector<std::uint32_t> candOffset;
+    std::vector<ChannelId> candPool;
 
-        void eject(ChannelId c) { occupied[c] = 1; }
-        void
-        route(ChannelId c, const std::vector<ChannelId> &next)
-        {
+    std::vector<std::uint32_t> stamp;
+    std::vector<std::uint32_t> stack;
+    // The graph's non-ejecting states in per-pair visit order, and each
+    // state's last position in it.
+    std::vector<std::uint32_t> visits;
+    std::vector<std::uint32_t> last;
+    walkStateGraphs(relation, [&](const StateGraph &g) {
+        for (const ChannelId c : g.channel)
             occupied[c] = 1;
+        stamp.assign(g.size(), 0);
+        last.resize(g.size());
+        visits.clear();
+        for (std::uint32_t k = 0; k < g.sources.size(); ++k) {
+            const std::uint32_t epoch = k + 1;
+            const auto push = [&](std::span<const std::uint32_t> states) {
+                for (const std::uint32_t i : states)
+                    if (stamp[i] != epoch) {
+                        stamp[i] = epoch;
+                        stack.push_back(i);
+                    }
+            };
+            push(g.injection(k));
+            while (!stack.empty()) {
+                const std::uint32_t i = stack.back();
+                stack.pop_back();
+                if (g.ejects[i])
+                    continue;
+                last[i] = static_cast<std::uint32_t>(visits.size());
+                visits.push_back(i);
+                push(g.candidates(i));
+            }
+        }
+        report.numStates += visits.size();
+        for (std::uint32_t pos = 0; pos < visits.size(); ++pos) {
+            const std::uint32_t i = visits[pos];
+            if (last[i] != pos)
+                continue;
+            const ChannelId c = g.channel[i];
             stateChannel.push_back(c);
             candOffset.push_back(static_cast<std::uint32_t>(candPool.size()));
             ++pending[c];
-            candPool.insert(candPool.end(), next.begin(), next.end());
+            for (const std::uint32_t j : g.candidates(i))
+                candPool.push_back(g.channel[j]);
         }
-    } states;
-    states.occupied.assign(nc, 0);
-    states.pending.assign(nc, 0);
-    walkReachableStates(relation, states);
-    const auto &occupied = states.occupied;
-    auto &pending = states.pending;
-    const auto &stateChannel = states.stateChannel;
-    auto &candOffset = states.candOffset;
-    const auto &candPool = states.candPool;
+    });
 
     candOffset.push_back(static_cast<std::uint32_t>(candPool.size()));
-    report.numStates = stateChannel.size();
     for (std::size_t c = 0; c < nc; ++c)
         if (occupied[c])
             ++report.occupiableChannels;

@@ -5,94 +5,100 @@
  * the connectivity check and Duato's escape check.
  *
  * A routing state is (channel, src, dest) with the packet's head at the
- * channel's sink. For every (src, dest) pair with src != dest — dest
- * major, src minor — the injection candidates seed a depth-first stack,
- * and every channel popped off it is one reachable state. States whose
- * head is the destination eject; every other state queries the relation
- * and pushes the candidates not yet seen for this pair.
+ * channel's sink. A packet of the (src, dest) pair starts on one of its
+ * injection candidates; a state whose head is the destination ejects,
+ * every other state may move onto its candidates.
  *
- * The walk owns one candidate buffer, reused by every query, and an
- * epoch-stamped visited array, so it allocates only while its buffers
- * grow. The visit order is fixed, which keeps checker outputs
- * (dependency insertion order, witnesses, release orders) deterministic.
+ * walkStateGraphs() hands the checkers one StateGraph at a time, dest
+ * major. A graph holds the states of one destination for a *source
+ * group*, each state once, keyed by channel:
+ *
+ *   - all sources together when the relation declares
+ *     SrcSensitivity::Independent and is probe-safe: the candidates of
+ *     (c, src, dest) are then the same for every src, so the states of
+ *     all pairs bound for dest form one graph, and the relation is
+ *     asked once per (channel, destination) instead of once per source;
+ *   - one source at a time otherwise (Dependent, Unknown, probe-unsafe
+ *     relations), ascending. Such a graph is exactly one pair's walk.
+ *
+ * Grouped graphs are spot-checked with RouteTable::fill()'s rule: every
+ * 16th state's candidates are compared against three probe sources. A
+ * mismatch means the Independent declaration is false; that destination
+ * and every later one are then built one source at a time.
+ *
+ * A graph stores its channels in first-discovery order (breadth first
+ * from the group's injection candidates), and each non-ejecting state's
+ * candidates, in the relation's order, as indices into that order. The
+ * per-pair view is still there: the states of pair (src, dest) are the
+ * closure of src's injection candidates, and a checker that needs the
+ * per-pair visit order (the MM release order does) replays it over the
+ * graph without asking the relation again. Checkers that fold states
+ * per channel (Dally's successor lists) see each distinct state once;
+ * a state met again for the same destination would add nothing, since
+ * its candidates were all discovered the first time, so first-discovery
+ * orders come out as in a per-pair walk.
+ *
+ * The walk owns its candidate buffers and reuses one graph, so it
+ * allocates only while they grow.
  */
 
 #ifndef EBDA_CDG_STATE_WALK_HH
 #define EBDA_CDG_STATE_WALK_HH
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "cdg/routing_relation.hh"
 
 namespace ebda::cdg {
 
-/**
- * Hooks of walkReachableStates(). A visitor derives from this struct and
- * hides the hooks it needs; the walk binds them statically.
- */
-struct StateVisitor
+/** The reachable routing states of one destination for a source group
+ *  (see file doc). States are indexed 0..size()-1. */
+struct StateGraph
 {
-    /** A new (src, dest) pair; `inject` holds its injection candidates. */
-    void pair(topo::NodeId, topo::NodeId,
-              const std::vector<topo::ChannelId> &)
+    topo::NodeId dest = 0;
+    /** The group's sources, ascending (never dest). */
+    std::vector<topo::NodeId> sources;
+    /** Per state, in first-discovery order: the channel it occupies. */
+    std::vector<topo::ChannelId> channel;
+    /** Per state: 1 when its head is at the destination. */
+    std::vector<std::uint8_t> ejects;
+    /** CSR of candidates as state indices: state i's are
+     *  next[nextBegin[i] .. nextBegin[i + 1]); empty for ejecting
+     *  states and for dead ends. */
+    std::vector<std::uint32_t> nextBegin;
+    std::vector<std::uint32_t> next;
+    /** CSR of injection candidates as state indices, one row per entry
+     *  of `sources`. */
+    std::vector<std::uint32_t> injBegin;
+    std::vector<std::uint32_t> inj;
+
+    std::size_t size() const { return channel.size(); }
+
+    std::span<const std::uint32_t>
+    candidates(std::size_t state) const
     {
+        return {next.data() + nextBegin[state],
+                next.data() + nextBegin[state + 1]};
     }
-    /** A reachable state on channel c whose head is the destination. */
-    void eject(topo::ChannelId) {}
-    /** A reachable non-ejecting state on channel c and its candidates
-     *  (the walk's buffer: valid until the hook returns). */
-    void route(topo::ChannelId, const std::vector<topo::ChannelId> &) {}
-    /** Every state of the current pair has been visited. */
-    void endPair(topo::NodeId, topo::NodeId) {}
+
+    /** Injection candidates of sources[k]. */
+    std::span<const std::uint32_t>
+    injection(std::size_t k) const
+    {
+        return {inj.data() + injBegin[k], inj.data() + injBegin[k + 1]};
+    }
 };
 
-/** Visit every reachable routing state of `relation` (see file doc). */
-template <typename Visitor>
-void
-walkReachableStates(const RoutingRelation &relation, Visitor &visitor)
-{
-    const topo::Network &net = relation.network();
-    std::vector<std::uint32_t> stamp(net.numChannels(), 0);
-    std::uint32_t epoch = 0;
-    std::vector<topo::ChannelId> frontier;
-    std::vector<topo::ChannelId> cand;
-
-    const auto push = [&] {
-        for (const topo::ChannelId c : cand) {
-            if (stamp[c] != epoch) {
-                stamp[c] = epoch;
-                frontier.push_back(c);
-            }
-        }
-    };
-
-    for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
-        for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
-            if (src == dest)
-                continue;
-            ++epoch;
-            frontier.clear();
-            relation.candidatesInto(kInjectionChannel, src, src, dest, cand);
-            visitor.pair(src, dest, cand);
-            push();
-
-            while (!frontier.empty()) {
-                const topo::ChannelId c = frontier.back();
-                frontier.pop_back();
-                const topo::NodeId at = net.link(net.linkOf(c)).dst;
-                if (at == dest) {
-                    visitor.eject(c);
-                    continue;
-                }
-                relation.candidatesInto(c, at, src, dest, cand);
-                visitor.route(c, cand);
-                push();
-            }
-            visitor.endPair(src, dest);
-        }
-    }
-}
+/**
+ * Build the state graph of every destination of `relation` (see file
+ * doc) and pass each to `visit`, dest major and, within a destination,
+ * in ascending source order. The graph is valid until `visit` returns.
+ */
+void walkStateGraphs(const RoutingRelation &relation,
+                     const std::function<void(const StateGraph &)> &visit);
 
 } // namespace ebda::cdg
 
