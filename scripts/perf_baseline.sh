@@ -35,8 +35,10 @@
 # A seventh, bench_checker_scaling, times the verification side: Dally
 # vs Mendlovic–Matias wall-clock per verdict across mesh, torus,
 # dragonfly and full-mesh fabrics, plus the Section-2 turn-model space
-# (65,536 combinations on a 4x4 2-VC mesh). It exits non-zero when the
-# checkers disagree or the pinned enumeration counts drift.
+# (65,536 combinations on a 4x4 2-VC mesh), and two within-run ratios
+# of the state walk's source classes against one class per source. It
+# exits non-zero when the checkers disagree, the pinned enumeration
+# counts drift or a ratio misses its gate.
 #
 # The route bench writes the top-level JSON; the cycle, sched,
 # protocol, shard, sweep, and checker benches' summaries are merged in

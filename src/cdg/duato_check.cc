@@ -47,12 +47,18 @@ class EscapeSubrelation : public RoutingRelation
     }
 
     /** @name Hints, forwarded from the base relation (filtering out
-     *  channels changes neither source dependence nor probe safety).
+     *  channels changes neither source dependence, source classes nor
+     *  probe safety).
      *  @{ */
     SrcSensitivity
     srcSensitivity() const override
     {
         return base.srcSensitivity();
+    }
+    topo::NodeId
+    srcClass(topo::NodeId src) const override
+    {
+        return base.srcClass(src);
     }
     bool probeSafe() const override { return base.probeSafe(); }
     /** @} */

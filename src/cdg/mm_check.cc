@@ -34,7 +34,7 @@ checkMendlovicMatias(const RoutingRelation &relation)
     // state order, which decides the release order within a step. That
     // order is the per-pair enumeration: dest major, src minor, each
     // pair's walk popping a stack seeded with its injection candidates.
-    // A grouped graph's state stands for one copy per source that
+    // A graph state stands for one copy per source of its class that
     // reaches it, all with the same candidates; it is kept once, at its
     // last copy's position — the copy that releases its channel in a
     // per-pair fixpoint — so the release order is unchanged. Replaying

@@ -57,7 +57,7 @@ checkConnectivity(const RoutingRelation &relation)
     // The pair is routable when the destination is reachable and no
     // reachable state dead-ends (a dead-ending branch is a hazard: an
     // adaptive router may commit to it). Two backward closures over the
-    // destination's graph answer both for every source of the group.
+    // destination's graph answer both for every source.
     ConnectivityReport report;
     std::vector<std::uint32_t> predBegin;
     std::vector<std::uint32_t> cursor;

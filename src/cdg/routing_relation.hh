@@ -29,7 +29,9 @@ constexpr topo::ChannelId kInjectionChannel = topo::kInvalidId;
  * node. Table compilers (routing/route_table.hh) use the hint to size
  * the compiled table: source-independent relations need one row per
  * (input channel, destination); source-dependent ones one row per
- * (input channel, source, destination).
+ * (input channel, source, destination). The relation checkers
+ * (cdg/state_walk.hh) read it too: they walk the routing states of
+ * every source that shares candidates only once.
  */
 enum class SrcSensitivity : std::uint8_t
 {
@@ -90,13 +92,24 @@ class RoutingRelation
     /** Human-readable algorithm name for reports. */
     virtual std::string name() const = 0;
 
-    /** Source-dependence hint for table compilers. The Unknown default
-     *  is always sound: compilers then probe every source. */
+    /** Source-dependence hint for table compilers and the checkers. The
+     *  Unknown default is always sound: compilers then probe every
+     *  source, and the checkers walk every source on its own. */
     virtual SrcSensitivity
     srcSensitivity() const
     {
         return SrcSensitivity::Unknown;
     }
+
+    /**
+     * The source class of `src`, a node id below network().numNodes().
+     * Contract: two sources with the same class get the same
+     * candidates, in the same order, for every in-contract
+     * (in, at, dest). The checkers read it only from probe-safe
+     * relations that declare SrcSensitivity::Dependent, and spot-check
+     * it. The default, one class per source, is always sound.
+     */
+    virtual topo::NodeId srcClass(topo::NodeId src) const { return src; }
 
     /**
      * True when candidatesInto() tolerates every in-contract

@@ -1,5 +1,7 @@
 #include "state_walk.hh"
 
+#include "util/logging.hh"
+
 namespace ebda::cdg {
 
 namespace {
@@ -7,26 +9,43 @@ namespace {
 using topo::ChannelId;
 using topo::NodeId;
 
-constexpr std::uint32_t kUnseen = UINT32_MAX;
-
 /** Builds state graphs into one reused StateGraph. */
 class GraphBuilder
 {
   public:
     explicit GraphBuilder(const RoutingRelation &relation)
-        : rel(relation), net(relation.network()),
-          local(net.numChannels(), kUnseen),
-          probes{0, static_cast<NodeId>(net.numNodes() / 2),
-                 static_cast<NodeId>(net.numNodes() - 1)}
+        : rel(relation), net(relation.network()), nc(net.numChannels()),
+          classOf(net.numNodes()), first(net.numNodes()),
+          last(net.numNodes()), slotOf(net.numNodes())
     {
+        const bool probed = rel.probeSafe();
+        const SrcSensitivity sens = rel.srcSensitivity();
+        for (NodeId s = 0; s < net.numNodes(); ++s) {
+            NodeId k = s;
+            if (probed && sens == SrcSensitivity::Independent)
+                k = 0;
+            else if (probed && sens == SrcSensitivity::Dependent)
+                k = rel.srcClass(s);
+            EBDA_ASSERT(k < net.numNodes(), "srcClass out of range");
+            classOf[s] = k;
+        }
+    }
+
+    /** Give every source its own class from now on. */
+    void
+    splitClasses()
+    {
+        for (NodeId s = 0; s < net.numNodes(); ++s)
+            classOf[s] = s;
     }
 
     /**
-     * Build dest's graph for every source (`grouped`) or for `src`
-     * alone. Returns false when a grouped graph fails the spot check.
+     * Build dest's graph, one source at a time in ascending order.
+     * Returns false, leaving g half built, when a spot check finds two
+     * sources of one class with different candidates.
      */
     bool
-    build(StateGraph &g, NodeId dest, bool grouped, NodeId src)
+    build(StateGraph &g, NodeId dest)
     {
         g.dest = dest;
         g.sources.clear();
@@ -36,100 +55,150 @@ class GraphBuilder
         g.next.clear();
         g.injBegin.assign(1, 0);
         g.inj.clear();
-        if (grouped) {
-            for (NodeId s = 0; s < net.numNodes(); ++s)
-                if (s != dest)
-                    g.sources.push_back(s);
-        } else {
-            g.sources.push_back(src);
+        freeSlots.clear();
+        for (std::uint32_t slot = 0; slot < slotGen.size(); ++slot)
+            freeSlots.push_back(slot);
+        for (NodeId s = 0; s < net.numNodes(); ++s)
+            if (s != dest)
+                g.sources.push_back(s);
+        // Each class's first and last source bound for dest.
+        for (const NodeId s : g.sources)
+            first[classOf[s]] = kNoNode;
+        for (const NodeId s : g.sources) {
+            const NodeId k = classOf[s];
+            if (first[k] == kNoNode)
+                first[k] = s;
+            last[k] = s;
         }
 
+        std::size_t expanded = 0;
         for (const NodeId s : g.sources) {
+            const NodeId k = classOf[s];
+            if (s == first[k])
+                open(k);
+            const std::uint32_t slot = slotOf[k];
             rel.candidatesInto(kInjectionChannel, s, s, dest, cand);
             for (const ChannelId c : cand)
-                g.inj.push_back(indexOf(g, c));
+                g.inj.push_back(indexOf(g, c, slot));
             g.injBegin.push_back(static_cast<std::uint32_t>(g.inj.size()));
-        }
 
-        bool honest = true;
-        // g.channel grows while it is scanned: breadth first.
-        for (std::size_t i = 0; i < g.channel.size() && honest; ++i) {
-            g.nextBegin.push_back(static_cast<std::uint32_t>(g.next.size()));
-            const ChannelId c = g.channel[i];
-            const NodeId at = net.link(net.linkOf(c)).dst;
-            g.ejects.push_back(at == dest);
-            if (at == dest)
-                continue;
-            // A grouped graph asks as RouteTable::fill() does, with the
-            // current node standing in for the source.
-            rel.candidatesInto(c, at, grouped ? at : src, dest, cand);
-            if (grouped && (spotTick++ & 15u) == 0) {
-                for (const NodeId s : probes) {
-                    if (s == at)
-                        continue;
-                    rel.candidatesInto(c, at, s, dest, probe);
-                    if (probe != cand)
-                        honest = false;
+            // Expand the states s discovered, breadth first (g.channel
+            // grows while it is scanned). They are all of class k, and
+            // every state of k met before was expanded with an earlier
+            // source, so the new ones come out in the order s's own
+            // walk meets them.
+            const NodeId other = first[k] != s ? first[k] : last[k];
+            for (; expanded < g.channel.size(); ++expanded) {
+                g.nextBegin.push_back(
+                    static_cast<std::uint32_t>(g.next.size()));
+                const ChannelId c = g.channel[expanded];
+                const NodeId at = net.link(net.linkOf(c)).dst;
+                g.ejects.push_back(at == dest);
+                if (at == dest)
+                    continue;
+                rel.candidatesInto(c, at, s, dest, cand);
+                if (other != s && (spotTick++ & 15u) == 0) {
+                    // Probe another member: the current node when it is
+                    // one (as RouteTable::fill() asks), else the class's
+                    // first or last source.
+                    const NodeId p = classOf[at] == k ? at : other;
+                    if (p != s) {
+                        rel.candidatesInto(c, at, p, dest, probe);
+                        if (probe != cand)
+                            return false;
+                    }
                 }
+                for (const ChannelId d : cand)
+                    g.next.push_back(indexOf(g, d, slot));
             }
-            for (const ChannelId d : cand)
-                g.next.push_back(indexOf(g, d));
+            if (s == last[k])
+                freeSlots.push_back(slot);
         }
         g.nextBegin.push_back(static_cast<std::uint32_t>(g.next.size()));
-        for (const ChannelId c : g.channel)
-            local[c] = kUnseen;
-        return honest;
+        return true;
     }
 
   private:
-    /** c's state index in g, appending it on first discovery. */
-    std::uint32_t
-    indexOf(StateGraph &g, ChannelId c)
+    static constexpr NodeId kNoNode = topo::kInvalidId;
+
+    /** A (channel, class) entry of `local`: the state's index in the
+     *  graph, valid while `gen` is its slot's current generation. */
+    struct Entry
     {
-        if (local[c] == kUnseen) {
-            local[c] = static_cast<std::uint32_t>(g.channel.size());
+        std::uint32_t gen = 0;
+        std::uint32_t index = 0;
+    };
+
+    /** Give class k a slot of `local` with a fresh generation. */
+    void
+    open(NodeId k)
+    {
+        if (freeSlots.empty()) {
+            freeSlots.push_back(static_cast<std::uint32_t>(slotGen.size()));
+            slotGen.push_back(0);
+            local.resize(local.size() + nc);
+        }
+        slotOf[k] = freeSlots.back();
+        freeSlots.pop_back();
+        slotGen[slotOf[k]] = ++gen;
+    }
+
+    /** The index of state (c, slot's class) in g, appending it on first
+     *  discovery. */
+    std::uint32_t
+    indexOf(StateGraph &g, ChannelId c, std::uint32_t slot)
+    {
+        Entry &e = local[static_cast<std::size_t>(slot) * nc + c];
+        if (e.gen != slotGen[slot]) {
+            e.gen = slotGen[slot];
+            e.index = static_cast<std::uint32_t>(g.channel.size());
             g.channel.push_back(c);
         }
-        return local[c];
+        return e.index;
     }
 
     const RoutingRelation &rel;
     const topo::Network &net;
-    /** Channel -> state index in the graph being built. */
-    std::vector<std::uint32_t> local;
+    const std::size_t nc;
+    /** Per source: its class (see file doc). */
+    std::vector<NodeId> classOf;
+    /** Per class: its first and last source bound for the destination
+     *  being built, and its slot of `local` while it is being walked. */
+    std::vector<NodeId> first;
+    std::vector<NodeId> last;
+    std::vector<std::uint32_t> slotOf;
+    /** (slot, channel) -> state, slot major. A class holds a slot from
+     *  its first source to its last, so only classes whose sources
+     *  interleave hold slots at once. */
+    std::vector<Entry> local;
+    std::vector<std::uint32_t> slotGen;
+    std::vector<std::uint32_t> freeSlots;
+    std::uint32_t gen = 0;
     std::vector<ChannelId> cand;
     std::vector<ChannelId> probe;
     std::size_t spotTick = 0;
-    const NodeId probes[3];
 };
 
 } // namespace
 
-void
+bool
 walkStateGraphs(const RoutingRelation &relation,
                 const std::function<void(const StateGraph &)> &visit)
 {
     const topo::Network &net = relation.network();
     GraphBuilder builder(relation);
     StateGraph g;
-    bool grouped = relation.srcSensitivity() == SrcSensitivity::Independent
-        && relation.probeSafe();
+    bool held = true;
     for (NodeId dest = 0; dest < net.numNodes(); ++dest) {
-        if (grouped) {
-            if (builder.build(g, dest, true, 0)) {
-                visit(g);
-                continue;
-            }
-            // The Independent declaration failed its spot check.
-            grouped = false;
+        if (!builder.build(g, dest)) {
+            // A class failed its spot check: the declaration is false.
+            builder.splitClasses();
+            builder.build(g, dest);
+            held = false;
         }
-        for (NodeId src = 0; src < net.numNodes(); ++src) {
-            if (src == dest)
-                continue;
-            builder.build(g, dest, false, src);
-            visit(g);
-        }
+        visit(g);
     }
+    return held;
 }
 
 } // namespace ebda::cdg

@@ -9,34 +9,42 @@
  * injection candidates; a state whose head is the destination ejects,
  * every other state may move onto its candidates.
  *
- * walkStateGraphs() hands the checkers one StateGraph at a time, dest
- * major. A graph holds the states of one destination for a *source
- * group*, each state once, keyed by channel:
+ * walkStateGraphs() hands the checkers one StateGraph per destination,
+ * dest major. The graph holds the states of every source bound for
+ * dest, keyed by (channel, source class). Two sources share a class
+ * when they get the same candidates in every state, so a state of a
+ * class is one set of candidates however many of its sources reach it,
+ * and the relation is asked once per (channel, class, destination):
  *
- *   - all sources together when the relation declares
- *     SrcSensitivity::Independent and is probe-safe: the candidates of
- *     (c, src, dest) are then the same for every src, so the states of
- *     all pairs bound for dest form one graph, and the relation is
- *     asked once per (channel, destination) instead of once per source;
- *   - one source at a time otherwise (Dependent, Unknown, probe-unsafe
- *     relations), ascending. Such a graph is exactly one pair's walk.
+ *   - all sources form one class when the relation declares
+ *     SrcSensitivity::Independent and is probe-safe;
+ *   - the classes are RoutingRelation::srcClass() when it declares
+ *     Dependent and is probe-safe (Odd-Even's source columns);
+ *   - every source is its own class otherwise (Unknown, probe-unsafe
+ *     relations). Each state is then one pair's state, as in a walk of
+ *     one (src, dest) pair at a time.
  *
- * Grouped graphs are spot-checked with RouteTable::fill()'s rule: every
- * 16th state's candidates are compared against three probe sources. A
- * mismatch means the Independent declaration is false; that destination
- * and every later one are then built one source at a time.
+ * A state is asked for with a real source of its class: the one whose
+ * walk discovered it. Every 16th state of a class with two or more
+ * sources is spot-checked against another of them — the current node
+ * when it belongs to the class (as RouteTable::fill() probes), else the
+ * class's first or last source. A mismatch means the declaration is
+ * false; that destination and every later one are then rebuilt with one
+ * class per source.
  *
- * A graph stores its channels in first-discovery order (breadth first
- * from the group's injection candidates), and each non-ejecting state's
- * candidates, in the relation's order, as indices into that order. The
- * per-pair view is still there: the states of pair (src, dest) are the
- * closure of src's injection candidates, and a checker that needs the
- * per-pair visit order (the MM release order does) replays it over the
- * graph without asking the relation again. Checkers that fold states
- * per channel (Dally's successor lists) see each distinct state once;
- * a state met again for the same destination would add nothing, since
- * its candidates were all discovered the first time, so first-discovery
- * orders come out as in a per-pair walk.
+ * Replay order: states are numbered in the order a per-source replay
+ * meets them. Sources are walked in ascending order, each breadth first
+ * from its injection candidates; a source appends only the states its
+ * class has not met yet, and those come out in the order its own walk
+ * meets them, since a state met before was expanded with its whole
+ * closure then. So a checker that folds states per channel (Dally's
+ * successor lists) gets the first-discovery orders of a walk of one
+ * (src, dest) pair at a time, and states of one channel in different
+ * classes come out in source order. The per-pair view is still there:
+ * the states of pair (src, dest) are the closure of src's injection
+ * candidates, and a checker that needs the per-pair visit order (the
+ * MM release order does) replays it over the graph without asking the
+ * relation again.
  *
  * The walk owns its candidate buffers and reuses one graph, so it
  * allocates only while they grow.
@@ -54,14 +62,14 @@
 
 namespace ebda::cdg {
 
-/** The reachable routing states of one destination for a source group
- *  (see file doc). States are indexed 0..size()-1. */
+/** The reachable routing states of one destination (see file doc).
+ *  States are indexed 0..size()-1. */
 struct StateGraph
 {
     topo::NodeId dest = 0;
-    /** The group's sources, ascending (never dest). */
+    /** Every source but dest, ascending. */
     std::vector<topo::NodeId> sources;
-    /** Per state, in first-discovery order: the channel it occupies. */
+    /** Per state, in replay order: the channel it occupies. */
     std::vector<topo::ChannelId> channel;
     /** Per state: 1 when its head is at the destination. */
     std::vector<std::uint8_t> ejects;
@@ -94,10 +102,12 @@ struct StateGraph
 
 /**
  * Build the state graph of every destination of `relation` (see file
- * doc) and pass each to `visit`, dest major and, within a destination,
- * in ascending source order. The graph is valid until `visit` returns.
+ * doc) and pass each to `visit`, in ascending destination order. The
+ * graph is valid until `visit` returns. Returns false when a spot
+ * check found the relation's declaration false and the walk fell back
+ * to one class per source.
  */
-void walkStateGraphs(const RoutingRelation &relation,
+bool walkStateGraphs(const RoutingRelation &relation,
                      const std::function<void(const StateGraph &)> &visit);
 
 } // namespace ebda::cdg

@@ -141,6 +141,14 @@ class OddEvenRouting : public MeshRouting
     {
         return cdg::SrcSensitivity::Dependent;
     }
+
+    /** ROUTE reads the source only as `cur_col == src_col`, so the
+     *  sources of one column share every candidate set. */
+    topo::NodeId
+    srcClass(topo::NodeId src) const override
+    {
+        return static_cast<topo::NodeId>(net.coordAlong(src, 0));
+    }
 };
 
 /**

@@ -190,14 +190,19 @@ class FaultedRelationView final : public cdg::RoutingRelation
         return base.network();
     }
 
-    /** @name Table-compiler hints, forwarded from the base relation
-     *  (filtering dead channels changes neither source dependence nor
-     *  probe safety).
+    /** @name Hints, forwarded from the base relation (filtering
+     *  dead channels changes neither source dependence, source classes
+     *  nor probe safety).
      *  @{ */
     cdg::SrcSensitivity
     srcSensitivity() const override
     {
         return base.srcSensitivity();
+    }
+    topo::NodeId
+    srcClass(topo::NodeId src) const override
+    {
+        return base.srcClass(src);
     }
     bool probeSafe() const override { return base.probeSafe(); }
     /** @} */

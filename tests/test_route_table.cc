@@ -214,6 +214,59 @@ TEST(RouteTable, DorCompilesNarrowOddEvenCompilesWide)
 }
 
 /**
+ * Odd-Even's source classes (its source columns), pinned exhaustively:
+ * at every in-contract (in, at, src, dest), each source gets exactly
+ * the candidates of the first source of its class, in the same order.
+ * Odd and even mesh widths, since ROUTE reads column parity.
+ */
+TEST(RouteTable, OddEvenSourceClassesShareCandidates)
+{
+    for (const auto &dims : {std::vector<int>{5, 7}, std::vector<int>{8, 8}}) {
+        const auto net = topo::Network::mesh(dims, {1, 1});
+        const auto rel = sweep::makeRouter(net, "odd-even");
+        ASSERT_NE(rel, nullptr);
+        ASSERT_EQ(rel->srcSensitivity(), cdg::SrcSensitivity::Dependent);
+
+        // The first source of every class.
+        std::vector<topo::NodeId> rep(net.numNodes(), topo::kInvalidId);
+        std::set<topo::NodeId> classes;
+        for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
+            const topo::NodeId k = rel->srcClass(src);
+            ASSERT_LT(k, net.numNodes());
+            classes.insert(k);
+            if (rep[k] == topo::kInvalidId)
+                rep[k] = src;
+        }
+        EXPECT_EQ(classes.size(), static_cast<std::size_t>(dims[0]));
+
+        std::vector<std::vector<topo::ChannelId>> inputs(net.numNodes());
+        for (topo::ChannelId c = 0; c < net.numChannels(); ++c)
+            inputs[headOf(net, c)].push_back(c);
+        std::size_t compared = 0;
+        for (topo::NodeId at = 0; at < net.numNodes(); ++at) {
+            inputs[at].push_back(kInjectionChannel);
+            for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
+                if (dest == at)
+                    continue;
+                for (const topo::ChannelId in : inputs[at])
+                    for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
+                        const topo::NodeId first = rep[rel->srcClass(src)];
+                        if (first == src)
+                            continue;
+                        EXPECT_EQ(rel->candidates(in, at, src, dest),
+                                  rel->candidates(in, at, first, dest))
+                            << dims[0] << 'x' << dims[1] << " in=" << in
+                            << " at=" << at << " src=" << src
+                            << " dest=" << dest;
+                        ++compared;
+                    }
+            }
+        }
+        EXPECT_GT(compared, 0u);
+    }
+}
+
+/**
  * A relation that lies about source independence: candidate order
  * flips whenever the consulted source differs from the current node.
  * The compiler's sample check must catch the lie and recompile wide
