@@ -12,7 +12,7 @@
  *
  * Two within-run ratio rows time the state walk's source classes: the
  * checkers once on a relation as declared and once through a wrapper
- * that declares no source sensitivity (one class per source). The
+ * that keeps the default source classes (one per source). The
  * grouped walk runs XY on the 24x24 mesh (source-independent, so one
  * class), its Dally speedup gated at >= 4x; the source-classes row runs
  * Odd-Even on the 16x16 mesh (one class per source column), gated at
@@ -93,8 +93,8 @@ constexpr std::size_t kTurnDeadlockFree = 68;
 constexpr double kGroupedDallyGate = 4.0;
 constexpr double kClassesDallyGate = 3.0;
 
-/** Forwards every call to `base` but declares no source sensitivity,
- *  which makes the checkers walk one source at a time. */
+/** Forwards every call to `base` but keeps the default source classes,
+ *  one per source, which makes the checkers walk one source at a time. */
 class UndeclaredView final : public cdg::RoutingRelation
 {
   public:
@@ -108,12 +108,6 @@ class UndeclaredView final : public cdg::RoutingRelation
         base.candidatesInto(in, at, src, dest, out);
     }
     std::string name() const override { return base.name(); }
-    topo::NodeId
-    srcClass(topo::NodeId src) const override
-    {
-        return base.srcClass(src);
-    }
-    bool probeSafe() const override { return base.probeSafe(); }
     const topo::Network &network() const override
     {
         return base.network();

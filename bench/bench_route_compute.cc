@@ -2,8 +2,9 @@
  * @file
  * Microbenchmark for the route-table compiler (src/routing/route_table):
  * compiled-table lookups vs virtual-dispatch route compute on the
- * benches' standard 8x8, 2-VC mesh, plus a fixed latency-sweep point
- * timed with the table on and off.
+ * benches' standard 8x8, 2-VC mesh, each row with its table's size and
+ * compile time, plus a fixed latency-sweep point timed with the table
+ * on and off.
  *
  * This binary is also a correctness smoke test and exits non-zero when
  *  - any table lookup differs from the virtual relation on a reachable
@@ -112,8 +113,8 @@ struct State
     topo::NodeId dest;
 };
 
-/** Every reachable (in, src, dest) state, by the same BFS-from-
- *  injection closure the table compiler probes. */
+/** Every reachable (in, src, dest) state: the closure of each pair's
+ *  injection candidates, the states the table compiler fills. */
 std::vector<State>
 reachableStates(const cdg::RoutingRelation &rel)
 {
@@ -160,6 +161,7 @@ struct RelationRow
     std::size_t states = 0;
     bool perSource = false;
     std::uint64_t tableBytes = 0;
+    double compileMs = 0.0;
     double virtualNsPerCall = 0.0;
     double tableNsPerCall = 0.0;
     double speedup = 0.0;
@@ -189,6 +191,7 @@ benchRelation(const topo::Network &net, const std::string &spec)
     }
     row.perSource = table.perSource();
     row.tableBytes = table.tableBytes();
+    row.compileMs = static_cast<double>(table.compileNanos()) / 1e6;
 
     const auto states = reachableStates(*rel);
     row.states = states.size();
@@ -318,18 +321,19 @@ benchMain()
     bool pass = true;
     std::printf("route compute on mesh 8x8, 2 VCs/dim (%zu channels)\n",
                 static_cast<std::size_t>(net.numChannels()));
-    std::printf("%-10s %8s %10s %12s %12s %8s %7s %7s\n", "router",
-                "states", "bytes", "virtual", "table", "speedup",
-                "v-alloc", "t-alloc");
+    std::printf("%-10s %8s %10s %10s %12s %12s %8s %7s %7s\n", "router",
+                "states", "bytes", "compile", "virtual", "table",
+                "speedup", "v-alloc", "t-alloc");
     for (const char *spec : specs) {
         rows.push_back(benchRelation(net, spec));
         const RelationRow &r = rows.back();
         pass = pass && r.match && r.tableAllocs == 0
             && r.virtualAllocs == 0;
         std::printf(
-            "%-10s %8zu %10llu %9.1f ns %9.1f ns %7.1fx %7llu %7llu%s\n",
+            "%-10s %8zu %10llu %7.2f ms %9.1f ns %9.1f ns %7.1fx %7llu "
+            "%7llu%s\n",
             r.spec.c_str(), r.states,
-            static_cast<unsigned long long>(r.tableBytes),
+            static_cast<unsigned long long>(r.tableBytes), r.compileMs,
             r.virtualNsPerCall, r.tableNsPerCall, r.speedup,
             static_cast<unsigned long long>(r.virtualAllocs),
             static_cast<unsigned long long>(r.tableAllocs),
@@ -355,6 +359,7 @@ benchMain()
              << ",\"states\":" << r.states
              << ",\"per_source\":" << (r.perSource ? "true" : "false")
              << ",\"table_bytes\":" << r.tableBytes
+             << ",\"compile_ms\":" << r.compileMs
              << ",\"virtual_ns_per_call\":" << r.virtualNsPerCall
              << ",\"table_ns_per_call\":" << r.tableNsPerCall
              << ",\"speedup\":" << r.speedup

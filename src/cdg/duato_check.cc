@@ -46,22 +46,13 @@ class EscapeSubrelation : public RoutingRelation
         return base.network();
     }
 
-    /** @name Hints, forwarded from the base relation (filtering out
-     *  channels changes neither source dependence, source classes nor
-     *  probe safety).
-     *  @{ */
-    SrcSensitivity
-    srcSensitivity() const override
-    {
-        return base.srcSensitivity();
-    }
+    /** Forwarded from the base relation: filtering out channels does not
+     *  change which sources share candidates. */
     topo::NodeId
     srcClass(topo::NodeId src) const override
     {
         return base.srcClass(src);
     }
-    bool probeSafe() const override { return base.probeSafe(); }
-    /** @} */
 
   private:
     const RoutingRelation &base;

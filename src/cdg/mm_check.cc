@@ -45,8 +45,7 @@ checkMendlovicMatias(const RoutingRelation &relation)
     std::vector<std::uint32_t> candOffset;
     std::vector<ChannelId> candPool;
 
-    std::vector<std::uint32_t> stamp;
-    std::vector<std::uint32_t> stack;
+    ReplayScratch replay;
     // The graph's non-ejecting states in per-pair visit order, and each
     // state's last position in it.
     std::vector<std::uint32_t> visits;
@@ -54,29 +53,15 @@ checkMendlovicMatias(const RoutingRelation &relation)
     walkStateGraphs(relation, [&](const StateGraph &g) {
         for (const ChannelId c : g.channel)
             occupied[c] = 1;
-        stamp.assign(g.size(), 0);
         last.resize(g.size());
         visits.clear();
-        for (std::uint32_t k = 0; k < g.sources.size(); ++k) {
-            const std::uint32_t epoch = k + 1;
-            const auto push = [&](std::span<const std::uint32_t> states) {
-                for (const std::uint32_t i : states)
-                    if (stamp[i] != epoch) {
-                        stamp[i] = epoch;
-                        stack.push_back(i);
-                    }
-            };
-            push(g.injection(k));
-            while (!stack.empty()) {
-                const std::uint32_t i = stack.back();
-                stack.pop_back();
+        for (std::size_t k = 0; k < g.sources.size(); ++k)
+            g.replay(k, replay, [&](std::uint32_t i) {
                 if (g.ejects[i])
-                    continue;
+                    return;
                 last[i] = static_cast<std::uint32_t>(visits.size());
                 visits.push_back(i);
-                push(g.candidates(i));
-            }
-        }
+            });
         report.numStates += visits.size();
         for (std::uint32_t pos = 0; pos < visits.size(); ++pos) {
             const std::uint32_t i = visits[pos];

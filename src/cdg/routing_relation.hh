@@ -13,7 +13,6 @@
 #ifndef EBDA_CDG_ROUTING_RELATION_HH
 #define EBDA_CDG_ROUTING_RELATION_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,29 +22,6 @@ namespace ebda::cdg {
 
 /** Sentinel for "packet is at its source, not yet on any channel". */
 constexpr topo::ChannelId kInjectionChannel = topo::kInvalidId;
-
-/**
- * Whether a relation's candidate sets depend on the packet's source
- * node. Table compilers (routing/route_table.hh) use the hint to size
- * the compiled table: source-independent relations need one row per
- * (input channel, destination); source-dependent ones one row per
- * (input channel, source, destination). The relation checkers
- * (cdg/state_walk.hh) read it too: they walk the routing states of
- * every source that shares candidates only once.
- */
-enum class SrcSensitivity : std::uint8_t
-{
-    /** Not declared — a compiler must probe every source exhaustively
-     *  before it may collapse the source axis. The sound default. */
-    Unknown,
-    /** candidatesInto() ignores `src`. Compilers may collapse the source
-     *  axis after a spot-check (the claim is also pinned exhaustively
-     *  by tests/test_route_table.cc). */
-    Independent,
-    /** candidatesInto() consults `src` (e.g. Odd-Even's source column,
-     *  Elevator-First's per-source elevator choice). */
-    Dependent,
-};
 
 /**
  * Abstract routing relation over a concrete network.
@@ -92,33 +68,21 @@ class RoutingRelation
     /** Human-readable algorithm name for reports. */
     virtual std::string name() const = 0;
 
-    /** Source-dependence hint for table compilers and the checkers. The
-     *  Unknown default is always sound: compilers then probe every
-     *  source, and the checkers walk every source on its own. */
-    virtual SrcSensitivity
-    srcSensitivity() const
-    {
-        return SrcSensitivity::Unknown;
-    }
-
     /**
-     * The source class of `src`, a node id below network().numNodes().
-     * Contract: two sources with the same class get the same
-     * candidates, in the same order, for every in-contract
-     * (in, at, dest). The checkers read it only from probe-safe
-     * relations that declare SrcSensitivity::Dependent, and spot-check
-     * it. The default, one class per source, is always sound.
+     * The source class of `src`, a node id below network().numNodes():
+     * the one source hint. Contract: two sources with the same class get
+     * the same candidates, in the same order, for every reachable
+     * (in, at, dest). The state walk (cdg/state_walk.hh) asks the
+     * relation once per (channel, class, destination) and spot-checks
+     * the classes; route tables (routing/route_table.hh) key their rows
+     * by (channel, destination) when every source has one class, and
+     * by (channel, source, destination) otherwise.
+     *
+     * Source-independent relations return 0; Odd-Even returns the
+     * source column. The default, one class per source, is always
+     * sound: then each state is one (src, dest) pair's state.
      */
     virtual topo::NodeId srcClass(topo::NodeId src) const { return src; }
-
-    /**
-     * True when candidatesInto() tolerates every in-contract
-     * (in, at, src, dest) combination, including (in, src) pairs no
-     * real packet could exhibit. Relations that assert on unreachable
-     * states (e.g. Elevator-First's phase checks) return false, which
-     * keeps table compilers from probing them.
-     */
-    virtual bool probeSafe() const { return true; }
 
     /** The network this relation routes on. */
     virtual const topo::Network &network() const = 0;

@@ -18,16 +18,9 @@ class GraphBuilder
           classOf(net.numNodes()), first(net.numNodes()),
           last(net.numNodes()), slotOf(net.numNodes())
     {
-        const bool probed = rel.probeSafe();
-        const SrcSensitivity sens = rel.srcSensitivity();
         for (NodeId s = 0; s < net.numNodes(); ++s) {
-            NodeId k = s;
-            if (probed && sens == SrcSensitivity::Independent)
-                k = 0;
-            else if (probed && sens == SrcSensitivity::Dependent)
-                k = rel.srcClass(s);
-            EBDA_ASSERT(k < net.numNodes(), "srcClass out of range");
-            classOf[s] = k;
+            classOf[s] = rel.srcClass(s);
+            EBDA_ASSERT(classOf[s] < net.numNodes(), "srcClass out of range");
         }
     }
 
@@ -99,8 +92,7 @@ class GraphBuilder
                 rel.candidatesInto(c, at, s, dest, cand);
                 if (other != s && (spotTick++ & 15u) == 0) {
                     // Probe another member: the current node when it is
-                    // one (as RouteTable::fill() asks), else the class's
-                    // first or last source.
+                    // one, else the class's first or last source.
                     const NodeId p = classOf[at] == k ? at : other;
                     if (p != s) {
                         rel.candidatesInto(c, at, p, dest, probe);

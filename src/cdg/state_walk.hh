@@ -1,36 +1,34 @@
 /**
  * @file
- * The reachable-state walk shared by the relation-level checkers: the
- * Dally CDG (relation_cdg), the Mendlovic–Matias fixpoint (mm_check),
- * the connectivity check and Duato's escape check.
+ * The one reachable-state walk. The relation-level checkers read it —
+ * the Dally CDG (relation_cdg), the Mendlovic–Matias fixpoint
+ * (mm_check), the connectivity check and Duato's escape check — and the
+ * route-table compiler (routing/route_table.hh) fills its rows from it.
  *
  * A routing state is (channel, src, dest) with the packet's head at the
  * channel's sink. A packet of the (src, dest) pair starts on one of its
  * injection candidates; a state whose head is the destination ejects,
  * every other state may move onto its candidates.
  *
- * walkStateGraphs() hands the checkers one StateGraph per destination,
+ * walkStateGraphs() hands its callers one StateGraph per destination,
  * dest major. The graph holds the states of every source bound for
- * dest, keyed by (channel, source class). Two sources share a class
- * when they get the same candidates in every state, so a state of a
- * class is one set of candidates however many of its sources reach it,
- * and the relation is asked once per (channel, class, destination):
- *
- *   - all sources form one class when the relation declares
- *     SrcSensitivity::Independent and is probe-safe;
- *   - the classes are RoutingRelation::srcClass() when it declares
- *     Dependent and is probe-safe (Odd-Even's source columns);
- *   - every source is its own class otherwise (Unknown, probe-unsafe
- *     relations). Each state is then one pair's state, as in a walk of
- *     one (src, dest) pair at a time.
+ * dest, keyed by (channel, source class), the classes being
+ * RoutingRelation::srcClass(). Two sources share a class when they get
+ * the same candidates in every state, so a state of a class is one set
+ * of candidates however many of its sources reach it, and the relation
+ * is asked once per (channel, class, destination). A source-independent
+ * relation has one class (srcClass() == 0), Odd-Even one per source
+ * column; with the default, one class per source, each state is one
+ * pair's state, as in a walk of one (src, dest) pair at a time.
  *
  * A state is asked for with a real source of its class: the one whose
- * walk discovered it. Every 16th state of a class with two or more
- * sources is spot-checked against another of them — the current node
- * when it belongs to the class (as RouteTable::fill() probes), else the
- * class's first or last source. A mismatch means the declaration is
- * false; that destination and every later one are then rebuilt with one
- * class per source.
+ * walk discovered it. So the relation is only ever asked about states a
+ * real packet can occupy, and relations may assert on the others. Every
+ * 16th state of a class with two or more sources is spot-checked
+ * against another of them — the current node when it belongs to the
+ * class, else the class's first or last source. A mismatch means the
+ * declaration is false; that destination and every later one are then
+ * rebuilt with one class per source.
  *
  * Replay order: states are numbered in the order a per-source replay
  * meets them. Sources are walked in ascending order, each breadth first
@@ -42,9 +40,9 @@
  * (src, dest) pair at a time, and states of one channel in different
  * classes come out in source order. The per-pair view is still there:
  * the states of pair (src, dest) are the closure of src's injection
- * candidates, and a checker that needs the per-pair visit order (the
- * MM release order does) replays it over the graph without asking the
- * relation again.
+ * candidates, and StateGraph::replay() visits them over the graph
+ * without asking the relation again (the MM release order needs the
+ * per-pair visit order; per-source route-table rows need the set).
  *
  * The walk owns its candidate buffers and reuses one graph, so it
  * allocates only while they grow.
@@ -53,6 +51,7 @@
 #ifndef EBDA_CDG_STATE_WALK_HH
 #define EBDA_CDG_STATE_WALK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -61,6 +60,15 @@
 #include "cdg/routing_relation.hh"
 
 namespace ebda::cdg {
+
+/** Reusable scratch of StateGraph::replay(). */
+struct ReplayScratch
+{
+    /** Per state: the epoch of the replay that last met it. */
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 0;
+    std::vector<std::uint32_t> stack;
+};
 
 /** The reachable routing states of one destination (see file doc).
  *  States are indexed 0..size()-1. */
@@ -97,6 +105,40 @@ struct StateGraph
     injection(std::size_t k) const
     {
         return {inj.data() + injBegin[k], inj.data() + injBegin[k + 1]};
+    }
+
+    /**
+     * Call visit(i) once for every state i of pair (sources[k], dest),
+     * the closure of injection(k), ejecting states included: in the
+     * order a walk of that pair alone pops them off a stack seeded with
+     * injection(k), pushing each state's unmet candidates. `scratch` is
+     * reused across calls and graphs.
+     */
+    template <typename Visit>
+    void
+    replay(std::size_t k, ReplayScratch &scratch, Visit &&visit) const
+    {
+        if (scratch.stamp.size() < size())
+            scratch.stamp.resize(size(), 0);
+        if (++scratch.epoch == 0) {
+            std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+            scratch.epoch = 1;
+        }
+        const std::uint32_t epoch = scratch.epoch;
+        const auto push = [&](std::span<const std::uint32_t> states) {
+            for (const std::uint32_t i : states)
+                if (scratch.stamp[i] != epoch) {
+                    scratch.stamp[i] = epoch;
+                    scratch.stack.push_back(i);
+                }
+        };
+        push(injection(k));
+        while (!scratch.stack.empty()) {
+            const std::uint32_t i = scratch.stack.back();
+            scratch.stack.pop_back();
+            visit(i);
+            push(candidates(i));
+        }
     }
 };
 

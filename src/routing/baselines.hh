@@ -33,13 +33,10 @@ class MeshRouting : public cdg::RoutingRelation
 
     const topo::Network &network() const override { return net; }
 
-    /** Every mesh baseline here ignores `src` — except Odd-Even, which
-     *  overrides this back to Dependent. */
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Every mesh baseline here ignores `src`, so every source is one
+     *  class — except Odd-Even, which overrides this with its source
+     *  columns. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
   protected:
     /** All VCs of the link leaving `at` along (dim, sign), appended to
@@ -135,15 +132,8 @@ class OddEvenRouting : public MeshRouting
 
     std::string name() const override { return "Odd-Even"; }
 
-    /** Chiu's ROUTE consults the source column parity. */
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Dependent;
-    }
-
-    /** ROUTE reads the source only as `cur_col == src_col`, so the
-     *  sources of one column share every candidate set. */
+    /** Chiu's ROUTE reads the source only as `cur_col == src_col`, so
+     *  the sources of one column share every candidate set. */
     topo::NodeId
     srcClass(topo::NodeId src) const override
     {
@@ -172,11 +162,8 @@ class MinimalAdaptiveRouting : public cdg::RoutingRelation
 
     const topo::Network &network() const override { return net; }
 
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Source-independent: every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
   private:
     const topo::Network &net;

@@ -36,11 +36,8 @@ class TorusDatelineRouting : public cdg::RoutingRelation
 
     const topo::Network &network() const override { return net; }
 
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Source-independent: every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
   private:
     const topo::Network &net;

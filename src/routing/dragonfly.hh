@@ -63,11 +63,8 @@ class DragonflyMinRouting : public cdg::RoutingRelation
         return escalate ? "Dragonfly-Min" : "Dragonfly-Min/NoEscape";
     }
 
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Source-independent: every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
     const topo::Network &network() const override { return net; }
 

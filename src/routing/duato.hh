@@ -41,11 +41,8 @@ class DuatoFullyAdaptive : public cdg::RoutingRelation
 
     const topo::Network &network() const override { return net; }
 
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Source-independent: every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
     /** True when the channel is the escape VC of its link. */
     bool isEscape(topo::ChannelId c) const;

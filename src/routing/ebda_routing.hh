@@ -76,12 +76,9 @@ class EbDaRouting : public cdg::RoutingRelation
     const topo::Network &network() const override { return net; }
 
     /** Candidates depend on the occupied channel and destination only
-     *  (class transitions + per-dest reachability), never the source. */
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+     *  (class transitions + per-dest reachability), never the source:
+     *  every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
     /** The extracted turn set driving the relation. */
     const core::TurnSet &turnSet() const { return turns; }

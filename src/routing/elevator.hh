@@ -43,19 +43,6 @@ class ElevatorFirstRouting : public cdg::RoutingRelation
 
     const topo::Network &network() const override { return net; }
 
-    /** The elevator choice is a function of the source. */
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Dependent;
-    }
-
-    /** candidatesInto() asserts on phase states no real packet can reach
-     *  (e.g. riding a vertical link with no Z offset for this source),
-     *  so exhaustive probing would abort — table compilers must fall
-     *  back to the virtual path. */
-    bool probeSafe() const override { return false; }
-
     /** The elevator column used for packets of the given source. */
     std::pair<int, int> elevatorFor(topo::NodeId src) const;
 

@@ -57,11 +57,8 @@ class FullMeshRouting : public cdg::RoutingRelation
                                     : "FullMesh-2Hop/Unrestricted";
     }
 
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Source-independent: every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
     const topo::Network &network() const override { return net; }
 

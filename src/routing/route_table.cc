@@ -2,18 +2,9 @@
 
 #include <chrono>
 
+#include "cdg/state_walk.hh"
+
 namespace ebda::routing {
-
-namespace {
-
-/** The node the head flits of channel c arrive at. */
-topo::NodeId
-headOf(const topo::Network &net, topo::ChannelId c)
-{
-    return net.link(net.linkOf(c)).dst;
-}
-
-} // namespace
 
 RouteTable::RouteTable(const cdg::RoutingRelation &relation,
                        Options options)
@@ -21,23 +12,10 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
       numNodes(relation.network().numNodes()),
       numChannels(relation.network().numChannels())
 {
-    if (!opts.enable || !rel.probeSafe())
+    if (!opts.enable)
         return;
     const auto t0 = std::chrono::steady_clock::now();
-    // Independent relations collapse the source axis; Dependent and
-    // Unknown compile per-source rows, which assume nothing about the
-    // relation and so need no detection pass.
-    wide = rel.srcSensitivity() != cdg::SrcSensitivity::Independent;
-    FillOutcome outcome = fill();
-    if (outcome == FillOutcome::SrcMismatch) {
-        // The Independent declaration failed its sample check: widen
-        // instead of compiling a corrupt table.
-        wide = true;
-        rows.clear();
-        pool.clear();
-        outcome = fill();
-    }
-    compiledFlag = outcome == FillOutcome::Ok;
+    compiledFlag = fill();
     if (!compiledFlag) {
         rows.clear();
         rows.shrink_to_fit();
@@ -51,10 +29,13 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
             .count());
 }
 
-RouteTable::FillOutcome
+bool
 RouteTable::fill()
 {
-    const topo::Network &net = rel.network();
+    // One source class collapses the source axis; more compile
+    // per-source rows.
+    for (topo::NodeId src = 1; src < numNodes && !wide; ++src)
+        wide = rel.srcClass(src) != rel.srcClass(0);
     const std::size_t chanRows = wide
         ? numChannels * numNodes * numNodes
         : numChannels * numNodes;
@@ -62,112 +43,50 @@ RouteTable::fill()
     const std::size_t rowCount = chanRows + numNodes * numNodes;
     const std::uint64_t rowBytes =
         static_cast<std::uint64_t>(rowCount) * sizeof(Row);
+    // Before the walk: an over-budget table asks the relation nothing.
     if (rowBytes > opts.memoryBudgetBytes)
-        return FillOutcome::OverBudget;
+        return false;
     rows.assign(rowCount, Row{});
-    bytes = rowBytes;
 
-    // Candidate buffers reused by every probe: `cand` holds the row
-    // being stored, `probe` a cross-source spot check.
-    std::vector<topo::ChannelId> cand;
-    std::vector<topo::ChannelId> probe;
-    const auto store = [&](std::size_t r) {
+    // Row r holds the channels of `states`, state indices of g.
+    const auto store = [&](const cdg::StateGraph &g, std::size_t r,
+                           std::span<const std::uint32_t> states) {
         rows[r].begin = static_cast<std::uint32_t>(pool.size());
-        rows[r].len = static_cast<std::uint32_t>(cand.size());
-        pool.insert(pool.end(), cand.begin(), cand.end());
+        rows[r].len = static_cast<std::uint32_t>(states.size());
+        for (const std::uint32_t i : states)
+            pool.push_back(g.channel[i]);
+    };
+    bool fits = true;
+    cdg::ReplayScratch replay;
+    const bool held = cdg::walkStateGraphs(rel, [&](const cdg::StateGraph &g) {
+        // Once the pool is over budget the rest of the walk stores
+        // nothing.
+        if (!fits)
+            return;
+        for (std::size_t k = 0; k < g.sources.size(); ++k) {
+            const topo::NodeId src = g.sources[k];
+            store(g, rowIndex(cdg::kInjectionChannel, src, g.dest),
+                  g.injection(k));
+            if (!wide)
+                continue;
+            // Packets eject on arrival; their rows are never queried.
+            g.replay(k, replay, [&](std::uint32_t i) {
+                if (!g.ejects[i])
+                    store(g, rowIndex(g.channel[i], src, g.dest),
+                          g.candidates(i));
+            });
+        }
+        if (!wide)
+            for (std::size_t i = 0; i < g.size(); ++i)
+                if (!g.ejects[i])
+                    store(g, rowIndex(g.channel[i], 0, g.dest),
+                          g.candidates(i));
         bytes = rowBytes
             + static_cast<std::uint64_t>(pool.size())
                 * sizeof(topo::ChannelId);
-        return bytes <= opts.memoryBudgetBytes;
-    };
-
-    // Reachability frontier, restarted per BFS pass without clearing:
-    // seen[c] == stamp marks c visited in the current pass.
-    std::vector<std::uint32_t> seen(numChannels, 0);
-    std::uint32_t stamp = 0;
-    std::vector<topo::ChannelId> frontier;
-    const auto push = [&] {
-        for (const topo::ChannelId c : cand) {
-            if (seen[c] != stamp) {
-                seen[c] = stamp;
-                frontier.push_back(c);
-            }
-        }
-    };
-
-    if (!wide) {
-        // One pass per destination, seeded by every source's injection
-        // candidates (the relation ignores the source, so the channels
-        // a dest-bound packet can occupy are this union).
-        std::size_t spotTick = 0;
-        const topo::NodeId probes[] = {
-            0, static_cast<topo::NodeId>(numNodes / 2),
-            static_cast<topo::NodeId>(numNodes - 1)};
-        for (topo::NodeId dest = 0; dest < numNodes; ++dest) {
-            ++stamp;
-            frontier.clear();
-            for (topo::NodeId src = 0; src < numNodes; ++src) {
-                if (src == dest)
-                    continue; // traffic never self-addresses
-                rel.candidatesInto(cdg::kInjectionChannel, src, src, dest,
-                                   cand);
-                if (!store(rowIndex(cdg::kInjectionChannel, src, dest)))
-                    return FillOutcome::OverBudget;
-                push();
-            }
-            for (std::size_t i = 0; i < frontier.size(); ++i) {
-                const topo::ChannelId in = frontier[i];
-                const topo::NodeId at = headOf(net, in);
-                // Packets eject on arrival; the row is never queried.
-                if (at == dest)
-                    continue;
-                rel.candidatesInto(in, at, at, dest, cand);
-                if (!store(rowIndex(in, at, dest)))
-                    return FillOutcome::OverBudget;
-                // Trust but verify: sample the Independent declaration
-                // on reachable states only (unreachable probes may
-                // trip relation invariant asserts).
-                if ((spotTick++ & 15u) == 0) {
-                    for (const topo::NodeId s : probes) {
-                        if (s == at)
-                            continue;
-                        rel.candidatesInto(in, at, s, dest, probe);
-                        if (probe != cand)
-                            return FillOutcome::SrcMismatch;
-                    }
-                }
-                push();
-            }
-        }
-        return FillOutcome::Ok;
-    }
-
-    // Wide: one pass per (src, dest) — every probed (in, src, dest) is
-    // a state some real packet can occupy, by induction from injection.
-    for (topo::NodeId src = 0; src < numNodes; ++src) {
-        for (topo::NodeId dest = 0; dest < numNodes; ++dest) {
-            if (dest == src)
-                continue; // traffic never self-addresses
-            ++stamp;
-            frontier.clear();
-            rel.candidatesInto(cdg::kInjectionChannel, src, src, dest,
-                               cand);
-            if (!store(rowIndex(cdg::kInjectionChannel, src, dest)))
-                return FillOutcome::OverBudget;
-            push();
-            for (std::size_t i = 0; i < frontier.size(); ++i) {
-                const topo::ChannelId in = frontier[i];
-                const topo::NodeId at = headOf(net, in);
-                if (at == dest)
-                    continue;
-                rel.candidatesInto(in, at, src, dest, cand);
-                if (!store(rowIndex(in, src, dest)))
-                    return FillOutcome::OverBudget;
-                push();
-            }
-        }
-    }
-    return FillOutcome::Ok;
+        fits = bytes <= opts.memoryBudgetBytes;
+    });
+    return held && fits;
 }
 
 void

@@ -8,37 +8,37 @@
  * current node, source, destination); the current node is itself
  * determined by the input channel (the head of `in`, or the source for
  * injection queries), so the whole relation fits in a table keyed by
- * (in, dest) — widened to (in, src, dest) when the relation consults
- * the source (e.g. Odd-Even's source column). Candidate *contents and
- * order* are exactly what the virtual relation returns, which is what
- * keeps compiled runs bit-identical to virtual-path runs.
+ * (in, dest) — widened to (in, src, dest) when the relation's sources
+ * fall into more than one class (RoutingRelation::srcClass(), e.g.
+ * Odd-Even's source columns). Candidate *contents and order* are
+ * exactly what the virtual relation returns, which is what keeps
+ * compiled runs bit-identical to virtual-path runs.
  *
- * Layout (rows hold {begin, len} into one shared candidate pool):
+ * Layout (rows hold {begin, len} into one shared candidate pool, one
+ * copy of the candidate list per row):
  *  - narrow: row(in, dest)       = in * N + dest, then an injection
  *    block at C * N keyed (src, dest) — injection candidates depend on
  *    the source because the source IS the current node there;
  *  - wide:   row(in, src, dest)  = (in * N + src) * N + dest, injection
  *    block at C * N * N.
  *
- * Probing is reachability-guided: rows are filled by BFS from the
- * injection candidates, so the compiler only ever queries channel
- * states a real packet can occupy. That matters — relations guard
- * their reachable-state invariants with asserts (EbDaRouting panics on
- * unclassified channels), and it is also cheaper: unreachable rows
- * stay empty and are never queried at runtime (a packet can only
- * occupy a channel some probed row offered, by induction from
- * injection).
+ * Filling: the rows come from the state graphs of the checkers' walk
+ * (cdg/state_walk.hh), so the relation is asked only about states a
+ * real packet can occupy, with a real source of the state's class.
+ * That matters — relations guard their reachable-state invariants with
+ * asserts (EbDaRouting panics on unclassified channels, Elevator-First
+ * on phases its own packets never enter). Unreachable rows stay empty
+ * and are never queried at runtime (a packet can only occupy a channel
+ * some filled row offered, by induction from injection). A narrow table
+ * stores each graph state's candidates once per (in, dest); a wide one
+ * replays each source's closure over the graph and stores a row per
+ * (in, src, dest) it meets.
  *
- * Compile-time soundness: a relation declaring SrcSensitivity::
- * Independent compiles narrow and is spot-checked against a
- * deterministic sample of sources (and exhaustively by
- * tests/test_route_table.cc); Unknown and Dependent relations compile
- * wide — per-source rows need no source-independence assumption, so
- * the Unknown default is sound without an exhaustive detection pass.
- * Relations whose candidates() may assert even on reachable probe
- * combinations opt out via probeSafe() and take the virtual fallback,
- * as does any table whose compiled size would exceed the configurable
- * memory budget.
+ * Fallbacks, all to the virtual relation, with tableBytes() == 0: a
+ * disabled table; rows alone over the memory budget (checked before the
+ * relation is asked anything); rows plus pool over the budget; and
+ * declared source classes that failed the walk's spot check (the table
+ * is not compiled from a declaration found false).
  *
  * Fault integration: the table is compiled over the simulator's
  * effective (possibly fault-degraded) relation. When a fault event
@@ -57,6 +57,9 @@
 #include "cdg/routing_relation.hh"
 
 namespace ebda::routing {
+
+/** Default cap on a route table's rows + candidate pool, in bytes. */
+constexpr std::uint64_t kDefaultRouteTableBudget = 64ull << 20;
 
 /**
  * Borrowed, immutable view of one candidate list. Valid until the
@@ -89,7 +92,7 @@ class RouteTable
         bool enable = true;
         /** Table size cap (rows + pool); beyond it the table falls
          *  back to the virtual relation. */
-        std::uint64_t memoryBudgetBytes = 64ull << 20;
+        std::uint64_t memoryBudgetBytes = kDefaultRouteTableBudget;
     };
 
     RouteTable(const cdg::RoutingRelation &relation, Options options);
@@ -100,7 +103,8 @@ class RouteTable
     }
 
     /** True when queries are served from the table; false on the
-     *  virtual fallback (disabled, probe-unsafe, or over budget). */
+     *  virtual fallback (disabled, over budget, or source classes that
+     *  failed their spot check). */
     bool compiled() const { return compiledFlag; }
 
     /** True when the table was widened to per-source rows. */
@@ -109,7 +113,7 @@ class RouteTable
     /** Bytes held by rows + candidate pool (0 when not compiled). */
     std::uint64_t tableBytes() const { return bytes; }
 
-    /** Wall-clock nanoseconds spent probing + filling the table. */
+    /** Wall-clock nanoseconds spent walking + filling the table. */
     std::uint64_t compileNanos() const { return compileNs; }
 
     /** Route-compute queries served so far (table or fallback). */
@@ -201,18 +205,10 @@ class RouteTable
             + dest;
     }
 
-    enum class FillOutcome : std::uint8_t
-    {
-        Ok,
-        /** Table would exceed the memory budget -> virtual fallback. */
-        OverBudget,
-        /** A declared-Independent relation disagreed across sources on
-         *  a sampled reachable state -> recompile wide. */
-        SrcMismatch,
-    };
-
-    /** Probe every reachable row (BFS from injection candidates). */
-    FillOutcome fill();
+    /** Fill every reachable row from the state walk. False when the
+     *  table is over budget or the source classes failed their spot
+     *  check. */
+    bool fill();
 
     void buildReverseIndex();
 

@@ -43,11 +43,8 @@ class UpDownRouting : public cdg::RoutingRelation
 
     const topo::Network &network() const override { return net; }
 
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return cdg::SrcSensitivity::Independent;
-    }
+    /** Source-independent: every source is one class. */
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
 
     /** True when the link is oriented toward the root. */
     bool isUp(topo::LinkId l) const { return upLink[l]; }

@@ -190,22 +190,13 @@ class FaultedRelationView final : public cdg::RoutingRelation
         return base.network();
     }
 
-    /** @name Hints, forwarded from the base relation (filtering
-     *  dead channels changes neither source dependence, source classes
-     *  nor probe safety).
-     *  @{ */
-    cdg::SrcSensitivity
-    srcSensitivity() const override
-    {
-        return base.srcSensitivity();
-    }
+    /** Forwarded from the base relation: filtering dead channels does not
+     *  change which sources share candidates. */
     topo::NodeId
     srcClass(topo::NodeId src) const override
     {
         return base.srcClass(src);
     }
-    bool probeSafe() const override { return base.probeSafe(); }
-    /** @} */
 
   private:
     const cdg::RoutingRelation &base;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "routing/route_table.hh"
 #include "sim/scheduler.hh"
 
 namespace ebda::sim {
@@ -188,7 +189,7 @@ struct SimConfig
     bool routeTable = true;
     /** Route-table size cap in bytes; a table that would exceed it
      *  falls back to the virtual relation. */
-    std::uint64_t routeTableBudget = 64ull << 20;
+    std::uint64_t routeTableBudget = routing::kDefaultRouteTableBudget;
     /** Scheduling mode (sim/scheduler.hh). Auto resolves per run
      *  via EBDA_SCHED_MODE / the injection-rate heuristic; both
      *  modes produce trace-equivalent results, so the resolved

@@ -11,13 +11,13 @@
  * connectivity failures and the Duato report. Any change to how the
  * checkers walk routing states must keep every byte.
  *
- * Differential cases: a wrapper that forwards every call but declares
- * SrcSensitivity::Unknown forces the checkers to walk one source at a
- * time. Over seeded random 2D and 3D meshes and tori and every factory
- * router they host, Elevator-First on seeded partial 3D meshes, an
- * ASCII-map fabric, and relations that lie about source independence
- * or source classes, the wrapped and unwrapped reports must be
- * byte-identical. The same cases cross-check the verdicts: an acyclic
+ * Differential cases: a wrapper that forwards every call but keeps the
+ * default source classes, one per source, forces the checkers to walk
+ * one source at a time. Over seeded random 2D and 3D meshes and tori
+ * and every factory router they host, Elevator-First on seeded partial
+ * 3D meshes, an ASCII-map fabric, and relations that lie about source
+ * independence or source classes, the wrapped and unwrapped reports
+ * must be byte-identical. The same cases cross-check the verdicts: an acyclic
  * Dally CDG implies a Mendlovic–Matias release, and the two agree on
  * deterministic relations.
  */
@@ -49,7 +49,8 @@
 namespace ebda::cdg {
 namespace {
 
-/** Forwards every call to `base` but declares no source sensitivity. */
+/** Forwards every call to `base` but keeps the default source classes,
+ *  one per source. */
 class UndeclaredView final : public RoutingRelation
 {
   public:
@@ -63,12 +64,6 @@ class UndeclaredView final : public RoutingRelation
         base.candidatesInto(in, at, src, dest, out);
     }
     std::string name() const override { return base.name(); }
-    topo::NodeId
-    srcClass(topo::NodeId src) const override
-    {
-        return base.srcClass(src);
-    }
-    bool probeSafe() const override { return base.probeSafe(); }
     const topo::Network &network() const override
     {
         return base.network();
@@ -102,10 +97,9 @@ class MisdeclaredRelation final : public RoutingRelation
     {
         return base.network();
     }
-    SrcSensitivity
-    srcSensitivity() const override
+    topo::NodeId srcClass(topo::NodeId) const override
     {
-        return SrcSensitivity::Independent; // the lie
+        return 0; // the lie
     }
 
   private:
@@ -133,11 +127,6 @@ class RowClassedOddEven final : public RoutingRelation
     const topo::Network &network() const override
     {
         return base.network();
-    }
-    SrcSensitivity
-    srcSensitivity() const override
-    {
-        return base.srcSensitivity();
     }
     topo::NodeId
     srcClass(topo::NodeId src) const override
@@ -413,8 +402,8 @@ TEST(CheckerEquiv, UndeclaredSensitivityGivesIdenticalReports)
     }
     EXPECT_GE(compared3d, 35u); // 38 with this seed
 
-    // Elevator-First on partial 3D meshes: probe-unsafe, so both sides
-    // keep one class per source.
+    // Elevator-First on partial 3D meshes: it keeps the default classes,
+    // so both sides walk one class per source.
     std::bernoulli_distribution lift(0.4);
     for (int trial = 0; trial < 4; ++trial) {
         const std::vector<int> dims = {side3(rng) + 1, side3(rng) + 1,

@@ -5,20 +5,23 @@
  * candidate contents, same order — at every state a packet can occupy.
  *
  * "Every state" means every *reachable* (in, src, dest): the compiler
- * probes by BFS from the injection candidates, so unreachable rows are
- * deliberately empty (relations like EbDaRouting assert on unreachable
- * probe combinations; the runtime never queries them). The checker
- * here replays the same reachability closure through the virtual
- * relation and compares exhaustively on it.
+ * fills its rows from the checkers' reachable-state walk, so
+ * unreachable rows are deliberately empty (relations like EbDaRouting
+ * and Elevator-First assert on unreachable combinations; the runtime
+ * never queries them). The oracle here is an independent BFS of the
+ * same reachability closure, one (src, dest) pair at a time, through
+ * the virtual relation, and compares exhaustively on it.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "routing/baselines.hh"
@@ -137,6 +140,10 @@ const std::vector<const char *> kMeshSpecs = {
 const std::vector<const char *> kTorusSpecs = {
     "minimal", "fig7b", "fig7c", "region:4", "merged:4",
 };
+/** Routers that host 3D meshes (the 2D turn models assert on them). */
+const std::vector<const char *> kMesh3dSpecs = {
+    "xy", "yx", "minimal", "duato", "region:3", "merged:3", "updown",
+};
 
 struct NetCase
 {
@@ -155,6 +162,8 @@ catalogNetworks()
         {"mesh5x5", topo::Network::mesh({5, 5}, {2, 2}), kMeshSpecs});
     out.push_back(
         {"torus4x4", topo::Network::torus({4, 4}, {2, 2}), kTorusSpecs});
+    out.push_back({"mesh3x3x2", topo::Network::mesh({3, 3, 2}, {2, 2, 2}),
+                   kMesh3dSpecs});
     return out;
 }
 
@@ -182,7 +191,23 @@ TEST(RouteTable, CatalogRelationsCompileAndMatchVirtual)
     }
     // The catalog must broadly host on these networks — guard against
     // makeRouter silently rejecting everything.
-    EXPECT_GE(compiledRelations, 20u);
+    EXPECT_GE(compiledRelations, 33u); // 36 on these networks
+}
+
+/** The table sizes `bench_route_compute` records on the 8x8 2-VC mesh:
+ *  narrow for xy and fig7b, per source for odd-even. */
+TEST(RouteTable, MeshEightByEightTableBytesArePinned)
+{
+    const auto net = topo::Network::mesh({8, 8}, {2, 2});
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"xy", 355'328}, {"odd-even", 15'862'848}, {"fig7b", 365'408}};
+    for (const auto &[spec, bytes] : pinned) {
+        const auto rel = sweep::makeRouter(net, spec);
+        ASSERT_NE(rel, nullptr) << spec;
+        const RouteTable table(*rel);
+        EXPECT_TRUE(table.compiled()) << spec;
+        EXPECT_EQ(table.tableBytes(), bytes) << spec;
+    }
 }
 
 TEST(RouteTable, TorusDatelineCompilesAndMatches)
@@ -225,7 +250,6 @@ TEST(RouteTable, OddEvenSourceClassesShareCandidates)
         const auto net = topo::Network::mesh(dims, {1, 1});
         const auto rel = sweep::makeRouter(net, "odd-even");
         ASSERT_NE(rel, nullptr);
-        ASSERT_EQ(rel->srcSensitivity(), cdg::SrcSensitivity::Dependent);
 
         // The first source of every class.
         std::vector<topo::NodeId> rep(net.numNodes(), topo::kInvalidId);
@@ -269,8 +293,8 @@ TEST(RouteTable, OddEvenSourceClassesShareCandidates)
 /**
  * A relation that lies about source independence: candidate order
  * flips whenever the consulted source differs from the current node.
- * The compiler's sample check must catch the lie and recompile wide
- * instead of freezing a corrupt narrow table.
+ * The walk's spot check must catch the lie, and the table must take the
+ * virtual path instead of freezing a corrupt narrow table.
  */
 class MisdeclaredRelation final : public cdg::RoutingRelation
 {
@@ -295,23 +319,22 @@ class MisdeclaredRelation final : public cdg::RoutingRelation
     {
         return base.network();
     }
-    cdg::SrcSensitivity
-    srcSensitivity() const override
+    topo::NodeId srcClass(topo::NodeId) const override
     {
-        return cdg::SrcSensitivity::Independent; // the lie
+        return 0; // the lie
     }
 
   private:
     routing::MinimalAdaptiveRouting base;
 };
 
-TEST(RouteTable, MisdeclaredIndependenceWidensInsteadOfCorrupting)
+TEST(RouteTable, MisdeclaredIndependenceFallsBackInsteadOfCorrupting)
 {
     const auto net = topo::Network::mesh({4, 4}, {2, 2});
     const MisdeclaredRelation rel(net);
     const RouteTable table(rel);
-    EXPECT_TRUE(table.compiled());
-    EXPECT_TRUE(table.perSource());
+    EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.tableBytes(), 0u);
     const auto oracle = relationOracle(rel);
     expectTableMatches(table, net, oracle, oracle);
 }
@@ -357,27 +380,92 @@ TEST(RouteTable, TinyBudgetFallsBackToVirtual)
     const auto net = topo::Network::mesh({4, 4}, {2, 2});
     const auto rel = sweep::makeRouter(net, "fig7b");
     ASSERT_NE(rel, nullptr);
-    const RouteTable table(*rel, RouteTable::Options{true, 64});
-    EXPECT_FALSE(table.compiled());
-    EXPECT_EQ(table.tableBytes(), 0u);
-    // The fallback path still answers, identically to the relation.
-    const auto oracle = relationOracle(*rel);
-    expectTableMatches(table, net, oracle, oracle);
+    ASSERT_FALSE(RouteTable(*rel).perSource());
+    // A budget below the rows, and one that holds the rows but not
+    // their candidate pool, which the walk overflows part way.
+    const std::uint64_t nodes = net.numNodes();
+    const std::uint64_t rowBytes =
+        (net.numChannels() * nodes + nodes * nodes) * 8;
+    for (const std::uint64_t budget : {std::uint64_t{64}, rowBytes + 64}) {
+        const RouteTable table(*rel, RouteTable::Options{true, budget});
+        EXPECT_FALSE(table.compiled()) << budget;
+        EXPECT_EQ(table.tableBytes(), 0u) << budget;
+        // The fallback path still answers, identically to the relation.
+        const auto oracle = relationOracle(*rel);
+        expectTableMatches(table, net, oracle, oracle);
+    }
 }
 
-TEST(RouteTable, ProbeUnsafeRelationFallsBack)
+/** Forwards every call to `base`, source classes included, and counts
+ *  the candidate queries. */
+class CountingView final : public cdg::RoutingRelation
 {
-    // Elevator-First asserts on phase states its own routing never
-    // produces, so it opts out of probing and takes the fallback.
-    const std::vector<std::pair<int, int>> elevators = {{0, 0}, {2, 2}};
-    const auto net = topo::Network::partialMesh3d({3, 3, 3}, {2, 2, 1},
-                                                  elevators);
-    const ElevatorFirstRouting rel(net, elevators);
-    EXPECT_FALSE(rel.probeSafe());
-    const RouteTable table(rel);
+  public:
+    explicit CountingView(const cdg::RoutingRelation &base) : base(base) {}
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        ++queries;
+        base.candidatesInto(in, at, src, dest, out);
+    }
+    std::string name() const override { return base.name(); }
+    topo::NodeId
+    srcClass(topo::NodeId src) const override
+    {
+        return base.srcClass(src);
+    }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+
+    mutable std::uint64_t queries = 0;
+
+  private:
+    const cdg::RoutingRelation &base;
+};
+
+TEST(RouteTable, OverBudgetRowsAskTheRelationNothing)
+{
+    // Odd-Even's per-source rows on the 16x16 2-VC mesh are over the
+    // default budget: the table falls back before the walk starts.
+    const auto net = topo::Network::mesh({16, 16}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "odd-even");
+    ASSERT_NE(rel, nullptr);
+    const CountingView counted(*rel);
+    const RouteTable table(counted);
     EXPECT_FALSE(table.compiled());
-    const auto oracle = relationOracle(rel);
-    expectTableMatches(table, net, oracle, oracle);
+    EXPECT_EQ(table.tableBytes(), 0u);
+    EXPECT_EQ(counted.queries, 0u);
+}
+
+/**
+ * Elevator-First asserts on phase states its own packets never enter,
+ * and its elevator choice depends on the source. The walk asks only
+ * reachable states with real sources, so it compiles per-source rows.
+ * The 3x3x3 fabric with two elevators and the four-corner 4x4x3 fabric
+ * of examples/irregular_3d.cc.
+ */
+TEST(RouteTable, ElevatorFirstCompilesPerSource)
+{
+    const std::vector<std::pair<std::vector<int>,
+                                std::vector<std::pair<int, int>>>>
+        fabrics = {{{3, 3, 3}, {{0, 0}, {2, 2}}},
+                   {{4, 4, 3}, {{0, 0}, {0, 3}, {3, 0}, {3, 3}}}};
+    for (const auto &[dims, elevators] : fabrics) {
+        const auto net =
+            topo::Network::partialMesh3d(dims, {2, 2, 1}, elevators);
+        const ElevatorFirstRouting rel(net, elevators);
+        const RouteTable table(rel);
+        EXPECT_TRUE(table.compiled()) << dims[0] << 'x' << dims[1];
+        EXPECT_TRUE(table.perSource()) << dims[0] << 'x' << dims[1];
+        const auto oracle = relationOracle(rel);
+        EXPECT_GT(expectTableMatches(table, net, oracle, oracle),
+                  net.numNodes() * 2u);
+    }
 }
 
 TEST(RouteTable, DisabledTableCountsCalls)
@@ -396,13 +484,15 @@ TEST(RouteTable, DisabledTableCountsCalls)
 /**
  * End to end: a faulted simulation routed through the compiled table
  * must be bit-identical to the same run on the virtual path — the
- * route-table meta fields are the only JSON difference allowed.
+ * route-table meta fields are the only JSON difference allowed. One
+ * link fault and one router fault, each given as a node pair / node.
  */
-TEST(RouteTable, FaultedSimulationBitIdenticalTableVsVirtual)
+void
+expectFaultedRunBitIdentical(const topo::Network &net,
+                             const cdg::RoutingRelation &rel,
+                             topo::NodeId linkSrc, topo::NodeId linkDst,
+                             topo::NodeId deadRouter)
 {
-    const auto net = topo::Network::mesh({4, 4}, {2, 2});
-    const auto rel = sweep::makeRouter(net, "fig7b");
-    ASSERT_NE(rel, nullptr);
     const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
 
     sim::SimConfig cfg;
@@ -414,29 +504,51 @@ TEST(RouteTable, FaultedSimulationBitIdenticalTableVsVirtual)
     cfg.seed = 99;
     sim::FaultEvent link;
     link.cycle = 300;
-    link.src = net.node({1, 1});
-    link.dst = net.node({2, 1});
+    link.src = linkSrc;
+    link.dst = linkDst;
     sim::FaultEvent router;
     router.cycle = 600;
     router.router = true;
-    router.node = net.node({3, 0});
+    router.node = deadRouter;
     cfg.faults.events = {link, router};
 
     cfg.routeTable = true;
-    auto onTable = sim::runSimulation(net, *rel, gen, cfg);
+    auto onTable = sim::runSimulation(net, rel, gen, cfg);
     cfg.routeTable = false;
-    auto onVirtual = sim::runSimulation(net, *rel, gen, cfg);
+    auto onVirtual = sim::runSimulation(net, rel, gen, cfg);
 
     // Same decisions -> same query count, even across fault events.
-    EXPECT_EQ(onTable.routeComputeCalls, onVirtual.routeComputeCalls);
-    EXPECT_TRUE(onTable.routeTableCompiled);
-    EXPECT_FALSE(onVirtual.routeTableCompiled);
+    EXPECT_EQ(onTable.routeComputeCalls, onVirtual.routeComputeCalls)
+        << rel.name();
+    EXPECT_TRUE(onTable.routeTableCompiled) << rel.name();
+    EXPECT_FALSE(onVirtual.routeTableCompiled) << rel.name();
+    EXPECT_GT(onTable.faultEventsApplied, 0u) << rel.name();
 
     // Erase the meta fields; everything else must match bit for bit.
     onTable.routeTableCompiled = onVirtual.routeTableCompiled = false;
     onTable.routeTablePerSource = onVirtual.routeTablePerSource = false;
     onTable.routeTableBytes = onVirtual.routeTableBytes = 0;
-    EXPECT_EQ(sim::toJson(onTable), sim::toJson(onVirtual));
+    EXPECT_EQ(sim::toJson(onTable), sim::toJson(onVirtual)) << rel.name();
+}
+
+TEST(RouteTable, FaultedSimulationBitIdenticalTableVsVirtual)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "fig7b");
+    ASSERT_NE(rel, nullptr);
+    expectFaultedRunBitIdentical(net, *rel, net.node({1, 1}),
+                                 net.node({2, 1}), net.node({3, 0}));
+
+    // Elevator-First on the partial 3D fabric of test_integration:
+    // per-source rows, filtered by the same fault events.
+    const std::vector<std::pair<int, int>> elevators = {
+        {0, 0}, {0, 2}, {2, 0}, {2, 2}};
+    const auto net3d =
+        topo::Network::partialMesh3d({3, 3, 2}, {2, 2, 1}, elevators);
+    const ElevatorFirstRouting elevator(net3d, elevators);
+    expectFaultedRunBitIdentical(net3d, elevator, net3d.node({1, 1, 0}),
+                                 net3d.node({2, 1, 0}),
+                                 net3d.node({1, 0, 1}));
 }
 
 } // namespace
