@@ -20,7 +20,13 @@
  *  - the two backends disagree on any result field other than the
  *    trailing schedMode/wakeups pair (trace equivalence, re-checked
  *    here on the actual bench configs), or
- *  - a run deadlocks, aborts, or the hooks never fire.
+ *  - a run deadlocks, aborts, or the hooks never fire, or
+ *  - the injection engine alone (256 streams drawn for 1M cycles at
+ *    a per-cycle packet rate of 1e-4) reports a different hit stream
+ *    with its default helper threads than with none, or, on hosts
+ *    with at least 4 threads (hostThreads()), draws less than 1.5x as
+ *    fast with them; on smaller hosts that speed gate is skipped with
+ *    a visible NOTICE.
  *
  * Machine-readable output: the JSON summary goes to stdout and, when
  * EBDA_SCHED_BENCH_JSON is set, to that path;
@@ -36,11 +42,13 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/sim_json.hh"
 #include "sim/simulator.hh"
 #include "sweep/router_factory.hh"
+#include "util/host_threads.hh"
 #include "util/json.hh"
 
 namespace ebda {
@@ -169,6 +177,55 @@ baselineSatCyclesPerSec(const char *path)
     return 0.0;
 }
 
+/** One engine-only pass: every hit of `streams` drawn to `horizon`
+ *  with the given helper count, folded into an order-sensitive
+ *  digest, plus the wall time of construction and draining. */
+struct EnginePass
+{
+    double seconds = 0.0;
+    std::uint64_t hits = 0;
+    std::uint64_t digest = 0;
+    unsigned helpers = 0;
+};
+
+EnginePass
+drawEngine(const std::vector<sim::Router> &streams,
+           const sim::TrafficGenerator &gen, double packet_rate,
+           std::uint64_t horizon, unsigned helpers)
+{
+    EnginePass p;
+    const auto t0 = Clock::now();
+    sim::InjectionEngine engine(streams, gen, packet_rate, horizon,
+                                helpers);
+    while (const auto c = engine.nextHitCycle())
+        engine.consumeHits(*c, [&](std::uint32_t node, std::uint32_t d) {
+            ++p.hits;
+            p.digest = (p.digest ^ (*c << 20 ^ node << 10 ^ d))
+                * 0x100000001b3ULL;
+        });
+    p.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    p.helpers = engine.helpers();
+    return p;
+}
+
+/** Best-of-kReps draw rate (streams x cycles per second). */
+EnginePass
+measureEngine(const std::vector<sim::Router> &streams,
+              const sim::TrafficGenerator &gen, double packet_rate,
+              std::uint64_t horizon, unsigned helpers, const char *tag)
+{
+    EnginePass best;
+    for (int r = 0; r < kReps; ++r) {
+        const EnginePass p =
+            drawEngine(streams, gen, packet_rate, horizon, helpers);
+        std::fprintf(stderr, "  engine %s rep %d: %.3f ms\n", tag, r,
+                     p.seconds * 1e3);
+        if (r == 0 || p.seconds < best.seconds)
+            best = p;
+    }
+    return best;
+}
+
 int
 benchMain()
 {
@@ -251,6 +308,53 @@ benchMain()
     if (speedup < 5.0)
         pass = false;
 
+    // Engine-only row: the idle-skipping draw engine on the bench's
+    // 256 streams, inline (0 helpers) against the default helpers.
+    // The hit streams must agree exactly; the speed gate needs a host
+    // with cores to spare for the helpers.
+    std::vector<sim::Router> streams;
+    for (topo::NodeId n = 0; n < net.numNodes(); ++n)
+        streams.emplace_back(n, cfg.seed);
+    constexpr double kEngineRate = 1e-4;
+    constexpr std::uint64_t kEngineCycles = 1000000;
+    std::fprintf(stderr, "engine-only (%zu streams, %llu cycles):\n",
+                 streams.size(),
+                 static_cast<unsigned long long>(kEngineCycles));
+    const EnginePass inline_pass = measureEngine(
+        streams, gen, kEngineRate, kEngineCycles, 0, "inline");
+    const EnginePass helper_pass =
+        measureEngine(streams, gen, kEngineRate, kEngineCycles,
+                      sim::InjectionEngine::defaultHelpers(), "helpers");
+    const unsigned host_threads = hostThreads();
+    const double draws = static_cast<double>(streams.size())
+        * static_cast<double>(kEngineCycles);
+    const double inline_rate = draws / inline_pass.seconds;
+    const double helper_rate = draws / helper_pass.seconds;
+    const double engine_speedup = helper_rate / inline_rate;
+    const bool streams_agree = inline_pass.hits == helper_pass.hits
+        && inline_pass.digest == helper_pass.digest;
+    std::printf("  engine:     %u draw helper%s (host threads %u): "
+                "inline %.3g draws/s, helpers %.3g draws/s -> %.2fx; "
+                "%llu hits, streams %s\n",
+                helper_pass.helpers, helper_pass.helpers == 1 ? "" : "s",
+                host_threads, inline_rate, helper_rate, engine_speedup,
+                static_cast<unsigned long long>(helper_pass.hits),
+                streams_agree ? "identical" : "DIFFER");
+    if (!streams_agree)
+        pass = false;
+    const bool engine_gate = host_threads >= 4;
+    if (engine_gate) {
+        std::printf("  engine helper gate: %.2fx >= 1.5x: %s\n",
+                    engine_speedup,
+                    engine_speedup >= 1.5 ? "ok" : "TOO SLOW");
+        if (engine_speedup < 1.5)
+            pass = false;
+    } else {
+        std::printf("  NOTICE: engine helper gate SKIPPED — host has "
+                    "%u thread%s (< 4)\n",
+                    host_threads, host_threads == 1 ? "" : "s");
+    }
+
     double baseline_sat = 0.0;
     if (const char *path = std::getenv("EBDA_SIM_BASELINE_JSON");
         path && *path) {
@@ -288,6 +392,13 @@ benchMain()
          << ",\"event_sat_cycles_per_sec\":"
          << sat_event.bestCyclesPerSec
          << ",\"baseline_sat_cycles_per_sec\":" << baseline_sat
+         << ",\"host_threads\":" << host_threads
+         << ",\"draw_helpers\":" << helper_pass.helpers
+         << ",\"engine_inline_draws_per_sec\":" << inline_rate
+         << ",\"engine_helper_draws_per_sec\":" << helper_rate
+         << ",\"engine_helper_speedup\":" << engine_speedup
+         << ",\"engine_helper_gate\":\""
+         << (engine_gate ? "enforced" : "skipped") << "\""
          << ",\"pass\":" << (pass ? "true" : "false") << "}";
 
     std::cout << "\nSCHED_BENCH_JSON: " << json.str() << '\n';

@@ -1,12 +1,13 @@
 #include "sim/shard_partition.hh"
 
+#include "util/host_threads.hh"
+
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace ebda::sim {
 
@@ -45,9 +46,7 @@ shardWorkerThreads(int shards)
                 + "': expected a whole number >= 1");
     }
     if (t == 0)
-        t = std::thread::hardware_concurrency();
-    if (t == 0)
-        t = 1;
+        t = hostThreads();
     return std::min(t, static_cast<unsigned>(std::max(1, shards)));
 }
 

@@ -64,8 +64,8 @@ int resolveShardCount(int requested, std::size_t num_nodes,
 
 /**
  * Worker threads for a run with the given shard count: the
- * EBDA_SHARD_THREADS environment variable when set, else
- * std::thread::hardware_concurrency(), clamped to [1, shards]. The
+ * EBDA_SHARD_THREADS environment variable when set, else the CPUs
+ * this process may run on (hostThreads()), clamped to [1, shards]. The
  * thread count never affects results — only how the fixed shard list
  * is divided among executors.
  *

@@ -564,6 +564,8 @@ Simulator::runSerial(SimResult &result, bool skip_idle)
     std::optional<InjectionEngine> engine;
     EventQueue deadlines;
     if (skip_idle) {
+        // The engine starts its draw helpers here; leaving this scope
+        // on any exit (drain, abort, deadlock) joins them.
         engine.emplace(routerTable, traffic, packetRate, hardStop);
         deadlines.push(measureStart, EventKind::MeasureStart);
         deadlines.push(measureEnd, EventKind::MeasureEnd);

@@ -1,12 +1,13 @@
 #include "thread_pool.hh"
 
+#include "util/host_threads.hh"
+
 namespace ebda::sweep {
 
 int
 ThreadPool::defaultThreads()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    return static_cast<int>(hostThreads());
 }
 
 ThreadPool::ThreadPool(int threads)

@@ -64,7 +64,8 @@ class ThreadPool
     void parallelForOrdered(const std::vector<std::size_t> &order,
                             const std::function<void(std::size_t)> &fn);
 
-    /** Default worker count: the hardware concurrency (>= 1). */
+    /** Default worker count: the CPUs this process may run on
+     *  (hostThreads(), >= 1). */
     static int defaultThreads();
 
   private:

@@ -13,10 +13,15 @@
  * event mode skips most cycles, transpose and hotspot traffic, a
  * dragonfly run, faulted, protocol and degenerate-rate runs (which
  * execute every cycle in both modes), a forced deadlock, and runs
- * stopped by the cycle limit and by the abort callback. Comparison is
+ * stopped by the cycle limit and by the abort callback (one of them
+ * with the stop landing mid-window, the draw helpers busy ahead), and
+ * a 16x16 run spanning many injection-engine windows. Comparison is
  * on the full result JSON with the tail stripped, so any new field is
- * automatically covered. The last cases check that malformed
- * EBDA_SCHED_MODE and EBDA_SHARD_THREADS values are rejected.
+ * automatically covered. The injection engine is also checked on its
+ * own: for 0, 1 and 3 helper threads its hit stream and final stream
+ * states must equal per-cycle draws of every node's Rng. The last
+ * cases check that malformed EBDA_SCHED_MODE and EBDA_SHARD_THREADS
+ * values are rejected.
  */
 
 #include <cstdlib>
@@ -31,6 +36,7 @@
 #include "routing/baselines.hh"
 #include "routing/dragonfly.hh"
 #include "routing/ebda_routing.hh"
+#include "sim/event_queue.hh"
 #include "sim/shard_partition.hh"
 #include "sim/sim_json.hh"
 #include "sim/simulator.hh"
@@ -369,6 +375,168 @@ TEST(SchedEquiv, AbortCheckStopsAtTheSamePoll)
     EXPECT_EQ(rc.cycles, 3072u);
     EXPECT_LT(re.wakeups, rc.wakeups / 2)
         << "the abort poll kept the event loop from skipping";
+}
+
+/** The abort poll that stops this run (cycle 5120) falls inside an
+ *  injection-engine window, while the helpers are already drawing the
+ *  next one: the run must stop at the same poll as the cycle loop, and
+ *  tearing down the engine must join the busy helpers. */
+TEST(SchedEquiv, AbortMidWindowJoinsDrawHelpers)
+{
+    const auto net = topo::Network::mesh({8, 8}, {1, 2});
+    const routing::EbDaRouting router(net, core::schemeFig7b());
+    const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
+
+    sim::SimConfig cfg;
+    cfg.seed = 9;
+    cfg.injectionRate = 0.001;
+    cfg.warmupCycles = 2000;
+    cfg.measureCycles = 20000;
+    cfg.drainCycles = 30000;
+    const auto [rc, re] = expectEquivalent(net, router, gen, cfg, 0, 5);
+    EXPECT_TRUE(re.aborted);
+    EXPECT_EQ(re.cycles, 5120u);
+    EXPECT_NE(re.cycles % 4096, 0u) << "the stop must land mid-window";
+}
+
+/** A zero-load 16x16 run long enough to cross ~15 engine windows:
+ *  every window boundary is a hand-off between the serial loop and
+ *  the draw helpers. */
+TEST(SchedEquiv, IdleRunSpansManyDrawWindows)
+{
+    const auto net = topo::Network::mesh({16, 16}, {2, 2});
+    const routing::EbDaRouting router(net, core::schemeFig7b());
+    const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
+
+    sim::SimConfig cfg;
+    cfg.seed = 31;
+    cfg.injectionRate = 1e-4;
+    cfg.warmupCycles = 5000;
+    cfg.measureCycles = 55000;
+    cfg.drainCycles = 20000;
+    const auto [rc, re] = expectEquivalent(net, router, gen, cfg);
+    EXPECT_GE(rc.cycles, 60000u);
+    EXPECT_GT(re.packetsEjected, 0u);
+    EXPECT_LT(re.wakeups, rc.wakeups / 4);
+}
+
+// ---------------------------------------------------------------------
+// The injection engine on its own, against per-cycle draws.
+
+struct DrawnHit
+{
+    std::uint64_t cycle;
+    std::uint32_t node;
+    std::uint32_t dest;
+    bool operator==(const DrawnHit &) const = default;
+};
+
+/** 30 nodes: 8 lane groups (two of the lanes padding), 4 lane pairs,
+ *  so 3 helpers get uneven slices (1, 1 and 2 pairs). */
+const topo::Network &
+engineNet()
+{
+    static const auto net = topo::Network::mesh({6, 5}, {1, 1});
+    return net;
+}
+
+std::vector<sim::Router>
+seededRouters(std::uint64_t seed)
+{
+    std::vector<sim::Router> routers;
+    for (topo::NodeId n = 0; n < engineNet().numNodes(); ++n)
+        routers.emplace_back(n, seed);
+    return routers;
+}
+
+/** Everything the engine reports up to its horizon, then its streams:
+ *  after the last hit no window is in flight. */
+std::pair<std::vector<DrawnHit>, std::vector<std::array<std::uint64_t, 4>>>
+drainEngine(sim::InjectionEngine &engine)
+{
+    std::vector<DrawnHit> hits;
+    while (const auto c = engine.nextHitCycle())
+        engine.consumeHits(*c, [&](std::uint32_t node, std::uint32_t d) {
+            hits.push_back({*c, node, d});
+        });
+    std::vector<std::array<std::uint64_t, 4>> states;
+    for (std::uint32_t n = 0; n < engineNet().numNodes(); ++n)
+        states.push_back(engine.streamState(n));
+    return {hits, states};
+}
+
+TEST(InjectionEngine, MatchesPerCycleDrawsForAnyHelperCount)
+{
+    const sim::TrafficGenerator gen(engineNet(),
+                                    sim::TrafficPattern::Uniform);
+    const auto routers = seededRouters(77);
+    for (const double rate : {2e-3, 0.2}) {
+        for (const std::uint64_t horizon :
+             {1ull, 63ull, 64ull, 4095ull, 4096ull, 4097ull,
+              100000ull}) {
+            // The engine draws whole 64-cycle blocks.
+            const std::uint64_t drawn = (horizon + 63) / 64 * 64;
+            std::vector<Rng> rngs;
+            for (const auto &r : routers)
+                rngs.push_back(r.rng);
+            std::vector<DrawnHit> want;
+            for (std::uint64_t c = 0; c < drawn; ++c) {
+                for (std::uint32_t n = 0; n < rngs.size(); ++n) {
+                    if (!rngs[n].nextBool(rate))
+                        continue;
+                    const auto d = gen.dest(n, rngs[n]);
+                    if (d && c < horizon)
+                        want.push_back({c, n, *d});
+                }
+            }
+            for (const unsigned helpers : {0u, 1u, 3u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rate " << rate << " horizon " << horizon
+                             << " helpers " << helpers);
+                sim::InjectionEngine engine(routers, gen, rate, horizon,
+                                            helpers);
+                EXPECT_EQ(engine.helpers(), helpers);
+                const auto [hits, states] = drainEngine(engine);
+                EXPECT_EQ(engine.drawnCycles(), drawn);
+                EXPECT_TRUE(hits == want)
+                    << hits.size() << " hits, want " << want.size();
+                for (std::uint32_t n = 0; n < rngs.size(); ++n)
+                    EXPECT_EQ(states[n], rngs[n].state()) << "node " << n;
+            }
+        }
+    }
+}
+
+/** Helpers beyond one per lane pair would own no streams. */
+TEST(InjectionEngine, HelpersClampToLanePairs)
+{
+    const sim::TrafficGenerator gen(engineNet(),
+                                    sim::TrafficPattern::Uniform);
+    const auto routers = seededRouters(5);
+    const sim::InjectionEngine engine(routers, gen, 0.01, 10000, 64);
+    EXPECT_EQ(engine.helpers(), 4u);
+}
+
+/** Runs end with a window in flight (abort, deadlock, drain): the
+ *  destructor must join helpers that are drawing or waiting. */
+TEST(InjectionEngine, DestroyWithWindowInFlight)
+{
+    const sim::TrafficGenerator gen(engineNet(),
+                                    sim::TrafficPattern::Uniform);
+    const auto routers = seededRouters(5);
+    for (const unsigned helpers : {0u, 1u, 3u}) {
+        // Window 0 dispatched by the constructor, never taken.
+        {
+            sim::InjectionEngine engine(routers, gen, 0.05, 1000000,
+                                        helpers);
+        }
+        // Window 0 taken, window 1 in flight.
+        {
+            sim::InjectionEngine engine(routers, gen, 0.05, 1000000,
+                                        helpers);
+            ASSERT_TRUE(engine.nextHitCycle().has_value());
+        }
+    }
 }
 
 /** The XY request-reply workload of tests/test_protocol.cc: hot enough

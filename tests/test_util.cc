@@ -1,15 +1,21 @@
 /**
  * @file
- * Unit tests for the util substrate: RNG, statistics, tables.
+ * Unit tests for the util substrate: RNG, statistics, tables, the
+ * host thread probe.
  */
 
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 
+#include "util/host_threads.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -370,6 +376,34 @@ TEST(JsonWriter, EndWithoutScopePanics)
     JsonWriter w;
     EXPECT_DEATH(w.end(), "no open scope");
 }
+
+TEST(HostThreads, AtLeastOne)
+{
+    EXPECT_GE(hostThreads(), 1u);
+}
+
+#if defined(__linux__)
+/** The probe follows the affinity mask (`taskset -c 0` means one
+ *  thread), not the machine's core count. */
+TEST(HostThreads, FollowsTheAffinityMask)
+{
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = hostThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(hostThreads(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
+}
+#endif
 
 } // namespace
 } // namespace ebda
