@@ -10,20 +10,25 @@
  * combinations of a 4x4 mesh with 2 VCs per dimension, checked by the
  * turn-level Dally oracle.
  *
- * Two within-run ratio rows time the state walk's source classes: the
- * checkers once on a relation as declared and once through a wrapper
- * that keeps the default source classes (one per source). The
- * grouped walk runs XY on the 24x24 mesh (source-independent, so one
- * class), its Dally speedup gated at >= 4x; the source-classes row runs
- * Odd-Even on the 16x16 mesh (one class per source column), gated at
- * >= 3x. A ratio taken within one run holds on any host.
+ * The table rows and the enumeration run on every host thread
+ * (hostThreads()). Two within-run ratio rows time the state walk's
+ * source classes on one thread: the checkers once on a relation as
+ * declared and once through a wrapper that keeps the default source
+ * classes (one per source). The grouped walk runs XY on the 24x24 mesh
+ * (source-independent, so one class), its Dally speedup gated at >= 4x;
+ * the source-classes row runs Odd-Even on the 16x16 mesh (one class per
+ * source column), gated at >= 3x. A ratio taken within one run holds on
+ * any host. A third ratio row times Dally and MM on 24x24 XY at one
+ * thread and at hostThreads(), the reports compared in full; both
+ * speedups are gated at >= 2x only when hostThreads() >= 4, and smaller
+ * hosts print a NOTICE instead.
  *
  * Machine-readable output: the JSON summary is printed to stdout and,
  * when EBDA_CHECKER_BENCH_JSON is set, written to that path (same
  * convention as bench_route_compute's BENCH_sim.json feed). Exits
  * non-zero when the checkers disagree, a relation is not deadlock-free,
  * the enumeration counts drift from 65,536 / 68 / 68 / 68, the two walks
- * of a ratio row disagree, or a Dally speedup falls below its gate.
+ * of a ratio row disagree, or a speedup falls below its gate.
  */
 
 #include "common.hh"
@@ -40,6 +45,7 @@
 #include "cdg/turn_model_enum.hh"
 #include "sweep/router_factory.hh"
 #include "topo/network.hh"
+#include "util/host_threads.hh"
 #include "util/table.hh"
 
 namespace {
@@ -92,6 +98,11 @@ constexpr std::size_t kTurnDeadlockFree = 68;
  *  (one class) and of Odd-Even's column classes. */
 constexpr double kGroupedDallyGate = 4.0;
 constexpr double kClassesDallyGate = 3.0;
+
+/** Minimum Dally and MM speedups of hostThreads() threads over one, and
+ *  the host threads below which that gate is not applied. */
+constexpr double kThreadsGate = 2.0;
+constexpr unsigned kThreadsGateMinHost = 4;
 
 /** Forwards every call to `base` but keeps the default source classes,
  *  one per source, which makes the checkers walk one source at a time. */
@@ -186,16 +197,98 @@ walkRatio(const std::string &label, const std::vector<int> &dims,
     cdg::CdgReport dally, dallyOne;
     cdg::MmReport mm, mmOne;
     WalkRatio r{label, spec, gate};
-    r.dallyS = bestSecondsOf([&] { dally = cdg::checkDeadlockFree(*rel); });
-    r.dallyOneS =
-        bestSecondsOf([&] { dallyOne = cdg::checkDeadlockFree(undeclared); });
-    r.mmS = bestSecondsOf([&] { mm = cdg::checkMendlovicMatias(*rel); });
-    r.mmOneS =
-        bestSecondsOf([&] { mmOne = cdg::checkMendlovicMatias(undeclared); });
+    r.dallyS =
+        bestSecondsOf([&] { dally = cdg::checkDeadlockFree(*rel, 1); });
+    r.dallyOneS = bestSecondsOf(
+        [&] { dallyOne = cdg::checkDeadlockFree(undeclared, 1); });
+    r.mmS = bestSecondsOf([&] { mm = cdg::checkMendlovicMatias(*rel, 1); });
+    r.mmOneS = bestSecondsOf(
+        [&] { mmOne = cdg::checkMendlovicMatias(undeclared, 1); });
     r.agree = dally.numDependencies == dallyOne.numDependencies
         && mm.numStates == mmOne.numStates
         && mm.releaseOrder == mmOne.releaseOrder;
     r.pass = r.agree && r.dallyRatio() >= gate;
+    return r;
+}
+
+/**
+ * Dally and MM on 24x24 XY timed at one thread and at hostThreads(),
+ * best of three each. The reports must be identical; on a host with at
+ * least kThreadsGateMinHost threads both speedups must reach
+ * kThreadsGate.
+ */
+struct ThreadRatio
+{
+    unsigned threads = 1;
+    double dallyOneS = 0.0, dallyS = 0.0, mmOneS = 0.0, mmS = 0.0;
+    bool agree = false;
+    bool gated = false;
+    bool pass = false;
+
+    double dallyRatio() const { return dallyS > 0.0 ? dallyOneS / dallyS : 0.0; }
+    double mmRatio() const { return mmS > 0.0 ? mmOneS / mmS : 0.0; }
+
+    std::string
+    json() const
+    {
+        std::ostringstream os;
+        os << "{\"network\":\"mesh 24x24\",\"router\":\"xy\",\"threads\":"
+           << threads << ",\"dally_one_thread_ms\":" << dallyOneS * 1e3
+           << ",\"dally_ms\":" << dallyS * 1e3
+           << ",\"dally_ratio\":" << dallyRatio()
+           << ",\"mm_one_thread_ms\":" << mmOneS * 1e3
+           << ",\"mm_ms\":" << mmS * 1e3 << ",\"mm_ratio\":" << mmRatio()
+           << ",\"ratio_gate\":" << kThreadsGate
+           << ",\"gated\":" << (gated ? "true" : "false")
+           << ",\"agree\":" << (agree ? "true" : "false")
+           << ",\"pass\":" << (pass ? "true" : "false") << "}";
+        return os.str();
+    }
+
+    std::string
+    text() const
+    {
+        return "mesh 24x24 xy on " + std::to_string(threads)
+            + " threads: dally " + TextTable::num(dallyS * 1e3, 1)
+            + " ms vs " + TextTable::num(dallyOneS * 1e3, 1)
+            + " ms on one (" + TextTable::num(dallyRatio(), 2) + "x), mm "
+            + TextTable::num(mmS * 1e3, 1) + " ms vs "
+            + TextTable::num(mmOneS * 1e3, 1) + " ms ("
+            + TextTable::num(mmRatio(), 2) + "x)"
+            + (agree ? "" : "  REPORTS DIFFER");
+    }
+};
+
+ThreadRatio
+threadRatio()
+{
+    const auto net = topo::Network::mesh({24, 24}, {1, 1});
+    const auto rel = sweep::makeRouter(net, "xy");
+    ThreadRatio r;
+    r.threads = hostThreads();
+    cdg::CdgReport dallyOne, dally;
+    cdg::MmReport mmOne, mm;
+    r.dallyOneS =
+        bestSecondsOf([&] { dallyOne = cdg::checkDeadlockFree(*rel, 1); });
+    r.dallyS = bestSecondsOf(
+        [&] { dally = cdg::checkDeadlockFree(*rel, r.threads); });
+    r.mmOneS =
+        bestSecondsOf([&] { mmOne = cdg::checkMendlovicMatias(*rel, 1); });
+    r.mmS = bestSecondsOf(
+        [&] { mm = cdg::checkMendlovicMatias(*rel, r.threads); });
+    r.agree = dally.deadlockFree == dallyOne.deadlockFree
+        && dally.numDependencies == dallyOne.numDependencies
+        && dally.witness == dallyOne.witness
+        && mm.deadlockFree == mmOne.deadlockFree
+        && mm.numStates == mmOne.numStates
+        && mm.occupiableChannels == mmOne.occupiableChannels
+        && mm.releaseOrder == mmOne.releaseOrder
+        && mm.stuckWitness == mmOne.stuckWitness;
+    r.gated = r.threads >= kThreadsGateMinHost;
+    r.pass = r.agree
+        && (!r.gated
+            || (r.dallyRatio() >= kThreadsGate
+                && r.mmRatio() >= kThreadsGate));
     return r;
 }
 
@@ -288,7 +381,8 @@ reproduce()
                                         kGroupedDallyGate);
     const WalkRatio classes = walkRatio("mesh 16x16", {16, 16}, "odd-even",
                                         kClassesDallyGate);
-    pass = pass && grouped.pass && classes.pass;
+    const ThreadRatio threads = threadRatio();
+    pass = pass && grouped.pass && classes.pass && threads.pass;
     json << ",\"turn_enum\":{\"network\":\"mesh 4x4 vc2\""
          << ",\"combinations\":" << turns.combinations
          << ",\"deadlock_free\":" << turns.deadlockFree
@@ -302,8 +396,10 @@ reproduce()
          << ",\"pinned\":" << (turnsPinned ? "true" : "false") << "}"
          << ",\"grouped_walk\":" << grouped.json()
          << ",\"source_classes\":" << classes.json()
+         << ",\"threads\":" << threads.json()
          << ",\"hardware_threads\":"
          << std::thread::hardware_concurrency()
+         << ",\"host_threads\":" << hostThreads()
          << ",\"cpu_model\":\"" << cpuModel() << "\""
          << ",\"pass\":" << (pass ? "true" : "false") << "}";
 
@@ -316,6 +412,16 @@ reproduce()
               << (turnsPinned ? "" : "  UNEXPECTED COUNTS") << '\n';
     std::cout << "grouped walk, " << grouped.text() << '\n';
     std::cout << "source classes, " << classes.text() << '\n';
+    std::cout << "threads, " << threads.text() << '\n';
+    if (threads.gated)
+        std::cout << "  threads gate: dally and mm >= "
+                  << TextTable::num(kThreadsGate, 0) << "x: "
+                  << (threads.pass ? "ok" : "TOO SLOW") << '\n';
+    else
+        std::cout << "  NOTICE: threads gate SKIPPED — host has "
+                  << threads.threads << " thread"
+                  << (threads.threads == 1 ? "" : "s") << " (< "
+                  << kThreadsGateMinHost << ")\n";
     std::cout << "takeaway: MM examines per-destination routing states "
                  "where the CDG collapses them into channel edges; the "
                  "exact verdict costs a bounded constant factor, not an "

@@ -16,7 +16,7 @@
  *    job buried at the END of spec order (the FIFO worst case), the
  *    cost-descending schedule's makespan must be <= 0.8x the spec-order
  *    makespan, with byte-identical result JSONL. Enforced ONLY with
- *    >= 4 hardware threads; on smaller hosts the ratio is still
+ *    >= 4 host threads (hostThreads()); on smaller hosts the ratio is still
  *    measured and reported but the gate is skipped with a notice (a
  *    serial host has no tail to collapse).
  *
@@ -43,6 +43,7 @@
 #include "sweep/result_cache.hh"
 #include "sweep/runner.hh"
 #include "sweep/sweep_spec.hh"
+#include "util/host_threads.hh"
 #include "util/json.hh"
 
 namespace ebda {
@@ -104,14 +105,14 @@ syntheticResult(std::size_t i)
 int
 benchMain()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned hw = hostThreads();
     bool pass = true;
 
     // ----------------------------------------------------------------
     // Build a >= 5k-entry cache of distinct grid points. Results are
     // synthetic: these gates measure serving, not simulation.
     constexpr std::size_t kEntries = 6000;
-    std::printf("sweep engine bench (%u hardware thread%s)\n", hw,
+    std::printf("sweep engine bench (%u host thread%s)\n", hw,
                 hw == 1 ? "" : "s");
     std::printf("populating %zu-entry cache...\n", kEntries);
 
@@ -273,7 +274,7 @@ benchMain()
             pass = false;
     } else {
         std::printf("  NOTICE: straggler gate SKIPPED — host has %u "
-                    "hardware thread%s (< 4); a serial schedule has no "
+                    "host thread%s (< 4); a serial schedule has no "
                     "tail to collapse\n",
                     hw, hw == 1 ? "" : "s");
     }
@@ -281,7 +282,8 @@ benchMain()
     std::ostringstream json;
     json << "{\"bench\":\"sweep_engine\""
          << ",\"entries\":" << kEntries
-         << ",\"hardware_threads\":" << hw
+         << ",\"hardware_threads\":" << std::thread::hardware_concurrency()
+         << ",\"host_threads\":" << hw
          << ",\"warm_open_seconds\":" << binOpen
          << ",\"legacy_parse_seconds\":" << jsonlParse
          << ",\"warm_speedup\":" << warmSpeedup

@@ -127,15 +127,20 @@ countMinimalPaths(const topo::Network &net, topo::NodeId src,
                   topo::NodeId dest)
 {
     // Multinomial (sum |off_d|)! / prod |off_d|! computed via lgamma to
-    // stay finite for large meshes.
+    // stay finite for large meshes. lgamma_r: std::lgamma writes the
+    // global signgam, and turn enumerations measure on several threads.
+    const auto log_factorial = [](int n) {
+        int sign = 0;
+        return ::lgamma_r(n + 1.0, &sign);
+    };
     double log_paths = 0.0;
     int total = 0;
     for (std::uint8_t d = 0; d < net.numDims(); ++d) {
         const int off = std::abs(net.minimalOffset(src, dest, d));
         total += off;
-        log_paths -= std::lgamma(off + 1.0);
+        log_paths -= log_factorial(off);
     }
-    log_paths += std::lgamma(total + 1.0);
+    log_paths += log_factorial(total);
     return std::exp(log_paths);
 }
 

@@ -63,7 +63,7 @@ class EscapeSubrelation : public RoutingRelation
 
 DuatoReport
 checkDuatoDeadlockFree(const RoutingRelation &relation,
-                       const EscapePredicate &is_escape)
+                       const EscapePredicate &is_escape, unsigned threads)
 {
     const topo::Network &net = relation.network();
     DuatoReport report;
@@ -78,40 +78,55 @@ checkDuatoDeadlockFree(const RoutingRelation &relation,
     // path of the full relation: a blocked packet may sit on an
     // adaptive channel when it takes the escape, so escape dependencies
     // are collected from the full relation's reachable states.
+    // The fold is order-free: a set of edges and one flag.
+    struct EscapeFold
+    {
+        DependencyFold deps;
+        bool alwaysAvailable = true;
+    };
     graph::Digraph g(net.numChannels());
     bool always_available = true;
-    walkStateGraphs(relation, [&](const StateGraph &sg) {
-        for (std::size_t k = 0; k < sg.sources.size(); ++k) {
-            const auto inject = sg.injection(k);
-            if (!inject.empty()
-                && std::none_of(inject.begin(), inject.end(),
-                                [&](std::uint32_t i) {
-                                    return is_escape(sg.channel[i]);
-                                }))
-                always_available = false;
-        }
-        // An ejecting state has no candidates: it adds no edge and
-        // passes (c), like a dead end (connectivity flags those).
-        for (std::size_t i = 0; i < sg.size(); ++i) {
-            const topo::ChannelId c1 = sg.channel[i];
-            const auto next = sg.candidates(i);
-            bool has_escape = next.empty();
-            for (const std::uint32_t j : next) {
-                const topo::ChannelId c2 = sg.channel[j];
-                if (is_escape(c2)) {
-                    has_escape = true;
-                    if (is_escape(c1))
-                        g.addEdge(c1, c2);
-                }
+    foldStateGraphs<EscapeFold>(
+        relation, threads,
+        [&](const StateGraph &sg, EscapeFold &part) {
+            part.deps.clear();
+            part.alwaysAvailable = true;
+            for (std::size_t k = 0; k < sg.sources.size(); ++k) {
+                const auto inject = sg.injection(k);
+                if (!inject.empty()
+                    && std::none_of(inject.begin(), inject.end(),
+                                    [&](std::uint32_t i) {
+                                        return is_escape(sg.channel[i]);
+                                    }))
+                    part.alwaysAvailable = false;
             }
-            if (!has_escape)
-                always_available = false;
-        }
-    });
+            // An ejecting state has no candidates: it adds no edge and
+            // passes (c), like a dead end (connectivity flags those).
+            for (std::size_t i = 0; i < sg.size(); ++i) {
+                const topo::ChannelId c1 = sg.channel[i];
+                const auto next = sg.candidates(i);
+                bool has_escape = next.empty();
+                for (const std::uint32_t j : next) {
+                    const topo::ChannelId c2 = sg.channel[j];
+                    if (is_escape(c2)) {
+                        has_escape = true;
+                        if (is_escape(c1))
+                            part.deps.add(c1, c2);
+                    }
+                }
+                if (!has_escape)
+                    part.alwaysAvailable = false;
+            }
+        },
+        [&](const EscapeFold &part) {
+            for (const auto &[c1, c2] : part.deps.pairs)
+                g.addEdge(c1, c2);
+            always_available = always_available && part.alwaysAvailable;
+        });
 
     report.escapeAcyclic = graph::isAcyclic(g);
     report.escapeAlwaysAvailable = always_available;
-    report.escapeConnected = checkConnectivity(escape).connected;
+    report.escapeConnected = checkConnectivity(escape, threads).connected;
     report.ok = report.escapeAcyclic && report.escapeConnected
         && report.escapeAlwaysAvailable;
     return report;

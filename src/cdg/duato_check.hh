@@ -52,10 +52,13 @@ struct DuatoReport
 };
 
 /**
- * Run the Duato-style check on a relation.
+ * Run the Duato-style check on a relation, walking its states on
+ * `threads` threads (0: hostThreads(); see cdg/state_walk.hh).
+ * `is_escape` is called from all of them.
  */
 DuatoReport checkDuatoDeadlockFree(const RoutingRelation &relation,
-                                   const EscapePredicate &is_escape);
+                                   const EscapePredicate &is_escape,
+                                   unsigned threads = 0);
 
 } // namespace ebda::cdg
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 
 #include "cdg/state_walk.hh"
 #include "graph/cycles.hh"
@@ -16,8 +17,170 @@ using topo::NodeId;
 // Relation-level fixpoint
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** The kept states of one destination, with the scratch of its fold. */
+struct MmFold
+{
+    /** The graph's channels: every one of them is occupiable. */
+    std::vector<ChannelId> channels;
+    /** Its non-ejecting states' per-pair copies (MmReport::numStates). */
+    std::size_t copies = 0;
+    /** Per kept state, in release order: channel, candidate channels
+     *  (CSR in candBegin/cands) and a hash of both. */
+    std::vector<ChannelId> stateChannel;
+    std::vector<std::uint32_t> candBegin;
+    std::vector<ChannelId> cands;
+    std::vector<std::uint64_t> hash;
+
+    ReplayScratch replay;
+    /** The graph's non-ejecting states in per-pair visit order, and
+     *  each state's last position in it. */
+    std::vector<std::uint32_t> visits;
+    std::vector<std::uint32_t> last;
+
+    std::span<const ChannelId>
+    candidates(std::size_t k) const
+    {
+        return {cands.data() + candBegin[k], cands.data() + candBegin[k + 1]};
+    }
+
+    void
+    fold(const StateGraph &g)
+    {
+        channels.assign(g.channel.begin(), g.channel.end());
+        last.resize(g.size());
+        visits.clear();
+        for (std::size_t k = 0; k < g.sources.size(); ++k)
+            g.replay(k, replay, [&](std::uint32_t i) {
+                if (g.ejects[i])
+                    return;
+                last[i] = static_cast<std::uint32_t>(visits.size());
+                visits.push_back(i);
+            });
+        copies = visits.size();
+        stateChannel.clear();
+        candBegin.assign(1, 0);
+        cands.clear();
+        hash.clear();
+        for (std::uint32_t pos = 0; pos < visits.size(); ++pos) {
+            const std::uint32_t i = visits[pos];
+            if (last[i] != pos)
+                continue;
+            const ChannelId c = g.channel[i];
+            // FNV-1a over the channel ids, then a finaliser so the
+            // store's table can index by the low bits.
+            std::uint64_t h = (0xcbf29ce484222325ULL ^ c) * 0x100000001b3ULL;
+            for (const std::uint32_t j : g.candidates(i)) {
+                cands.push_back(g.channel[j]);
+                h = (h ^ g.channel[j]) * 0x100000001b3ULL;
+            }
+            h ^= h >> 33;
+            h *= 0xff51afd7ed558ccdULL;
+            h ^= h >> 33;
+            stateChannel.push_back(c);
+            candBegin.push_back(static_cast<std::uint32_t>(cands.size()));
+            hash.push_back(h);
+        }
+    }
+};
+
+/**
+ * The distinct (channel, candidate channels) states of every
+ * destination, each at its last occurrence (see checkMendlovicMatias).
+ */
+class MmStore
+{
+  public:
+    /** Append part's states in order, moving a repeat to the end. */
+    void
+    merge(const MmFold &part)
+    {
+        for (std::size_t k = 0; k < part.stateChannel.size(); ++k) {
+            if (2 * (stateChannel.size() + 1) > table.size())
+                grow();
+            const auto cs = part.candidates(k);
+            std::uint32_t &s =
+                table[slotOf(part.hash[k], part.stateChannel[k], cs)];
+            if (s != kNone) {
+                lastSeq[s] = seq++;
+                continue;
+            }
+            s = static_cast<std::uint32_t>(stateChannel.size());
+            stateChannel.push_back(part.stateChannel[k]);
+            cands.insert(cands.end(), cs.begin(), cs.end());
+            candBegin.push_back(static_cast<std::uint32_t>(cands.size()));
+            hash.push_back(part.hash[k]);
+            lastSeq.push_back(seq++);
+        }
+    }
+
+    /** The states ordered by last occurrence. */
+    std::vector<std::uint32_t>
+    order() const
+    {
+        std::vector<std::uint32_t> by(stateChannel.size());
+        for (std::uint32_t s = 0; s < by.size(); ++s)
+            by[s] = s;
+        std::sort(by.begin(), by.end(), [&](std::uint32_t a, std::uint32_t b) {
+            return lastSeq[a] < lastSeq[b];
+        });
+        return by;
+    }
+
+    std::size_t size() const { return stateChannel.size(); }
+    ChannelId channel(std::size_t s) const { return stateChannel[s]; }
+    std::span<const ChannelId>
+    candidates(std::size_t s) const
+    {
+        return {cands.data() + candBegin[s], cands.data() + candBegin[s + 1]};
+    }
+
+  private:
+    static constexpr std::uint32_t kNone = ~0u;
+
+    /** The table slot holding the state, or the empty slot it would go
+     *  in. */
+    std::size_t
+    slotOf(std::uint64_t h, ChannelId c, std::span<const ChannelId> cs) const
+    {
+        const std::size_t mask = table.size() - 1;
+        for (std::size_t t = h & mask;; t = (t + 1) & mask) {
+            const std::uint32_t s = table[t];
+            if (s == kNone
+                || (hash[s] == h && stateChannel[s] == c
+                    && std::ranges::equal(candidates(s), cs)))
+                return t;
+        }
+    }
+
+    void
+    grow()
+    {
+        table.assign(std::max<std::size_t>(64, 2 * table.size()), kNone);
+        const std::size_t mask = table.size() - 1;
+        for (std::uint32_t s = 0; s < stateChannel.size(); ++s) {
+            std::size_t t = hash[s] & mask;
+            while (table[t] != kNone)
+                t = (t + 1) & mask;
+            table[t] = s;
+        }
+    }
+
+    std::vector<ChannelId> stateChannel;
+    std::vector<std::uint32_t> candBegin{0};
+    std::vector<ChannelId> cands;
+    std::vector<std::uint64_t> hash;
+    std::vector<std::uint64_t> lastSeq;
+    /** Open addressing over `hash`, at most half full. */
+    std::vector<std::uint32_t> table;
+    std::uint64_t seq = 0;
+};
+
+} // namespace
+
 MmReport
-checkMendlovicMatias(const RoutingRelation &relation)
+checkMendlovicMatias(const RoutingRelation &relation, unsigned threads)
 {
     const topo::Network &net = relation.network();
     const std::size_t nc = net.numChannels();
@@ -34,68 +197,52 @@ checkMendlovicMatias(const RoutingRelation &relation)
     // state order, which decides the release order within a step. That
     // order is the per-pair enumeration: dest major, src minor, each
     // pair's walk popping a stack seeded with its injection candidates.
-    // A graph state stands for one copy per source of its class that
-    // reaches it, all with the same candidates; it is kept once, at its
-    // last copy's position — the copy that releases its channel in a
-    // per-pair fixpoint — so the release order is unchanged. Replaying
-    // each source's walk over the graph finds those positions.
+    // Two states on one channel with the same candidate channels are
+    // released by the same step (the first of their candidates to be
+    // released), the later one last, and the channel no earlier than
+    // that. So only the last copy of such a state needs to be kept, and
+    // the release order is unchanged. A graph state stands for one copy
+    // per source of its class that reaches it; replaying each source's
+    // walk over the graph finds its last copy (MmFold). Across
+    // destinations the store keeps the last of the states with the
+    // same channel and candidates (MmStore).
     std::vector<std::uint8_t> occupied(nc, 0);
-    std::vector<std::uint32_t> pending(nc, 0);
-    std::vector<ChannelId> stateChannel;
-    std::vector<std::uint32_t> candOffset;
-    std::vector<ChannelId> candPool;
+    MmStore store;
+    foldStateGraphs<MmFold>(
+        relation, threads,
+        [](const StateGraph &g, MmFold &part) { part.fold(g); },
+        [&](const MmFold &part) {
+            for (const ChannelId c : part.channels)
+                occupied[c] = 1;
+            report.numStates += part.copies;
+            store.merge(part);
+        });
 
-    ReplayScratch replay;
-    // The graph's non-ejecting states in per-pair visit order, and each
-    // state's last position in it.
-    std::vector<std::uint32_t> visits;
-    std::vector<std::uint32_t> last;
-    walkStateGraphs(relation, [&](const StateGraph &g) {
-        for (const ChannelId c : g.channel)
-            occupied[c] = 1;
-        last.resize(g.size());
-        visits.clear();
-        for (std::size_t k = 0; k < g.sources.size(); ++k)
-            g.replay(k, replay, [&](std::uint32_t i) {
-                if (g.ejects[i])
-                    return;
-                last[i] = static_cast<std::uint32_t>(visits.size());
-                visits.push_back(i);
-            });
-        report.numStates += visits.size();
-        for (std::uint32_t pos = 0; pos < visits.size(); ++pos) {
-            const std::uint32_t i = visits[pos];
-            if (last[i] != pos)
-                continue;
-            const ChannelId c = g.channel[i];
-            stateChannel.push_back(c);
-            candOffset.push_back(static_cast<std::uint32_t>(candPool.size()));
-            ++pending[c];
-            for (const std::uint32_t j : g.candidates(i))
-                candPool.push_back(g.channel[j]);
-        }
-    });
-
-    candOffset.push_back(static_cast<std::uint32_t>(candPool.size()));
     for (std::size_t c = 0; c < nc; ++c)
         if (occupied[c])
             ++report.occupiableChannels;
 
-    // Reverse index: candidate channel -> states waiting on it.
+    // The kept states in release order, and the reverse index:
+    // candidate channel -> states waiting on it.
+    const std::vector<std::uint32_t> order = store.order();
+    std::vector<ChannelId> stateChannel(order.size());
+    std::vector<std::uint32_t> pending(nc, 0);
     std::vector<std::uint32_t> byCandOffset(nc + 1, 0);
-    for (ChannelId c : candPool)
-        ++byCandOffset[c + 1];
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        stateChannel[i] = store.channel(order[i]);
+        ++pending[stateChannel[i]];
+        for (const ChannelId c : store.candidates(order[i]))
+            ++byCandOffset[c + 1];
+    }
     for (std::size_t c = 0; c < nc; ++c)
         byCandOffset[c + 1] += byCandOffset[c];
-    std::vector<std::uint32_t> byCand(candPool.size());
+    std::vector<std::uint32_t> byCand(byCandOffset[nc]);
     {
         std::vector<std::uint32_t> cursor(byCandOffset.begin(),
                                           byCandOffset.end() - 1);
-        for (std::size_t i = 0; i < stateChannel.size(); ++i)
-            for (std::uint32_t k = candOffset[i]; k < candOffset[i + 1];
-                 ++k)
-                byCand[cursor[candPool[k]]++] =
-                    static_cast<std::uint32_t>(i);
+        for (std::size_t i = 0; i < order.size(); ++i)
+            for (const ChannelId c : store.candidates(order[i]))
+                byCand[cursor[c]++] = static_cast<std::uint32_t>(i);
     }
 
     // Phase 2: iterated release as a worklist fixpoint. A channel is

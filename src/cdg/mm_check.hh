@@ -77,7 +77,11 @@ struct MmReport
     static constexpr std::size_t kMaxWitness = 16;
 };
 
-MmReport checkMendlovicMatias(const RoutingRelation &relation);
+/** Run the fixpoint, walking the relation's states on `threads`
+ *  threads (0: hostThreads(); see cdg/state_walk.hh). The report is the
+ *  same for any thread count. */
+MmReport checkMendlovicMatias(const RoutingRelation &relation,
+                              unsigned threads = 0);
 
 /** Verdict of the routing-existence question on a raw digraph. */
 struct ExistenceReport

@@ -8,25 +8,31 @@
 namespace ebda::cdg {
 
 graph::Digraph
-buildRelationCdg(const RoutingRelation &relation)
+buildRelationCdg(const RoutingRelation &relation, unsigned threads)
 {
     const topo::Network &net = relation.network();
 
     // Per channel, its distinct successors in first-discovery order: a
-    // dependency is found once per state that induces it, and a short
-    // linear scan over the channel's few successors rejects repeats
-    // without hashing every find. Only distinct edges reach the graph.
+    // dependency is found once per state that induces it. Each
+    // destination's new pairs are found on its own thread; appending
+    // them in destination order keeps the serial walk's order. Only
+    // distinct edges reach the graph.
     std::vector<std::vector<topo::ChannelId>> succ(net.numChannels());
-    walkStateGraphs(relation, [&](const StateGraph &g) {
-        for (std::size_t i = 0; i < g.size(); ++i) {
-            auto &out = succ[g.channel[i]];
-            for (const std::uint32_t j : g.candidates(i)) {
-                const topo::ChannelId c2 = g.channel[j];
+    foldStateGraphs<DependencyFold>(
+        relation, threads,
+        [&](const StateGraph &g, DependencyFold &part) {
+            part.clear();
+            for (std::size_t i = 0; i < g.size(); ++i)
+                for (const std::uint32_t j : g.candidates(i))
+                    part.add(g.channel[i], g.channel[j]);
+        },
+        [&](const DependencyFold &part) {
+            for (const auto &[c1, c2] : part.pairs) {
+                auto &out = succ[c1];
                 if (std::find(out.begin(), out.end(), c2) == out.end())
                     out.push_back(c2);
             }
-        }
-    });
+        });
 
     graph::Digraph g(net.numChannels());
     for (topo::ChannelId c1 = 0; c1 < net.numChannels(); ++c1)
@@ -36,10 +42,10 @@ buildRelationCdg(const RoutingRelation &relation)
 }
 
 CdgReport
-checkDeadlockFree(const RoutingRelation &relation)
+checkDeadlockFree(const RoutingRelation &relation, unsigned threads)
 {
     const topo::Network &net = relation.network();
-    const graph::Digraph g = buildRelationCdg(relation);
+    const graph::Digraph g = buildRelationCdg(relation, threads);
     const graph::CycleReport cyc = graph::findCycle(g);
 
     CdgReport report;
@@ -51,14 +57,16 @@ checkDeadlockFree(const RoutingRelation &relation)
     return report;
 }
 
-ConnectivityReport
-checkConnectivity(const RoutingRelation &relation)
+namespace {
+
+/** One destination's connectivity verdicts, with the scratch of its
+ *  fold. */
+struct ConnectivityFold
 {
-    // The pair is routable when the destination is reachable and no
-    // reachable state dead-ends (a dead-ending branch is a hazard: an
-    // adaptive router may commit to it). Two backward closures over the
-    // destination's graph answer both for every source.
-    ConnectivityReport report;
+    topo::NodeId dest = 0;
+    /** The sources that cannot reach dest, ascending. */
+    std::vector<topo::NodeId> failed;
+
     std::vector<std::uint32_t> predBegin;
     std::vector<std::uint32_t> cursor;
     std::vector<std::uint32_t> pred;
@@ -66,10 +74,13 @@ checkConnectivity(const RoutingRelation &relation)
     std::vector<std::uint8_t> sticks;
     std::vector<std::uint32_t> queue;
 
-    // Mark every state that can reach a seed state, seeds included.
-    const auto closure = [&](const StateGraph &g,
-                             std::vector<std::uint8_t> &mark,
-                             const auto &seed) {
+    /** Mark every state of g that can reach a seed state, seeds
+     *  included. */
+    template <typename Seed>
+    void
+    closure(const StateGraph &g, std::vector<std::uint8_t> &mark,
+            const Seed &seed)
+    {
         mark.assign(g.size(), 0);
         queue.clear();
         for (std::uint32_t i = 0; i < g.size(); ++i)
@@ -85,9 +96,13 @@ checkConnectivity(const RoutingRelation &relation)
                     queue.push_back(pred[k]);
                 }
         }
-    };
+    }
 
-    walkStateGraphs(relation, [&](const StateGraph &g) {
+    void
+    fold(const StateGraph &g)
+    {
+        dest = g.dest;
+        failed.clear();
         // Predecessor CSR: the candidate edges reversed.
         predBegin.assign(g.size() + 1, 0);
         for (const std::uint32_t j : g.next)
@@ -112,13 +127,32 @@ checkConnectivity(const RoutingRelation &relation)
                 arrived = arrived || arrives[i];
                 stuck = stuck || sticks[i];
             }
-            if (arrived && !stuck)
-                continue;
-            report.connected = false;
-            if (report.failures.size() < ConnectivityReport::kMaxFailures)
-                report.failures.emplace_back(g.sources[k], g.dest);
+            if (!arrived || stuck)
+                failed.push_back(g.sources[k]);
         }
-    });
+    }
+};
+
+} // namespace
+
+ConnectivityReport
+checkConnectivity(const RoutingRelation &relation, unsigned threads)
+{
+    // The pair is routable when the destination is reachable and no
+    // reachable state dead-ends (a dead-ending branch is a hazard: an
+    // adaptive router may commit to it). Two backward closures over the
+    // destination's graph answer both for every source.
+    ConnectivityReport report;
+    foldStateGraphs<ConnectivityFold>(
+        relation, threads,
+        [](const StateGraph &g, ConnectivityFold &part) { part.fold(g); },
+        [&](const ConnectivityFold &part) {
+            for (const topo::NodeId src : part.failed) {
+                report.connected = false;
+                if (report.failures.size() < ConnectivityReport::kMaxFailures)
+                    report.failures.emplace_back(src, part.dest);
+            }
+        });
     return report;
 }
 

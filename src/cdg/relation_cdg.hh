@@ -24,11 +24,15 @@
 
 namespace ebda::cdg {
 
-/** Build the reachable-dependency CDG of a routing relation. */
-graph::Digraph buildRelationCdg(const RoutingRelation &relation);
+/** Build the reachable-dependency CDG of a routing relation, walking
+ *  its states on `threads` threads (0: hostThreads(); see
+ *  cdg/state_walk.hh). The graph is the same for any thread count. */
+graph::Digraph buildRelationCdg(const RoutingRelation &relation,
+                                unsigned threads = 0);
 
 /** Build the CDG and run the acyclicity check with witness reporting. */
-CdgReport checkDeadlockFree(const RoutingRelation &relation);
+CdgReport checkDeadlockFree(const RoutingRelation &relation,
+                            unsigned threads = 0);
 
 /** Result of the connectivity check. */
 struct ConnectivityReport
@@ -44,8 +48,10 @@ struct ConnectivityReport
  * Verify every source can deliver to every destination: from injection
  * at src, following candidate channels, the destination is reachable and
  * no reachable state is stuck (non-empty candidates until arrival).
+ * `threads` as for buildRelationCdg().
  */
-ConnectivityReport checkConnectivity(const RoutingRelation &relation);
+ConnectivityReport checkConnectivity(const RoutingRelation &relation,
+                                     unsigned threads = 0);
 
 } // namespace ebda::cdg
 

@@ -25,6 +25,15 @@ constexpr topo::ChannelId kInjectionChannel = topo::kInvalidId;
 
 /**
  * Abstract routing relation over a concrete network.
+ *
+ * Concurrency contract: the checkers walk destinations on several
+ * threads at once (cdg/state_walk.hh), so candidatesInto() and
+ * srcClass() may run concurrently, from different threads, for
+ * distinct destinations. A relation may therefore memoise only per
+ * destination: state it fills lazily must be indexed by the
+ * destination and sized before the first query (as EbDaRouting's
+ * survivor and distance tables and UpDownRouting's reach tables are),
+ * and no query for one destination may touch another's.
  */
 class RoutingRelation
 {

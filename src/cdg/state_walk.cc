@@ -1,6 +1,12 @@
 #include "state_walk.hh"
 
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+
+#include "util/host_threads.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace ebda::cdg {
 
@@ -48,6 +54,7 @@ class GraphBuilder
         g.next.clear();
         g.injBegin.assign(1, 0);
         g.inj.clear();
+        spotTick = 0;
         freeSlots.clear();
         for (std::uint32_t slot = 0; slot < slotGen.size(); ++slot)
             freeSlots.push_back(slot);
@@ -171,26 +178,126 @@ class GraphBuilder
     std::size_t spotTick = 0;
 };
 
+/** One pass of the walk: destinations `from` onward, with the declared
+ *  classes or one per source. Returns the first destination whose spot
+ *  check failed (those before it are merged, none after it), or the
+ *  node count. */
+NodeId
+walkFrom(const RoutingRelation &relation, unsigned threads, NodeId from,
+         bool split,
+         const std::function<void(std::size_t, const StateGraph &)> &fold,
+         const std::function<void(std::size_t)> &merge)
+{
+    const NodeId n = relation.network().numNodes();
+    const std::size_t slots = walkSlots(threads);
+
+    // Guarded by mtx. Destination d uses partial d % slots, free once
+    // d - slots is merged; `ready` marks folded partials. One thread at
+    // a time merges, while the next destination's partial is ready.
+    std::mutex mtx;
+    std::condition_variable freed;
+    NodeId nextClaim = from;
+    NodeId nextMerge = from;
+    NodeId failedAt = n;
+    bool merging = false;
+    bool abandoned = false;
+    std::vector<std::uint8_t> ready(slots, 0);
+
+    const auto work = [&](std::size_t) {
+        GraphBuilder builder(relation);
+        if (split)
+            builder.splitClasses();
+        StateGraph g;
+        std::unique_lock<std::mutex> lock(mtx);
+        try {
+            while (!abandoned && nextClaim < failedAt) {
+                const NodeId dest = nextClaim++;
+                const std::size_t slot = dest % slots;
+                freed.wait(lock, [&] {
+                    return abandoned || dest > failedAt
+                        || dest < nextMerge + slots;
+                });
+                if (abandoned || dest > failedAt)
+                    return;
+                lock.unlock();
+                const bool held = builder.build(g, dest);
+                if (held)
+                    fold(slot, g);
+                lock.lock();
+                if (!held) {
+                    failedAt = std::min(failedAt, dest);
+                    freed.notify_all();
+                    return;
+                }
+                ready[slot] = 1;
+                if (merging)
+                    continue;
+                merging = true;
+                while (!abandoned && nextMerge < failedAt
+                       && ready[nextMerge % slots]) {
+                    const std::size_t s = nextMerge % slots;
+                    lock.unlock();
+                    merge(s);
+                    lock.lock();
+                    ready[s] = 0;
+                    ++nextMerge;
+                    freed.notify_all();
+                }
+                merging = false;
+            }
+        } catch (...) {
+            // Release every waiter; the pool rethrows the exception.
+            if (!lock.owns_lock())
+                lock.lock();
+            abandoned = true;
+            freed.notify_all();
+            throw;
+        }
+    };
+    ThreadPool pool(static_cast<int>(std::min<std::size_t>(
+        threads, std::max<std::size_t>(n - from, 1))));
+    pool.parallelFor(static_cast<std::size_t>(pool.threadCount()), work);
+    return failedAt;
+}
+
+unsigned
+resolveThreads(unsigned threads)
+{
+    return threads == 0 ? hostThreads() : threads;
+}
+
 } // namespace
+
+std::size_t
+walkSlots(unsigned threads)
+{
+    return 2 * static_cast<std::size_t>(resolveThreads(threads));
+}
+
+bool
+walkStateGraphs(
+    const RoutingRelation &relation, unsigned threads,
+    const std::function<void(std::size_t, const StateGraph &)> &fold,
+    const std::function<void(std::size_t)> &merge)
+{
+    threads = resolveThreads(threads);
+    const NodeId n = relation.network().numNodes();
+    const NodeId failed = walkFrom(relation, threads, 0, false, fold, merge);
+    if (failed == n)
+        return true;
+    // A class failed its spot check: the declaration is false.
+    walkFrom(relation, threads, failed, true, fold, merge);
+    return false;
+}
 
 bool
 walkStateGraphs(const RoutingRelation &relation,
                 const std::function<void(const StateGraph &)> &visit)
 {
-    const topo::Network &net = relation.network();
-    GraphBuilder builder(relation);
-    StateGraph g;
-    bool held = true;
-    for (NodeId dest = 0; dest < net.numNodes(); ++dest) {
-        if (!builder.build(g, dest)) {
-            // A class failed its spot check: the declaration is false.
-            builder.splitClasses();
-            builder.build(g, dest);
-            held = false;
-        }
-        visit(g);
-    }
-    return held;
+    return walkStateGraphs(
+        relation, 1,
+        [&](std::size_t, const StateGraph &g) { visit(g); },
+        [](std::size_t) {});
 }
 
 } // namespace ebda::cdg

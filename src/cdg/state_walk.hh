@@ -46,15 +46,33 @@
  *
  * The walk owns its candidate buffers and reuses one graph, so it
  * allocates only while they grow.
+ *
+ * Threads: destinations are independent, so the folding form
+ * (foldStateGraphs) builds them on several threads, each with its own
+ * builder and graph, and folds each graph into a small per-destination
+ * partial on the thread that built it. The partials are merged one at
+ * a time in ascending destination order, and only O(threads) of them
+ * exist at once: a destination waits for a free partial before it is
+ * built. A merge that appends in that order sees exactly what a serial
+ * walk's visitor sees, so every checker report is the same for any
+ * thread count. The spot-check tick restarts at each destination, so a
+ * graph depends only on (relation, destination, classes), not on which
+ * thread built it; when a spot check fails at destination d, the
+ * partials built past d are discarded and d and every later
+ * destination are rebuilt with one class per source, as in a serial
+ * walk. The relation is queried concurrently for distinct destinations
+ * (cdg/routing_relation.hh states that contract).
  */
 
 #ifndef EBDA_CDG_STATE_WALK_HH
 #define EBDA_CDG_STATE_WALK_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cdg/routing_relation.hh"
@@ -144,13 +162,85 @@ struct StateGraph
 
 /**
  * Build the state graph of every destination of `relation` (see file
- * doc) and pass each to `visit`, in ascending destination order. The
- * graph is valid until `visit` returns. Returns false when a spot
- * check found the relation's declaration false and the walk fell back
- * to one class per source.
+ * doc) on the calling thread and pass each to `visit`, in ascending
+ * destination order. The graph is valid until `visit` returns. Returns
+ * false when a spot check found the relation's declaration false and
+ * the walk fell back to one class per source.
  */
 bool walkStateGraphs(const RoutingRelation &relation,
                      const std::function<void(const StateGraph &)> &visit);
+
+/** The number of partials a walk on `threads` threads keeps (0 threads:
+ *  hostThreads()). */
+std::size_t walkSlots(unsigned threads);
+
+/**
+ * The walk on up to `threads` threads (0: hostThreads(); 1 builds every
+ * graph on the calling thread). fold(slot, g) runs on the thread that
+ * built g and may write only partial `slot`, slot < walkSlots(threads),
+ * and scratch of its own. merge(slot) runs once per destination, in
+ * ascending destination order and never two at once, after that
+ * destination's fold; the slot's partial is reused once merge returns,
+ * so fold starts from whatever that merge left. Returns what the serial
+ * form returns.
+ */
+bool walkStateGraphs(
+    const RoutingRelation &relation, unsigned threads,
+    const std::function<void(std::size_t, const StateGraph &)> &fold,
+    const std::function<void(std::size_t)> &merge);
+
+/** walkStateGraphs() with the partials owned here: fold(g, partial)
+ *  and merge(partial), Partial default-constructible. */
+template <typename Partial, typename Fold, typename Merge>
+bool
+foldStateGraphs(const RoutingRelation &relation, unsigned threads,
+                Fold &&fold, Merge &&merge)
+{
+    std::vector<Partial> partials(walkSlots(threads));
+    return walkStateGraphs(
+        relation, threads,
+        [&](std::size_t slot, const StateGraph &g) {
+            fold(g, partials[slot]);
+        },
+        [&](std::size_t slot) { merge(partials[slot]); });
+}
+
+/**
+ * One destination's distinct (c1, c2) channel dependencies, in the
+ * order a walk of its graph first meets them: the per-destination
+ * partial of the dependency folds (Dally's CDG, Duato's escape CDG).
+ */
+struct DependencyFold
+{
+    std::vector<std::pair<topo::ChannelId, topo::ChannelId>> pairs;
+
+    /** Start a destination: forget the last one's pairs. */
+    void
+    clear()
+    {
+        for (const auto &[c1, c2] : pairs)
+            succ[c1].clear();
+        pairs.clear();
+    }
+
+    /** Record c1 -> c2 unless this destination already has it. A
+     *  channel has few successors, so a linear scan rejects repeats. */
+    void
+    add(topo::ChannelId c1, topo::ChannelId c2)
+    {
+        if (succ.size() <= c1)
+            succ.resize(c1 + 1);
+        auto &out = succ[c1];
+        if (std::find(out.begin(), out.end(), c2) == out.end()) {
+            out.push_back(c2);
+            pairs.emplace_back(c1, c2);
+        }
+    }
+
+  private:
+    /** Per channel: its successors in `pairs`. */
+    std::vector<std::vector<topo::ChannelId>> succ;
+};
 
 } // namespace ebda::cdg
 

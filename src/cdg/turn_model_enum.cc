@@ -6,7 +6,9 @@
 #include "cdg/adaptivity.hh"
 #include "cdg/class_map.hh"
 #include "core/turns.hh"
+#include "util/host_threads.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace ebda::cdg {
 
@@ -154,8 +156,8 @@ acyclicUnder(const LabelledCdg &cdg, std::uint64_t allowed,
 } // namespace
 
 TurnModelEnumResult
-enumerateTurnModels(const topo::Network &net,
-                    std::size_t max_combinations)
+enumerateTurnModels(const topo::Network &net, std::size_t max_combinations,
+                    unsigned threads)
 {
     const std::uint8_t n = net.numDims();
     const std::vector<int> &vcs = net.vcs();
@@ -204,54 +206,84 @@ enumerateTurnModels(const topo::Network &net,
         universe.size() == 64 ? ~0ULL : (1ULL << universe.size()) - 1;
     const ClassMap map(net, classes);
     const LabelledCdg cdg = compileLabelledCdg(net, map, turn_bit);
-    std::vector<std::uint32_t> indeg(net.numChannels());
-    std::vector<topo::ChannelId> order(net.numChannels());
 
-    // Distinct deadlock-free sets with their connectivity verdicts: a
-    // small fraction of the space, so a linear scan finds repeats.
-    std::vector<std::pair<std::uint64_t, bool>> free_sets;
+    // 4^cycles combinations, capped at max_combinations. Combination i
+    // takes choice (i / 4^c) % 4 for cycle c, so cycle 0 varies fastest
+    // and a cap keeps the first combinations of that odometer order.
+    std::size_t total = 1;
+    for (std::size_t c = 0; c < cycles.size() && total < max_combinations;
+         ++c)
+        total = total > max_combinations / 4 ? max_combinations : total * 4;
+    total = std::min(total, max_combinations);
 
-    TurnModelEnumResult result;
-    std::vector<std::size_t> choice(cycles.size(), 0);
-    while (result.combinations < max_combinations) {
-        ++result.combinations;
+    // Index ranges across the pool. Each range counts its deadlock-free
+    // combinations per allowed-turn mask; the masks are few.
+    ThreadPool pool(static_cast<int>(threads ? threads : hostThreads()));
+    const std::size_t ranges = std::min<std::size_t>(
+        total, 8 * static_cast<std::size_t>(pool.threadCount()));
+    std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> found(
+        ranges);
+    pool.parallelFor(ranges, [&](std::size_t r) {
+        const std::size_t begin = total * r / ranges;
+        const std::size_t end = total * (r + 1) / ranges;
+        std::vector<std::size_t> choice(cycles.size(), 0);
+        for (std::size_t c = 0, rest = begin; c < cycles.size(); ++c) {
+            choice[c] = rest % 4;
+            rest /= 4;
+        }
+        std::vector<std::uint32_t> indeg(net.numChannels());
+        std::vector<topo::ChannelId> order(net.numChannels());
+        auto &masks = found[r];
+        for (std::size_t i = begin; i < end; ++i) {
+            std::uint64_t removed = 0;
+            for (std::size_t c = 0; c < cycles.size(); ++c)
+                removed |= cycle_bits[c][choice[c]];
+            const std::uint64_t allowed_mask = full_mask & ~removed;
+            if (acyclicUnder(cdg, allowed_mask, indeg, order)) {
+                auto it = std::find_if(
+                    masks.begin(), masks.end(),
+                    [&](const auto &m) { return m.first == allowed_mask; });
+                if (it == masks.end())
+                    masks.emplace_back(allowed_mask, 1);
+                else
+                    ++it->second;
+            }
+            // Advance the odometer.
+            for (std::size_t c = 0; c < choice.size() && ++choice[c] == 4;
+                 ++c)
+                choice[c] = 0;
+        }
+    });
 
-        std::uint64_t removed = 0;
-        for (std::size_t i = 0; i < cycles.size(); ++i)
-            removed |= cycle_bits[i][choice[i]];
-        const std::uint64_t allowed_mask = full_mask & ~removed;
-
-        if (acyclicUnder(cdg, allowed_mask, indeg, order)) {
-            ++result.deadlockFree;
+    // Union the ranges' masks, then measure each distinct deadlock-free
+    // set's minimal connectivity once.
+    std::vector<std::pair<std::uint64_t, std::size_t>> free_sets;
+    for (const auto &masks : found)
+        for (const auto &[mask, count] : masks) {
             auto it = std::find_if(
                 free_sets.begin(), free_sets.end(),
-                [&](const auto &f) { return f.first == allowed_mask; });
-            if (it == free_sets.end()) {
-                std::vector<std::pair<ChannelClass, ChannelClass>> allowed;
-                for (std::size_t t = 0; t < universe.size(); ++t)
-                    if (allowed_mask & (1ULL << t))
-                        allowed.push_back(universe[t]);
-                const core::TurnSet set =
-                    core::TurnSet::fromExplicit(classes, allowed);
-                const bool connected =
-                    !measureAdaptiveness(net, map, set).disconnectedMinimal;
-                free_sets.emplace_back(allowed_mask, connected);
-                it = free_sets.end() - 1;
-            }
-            if (it->second)
-                ++result.connected;
+                [&](const auto &f) { return f.first == mask; });
+            if (it == free_sets.end())
+                free_sets.emplace_back(mask, count);
+            else
+                it->second += count;
         }
+    std::vector<std::uint8_t> connected(free_sets.size(), 0);
+    pool.parallelFor(free_sets.size(), [&](std::size_t k) {
+        std::vector<std::pair<ChannelClass, ChannelClass>> allowed;
+        for (std::size_t t = 0; t < universe.size(); ++t)
+            if (free_sets[k].first & (1ULL << t))
+                allowed.push_back(universe[t]);
+        const core::TurnSet set = core::TurnSet::fromExplicit(classes, allowed);
+        connected[k] = !measureAdaptiveness(net, map, set).disconnectedMinimal;
+    });
 
-        // Advance the odometer.
-        std::size_t i = 0;
-        while (i < choice.size()) {
-            if (++choice[i] < 4)
-                break;
-            choice[i] = 0;
-            ++i;
-        }
-        if (i == choice.size())
-            break;
+    TurnModelEnumResult result;
+    result.combinations = total;
+    for (std::size_t k = 0; k < free_sets.size(); ++k) {
+        result.deadlockFree += free_sets[k].second;
+        if (connected[k])
+            result.connected += free_sets[k].second;
     }
     result.distinctDeadlockFreeSets = free_sets.size();
     return result;

@@ -22,8 +22,8 @@
  * (or none, for same-class continuation); a combination's verdict is
  * Kahn's algorithm over the edges its allowed-turn mask keeps, which is
  * exactly buildTurnCdg() of the explicit turn set followed by
- * isAcyclic(). Only deadlock-free combinations materialise a TurnSet,
- * to measure minimal connectivity.
+ * isAcyclic(). Only distinct deadlock-free turn sets materialise a
+ * TurnSet, to measure minimal connectivity.
  */
 
 #ifndef EBDA_CDG_TURN_MODEL_ENUM_HH
@@ -85,10 +85,14 @@ struct TurnModelEnumResult
  * (typically a small mesh of the matching dimensionality) and classify
  * every combination. The caller bounds the work via max_combinations;
  * enumeration stops (and `combinations` reports how many were covered)
- * when the bound is hit.
+ * when the bound is hit. The combinations are split into index ranges
+ * across `threads` threads (0: hostThreads()); the ranges' distinct
+ * deadlock-free sets are united and each is measured once, so the
+ * result is the same for any thread count.
  */
 TurnModelEnumResult enumerateTurnModels(
-    const topo::Network &net, std::size_t max_combinations = 1 << 20);
+    const topo::Network &net, std::size_t max_combinations = 1 << 20,
+    unsigned threads = 0);
 
 } // namespace ebda::cdg
 

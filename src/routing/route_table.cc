@@ -58,6 +58,7 @@ RouteTable::fill()
     };
     bool fits = true;
     cdg::ReplayScratch replay;
+    // The one-thread walk: sweep workers compile their tables at once.
     const bool held = cdg::walkStateGraphs(rel, [&](const cdg::StateGraph &g) {
         // Once the pool is over budget the rest of the walk stores
         // nothing.

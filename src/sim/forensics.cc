@@ -131,9 +131,11 @@ buildForensics(const Fabric &fab, const routing::RouteTable &route,
         }
         // The verifier-blind-spot cross-check: on a genuine protocol
         // wedge the channel-level Dally oracle still certifies the
-        // relation clean.
+        // relation clean. The forensics run inside a simulation, which
+        // may be one of a sweep's workers, so the checkers take one
+        // thread.
         out.channelOracleClean =
-            cdg::checkDeadlockFree(route.relation()).deadlockFree;
+            cdg::checkDeadlockFree(route.relation(), 1).deadlockFree;
     }
 
     const graph::CycleReport cyc = graph::findCycle(waits);
@@ -150,7 +152,7 @@ buildForensics(const Fabric &fab, const routing::RouteTable &route,
     // Cross-reference: every wait edge between channels must be a
     // dependency the static Dally verifier already knows about.
     const graph::Digraph cdgGraph =
-        cdg::buildRelationCdg(route.relation());
+        cdg::buildRelationCdg(route.relation(), 1);
     out.cycleInRelationCdg = true;
     for (std::size_t k = 0; k < out.waitCycle.size(); ++k) {
         const topo::ChannelId from = out.waitCycle[k];

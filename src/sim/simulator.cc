@@ -625,10 +625,11 @@ Simulator::runSerial(SimResult &result, bool skip_idle)
                 // block its VC until the periodic scan).
                 dom.vcAlloc.collectStranded = true;
                 // Machine check of the Theorem-2 claim: the degraded
-                // relation must still pass the Dally oracle.
+                // relation must still pass the Dally oracle. One
+                // thread: a run may itself be one of a sweep's workers.
                 if (cfg.faults.checkDegradedCdg) {
                     ++faultCheckCount;
-                    if (cdg::checkDeadlockFree(effective).deadlockFree)
+                    if (cdg::checkDeadlockFree(effective, 1).deadlockFree)
                         ++faultCheckCleanCount;
                 }
                 // Fresh progress window after the fabric surgery.

@@ -8,7 +8,7 @@
 
 #include "sim/sim_json.hh"
 #include "sweep/router_factory.hh"
-#include "sweep/thread_pool.hh"
+#include "util/thread_pool.hh"
 
 namespace ebda::sweep {
 

@@ -20,6 +20,15 @@
  * must be byte-identical. The same cases cross-check the verdicts: an acyclic
  * Dally CDG implies a Mendlovic–Matias release, and the two agree on
  * deterministic relations.
+ *
+ * Thread counts: the checkers build destinations' state graphs on
+ * several threads and merge them in destination order, so every pinned
+ * digest, differential case and lying relation is checked at each of
+ * kThreadCounts (1 is the calling thread alone; 8 oversubscribes any
+ * small host). A relation that lies at one state shows that the spot
+ * checks catch the same lies on every thread count, and one that
+ * throws shows that the error reaches the caller without stranding the
+ * walk's threads.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +38,7 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -138,6 +148,9 @@ class RowClassedOddEven final : public RoutingRelation
     routing::OddEvenRouting base;
 };
 
+/** The thread counts every case is checked at. */
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 8};
+
 /** Every checker report of one relation, as text, and the two
  *  deadlock verdicts. */
 struct Reports
@@ -147,24 +160,26 @@ struct Reports
     bool mmFree = false;
 };
 
-/** The checker reports of `rel`. The Duato report is added when an
- *  escape predicate is given. */
+/** The checker reports of `rel`, each checker walking on `threads`
+ *  threads. The Duato report is added when an escape predicate is
+ *  given. */
 Reports
-checkerReports(const RoutingRelation &rel, const EscapePredicate &is_escape)
+checkerReports(const RoutingRelation &rel, const EscapePredicate &is_escape,
+               unsigned threads)
 {
     std::ostringstream os;
-    const graph::Digraph g = buildRelationCdg(rel);
+    const graph::Digraph g = buildRelationCdg(rel, threads);
     os << "dally edges";
     for (graph::NodeId u = 0; u < g.numNodes(); ++u)
         for (const graph::NodeId v : g.successors(u))
             os << ' ' << u << '>' << v;
-    const CdgReport dally = checkDeadlockFree(rel);
+    const CdgReport dally = checkDeadlockFree(rel, threads);
     os << "\ndally " << dally.deadlockFree << ' ' << dally.numChannels
        << ' ' << dally.numDependencies << " witness";
     for (const std::string &w : dally.witness)
         os << ' ' << w;
 
-    const MmReport mm = checkMendlovicMatias(rel);
+    const MmReport mm = checkMendlovicMatias(rel, threads);
     os << "\nmm " << mm.deadlockFree << ' ' << mm.numChannels << ' '
        << mm.occupiableChannels << ' ' << mm.numStates << " order";
     for (const topo::ChannelId c : mm.releaseOrder)
@@ -173,13 +188,14 @@ checkerReports(const RoutingRelation &rel, const EscapePredicate &is_escape)
     for (const std::string &w : mm.stuckWitness)
         os << ' ' << w;
 
-    const ConnectivityReport conn = checkConnectivity(rel);
+    const ConnectivityReport conn = checkConnectivity(rel, threads);
     os << "\nconn " << conn.connected;
     for (const auto &[s, d] : conn.failures)
         os << ' ' << s << '>' << d;
 
     if (is_escape) {
-        const DuatoReport du = checkDuatoDeadlockFree(rel, is_escape);
+        const DuatoReport du =
+            checkDuatoDeadlockFree(rel, is_escape, threads);
         os << "\nduato " << du.ok << du.escapeAcyclic << du.escapeConnected
            << du.escapeAlwaysAvailable << ' ' << du.numEscapeChannels;
     }
@@ -187,16 +203,20 @@ checkerReports(const RoutingRelation &rel, const EscapePredicate &is_escape)
 }
 
 std::string
-checkerText(const RoutingRelation &rel, const EscapePredicate &is_escape)
+checkerText(const RoutingRelation &rel, const EscapePredicate &is_escape,
+            unsigned threads)
 {
-    return checkerReports(rel, is_escape).text;
+    return checkerReports(rel, is_escape, threads).text;
 }
 
-/** True when the state walk kept `rel`'s declared source classes. */
+/** True when the state walk on `threads` threads kept `rel`'s declared
+ *  source classes. */
 bool
-classesHold(const RoutingRelation &rel)
+classesHold(const RoutingRelation &rel, unsigned threads)
 {
-    return walkStateGraphs(rel, [](const StateGraph &) {});
+    return walkStateGraphs(
+        rel, threads, [](std::size_t, const StateGraph &) {},
+        [](std::size_t) {});
 }
 
 /** True when every reachable state of `rel` has at most one candidate. */
@@ -214,22 +234,29 @@ deterministic(const RoutingRelation &rel)
 }
 
 /**
- * The differential case: `rel`'s reports must equal those of the same
- * relation behind UndeclaredView (one class per source), and its
- * verdicts must be consistent — Dally-free implies MM-free, and on a
- * deterministic relation the two agree.
+ * The differential case: at every thread count, `rel`'s reports must
+ * equal those of the same relation behind UndeclaredView (one class per
+ * source) on one thread, and its verdicts must be consistent —
+ * Dally-free implies MM-free, and on a deterministic relation the two
+ * agree.
  */
 void
 expectMatchesUndeclared(const RoutingRelation &rel,
                         const EscapePredicate &is_escape,
                         const std::string &label)
 {
-    // An honest declaration never fails its spot check.
-    EXPECT_TRUE(classesHold(rel)) << label;
     const UndeclaredView undeclared(rel);
-    const Reports as_declared = checkerReports(rel, is_escape);
-    EXPECT_EQ(as_declared.text, checkerText(undeclared, is_escape))
-        << label;
+    const std::string serial = checkerText(undeclared, is_escape, 1);
+    Reports as_declared;
+    for (const unsigned threads : kThreadCounts) {
+        // An honest declaration never fails its spot check.
+        EXPECT_TRUE(classesHold(rel, threads)) << label;
+        as_declared = checkerReports(rel, is_escape, threads);
+        EXPECT_EQ(as_declared.text, serial)
+            << label << ", " << threads << " threads";
+        EXPECT_EQ(checkerText(undeclared, is_escape, threads), serial)
+            << label << ", undeclared, " << threads << " threads";
+    }
     if (as_declared.dallyFree) {
         EXPECT_TRUE(as_declared.mmFree) << label << ": Dally-free, MM not";
     }
@@ -246,10 +273,15 @@ firstVc(const topo::Network &net)
     return [&net](topo::ChannelId c) { return net.vcOf(c) == 0; };
 }
 
+/** The digest of `rel`'s reports, the same at every thread count. */
 std::string
 digestOf(const RoutingRelation &rel, const EscapePredicate &is_escape)
 {
-    return sweep::keyToHex(sweep::fnv1a64(checkerText(rel, is_escape)));
+    const std::string text = checkerText(rel, is_escape, 1);
+    for (const unsigned threads : kThreadCounts)
+        EXPECT_EQ(checkerText(rel, is_escape, threads), text)
+            << rel.name() << ", " << threads << " threads";
+    return sweep::keyToHex(sweep::fnv1a64(text));
 }
 
 /** One verify-catalog entry (perfbench/verify_catalog.cc, seed 1). */
@@ -440,10 +472,13 @@ TEST(CheckerEquiv, MisdeclaredIndependenceIsCaught)
     // The lie shows only where the consulted source is the current
     // node, which the walk meets only in its probes: the reports would
     // match without the spot check, so its verdict is checked too.
-    EXPECT_FALSE(classesHold(rel));
     const UndeclaredView undeclared(rel);
-    EXPECT_EQ(checkerText(rel, firstVc(net)),
-              checkerText(undeclared, firstVc(net)));
+    const std::string serial = checkerText(undeclared, firstVc(net), 1);
+    for (const unsigned threads : kThreadCounts) {
+        EXPECT_FALSE(classesHold(rel, threads)) << threads << " threads";
+        EXPECT_EQ(checkerText(rel, firstVc(net), threads), serial)
+            << threads << " threads";
+    }
 }
 
 TEST(CheckerEquiv, MisdeclaredClassesAreCaught)
@@ -462,10 +497,124 @@ TEST(CheckerEquiv, MisdeclaredClassesAreCaught)
     // No packet of row 0 meets such a state on a channel another source
     // of the row reaches, so, as with the independence lie, the reports
     // alone would not show a missing spot check.
-    EXPECT_FALSE(classesHold(rel));
     const UndeclaredView undeclared(rel);
-    EXPECT_EQ(checkerText(rel, firstVc(net)),
-              checkerText(undeclared, firstVc(net)));
+    const std::string serial = checkerText(undeclared, firstVc(net), 1);
+    for (const unsigned threads : kThreadCounts) {
+        EXPECT_FALSE(classesHold(rel, threads)) << threads << " threads";
+        EXPECT_EQ(checkerText(rel, firstVc(net), threads), serial)
+            << threads << " threads";
+    }
+}
+
+/**
+ * Minimal adaptive routing declared source-independent, lying at one
+ * state: at (in, dest) its candidates flip whenever the consulted
+ * source is not the current node. Only a spot check that lands on that
+ * state can see it.
+ */
+class LiesAtOneState final : public RoutingRelation
+{
+  public:
+    LiesAtOneState(const topo::Network &net, topo::ChannelId in,
+                   topo::NodeId dest)
+        : base(net), lieIn(in), lieDest(dest)
+    {
+    }
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        base.candidatesInto(in, at, src, dest, out);
+        if (in == lieIn && dest == lieDest && src != at)
+            std::reverse(out.begin(), out.end());
+    }
+    std::string name() const override { return "Lies at one state"; }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
+
+  private:
+    routing::MinimalAdaptiveRouting base;
+    topo::ChannelId lieIn;
+    topo::NodeId lieDest;
+};
+
+TEST(CheckerEquiv, SpotChecksDoNotDependOnThreadCount)
+{
+    // Whether the lie is caught depends on where the spot-check tick
+    // falls. It restarts at each destination, so every thread count
+    // probes the same states, catches the same lies and, after a
+    // caught one, rebuilds from the same destination.
+    const auto net = topo::Network::mesh({5, 5}, {2, 2});
+    std::size_t caught = 0;
+    std::size_t missed = 0;
+    for (const topo::NodeId dest : {3u, 12u, 24u})
+        for (topo::ChannelId c = 0; c < net.numChannels(); c += 7) {
+            const LiesAtOneState rel(net, c, dest);
+            const bool held = classesHold(rel, 1);
+            (held ? missed : caught) += 1;
+            const std::string serial = checkerText(rel, firstVc(net), 1);
+            for (const unsigned threads : {2u, 3u, 8u}) {
+                EXPECT_EQ(classesHold(rel, threads), held)
+                    << "lie at channel " << c << ", dest " << dest << ", "
+                    << threads << " threads";
+                EXPECT_EQ(checkerText(rel, firstVc(net), threads), serial)
+                    << "lie at channel " << c << ", dest " << dest << ", "
+                    << threads << " threads";
+            }
+        }
+    EXPECT_GT(caught, 0u);
+    EXPECT_GT(missed, 0u);
+}
+
+/** XY routing that throws for one destination. */
+class ThrowingRelation final : public RoutingRelation
+{
+  public:
+    ThrowingRelation(const topo::Network &net, topo::NodeId bad)
+        : base(routing::DimensionOrderRouting::xy(net)), bad(bad)
+    {
+    }
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        if (dest == bad)
+            throw std::runtime_error("no route");
+        base.candidatesInto(in, at, src, dest, out);
+    }
+    std::string name() const override { return "Throwing XY"; }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
+
+  private:
+    routing::DimensionOrderRouting base;
+    topo::NodeId bad;
+};
+
+TEST(CheckerEquiv, RelationErrorsReachTheCaller)
+{
+    // A destination whose graph cannot be built must not strand the
+    // threads waiting for its partial to be merged.
+    const auto net = topo::Network::mesh({6, 6}, {1, 1});
+    for (const topo::NodeId bad : {0u, 5u, 35u}) {
+        const ThrowingRelation rel(net, bad);
+        for (const unsigned threads : kThreadCounts) {
+            EXPECT_THROW(checkMendlovicMatias(rel, threads),
+                         std::runtime_error);
+            EXPECT_THROW(checkConnectivity(rel, threads),
+                         std::runtime_error);
+        }
+    }
 }
 
 } // namespace

@@ -21,7 +21,7 @@
 #include "sweep/router_factory.hh"
 #include "sweep/runner.hh"
 #include "sweep/sweep_spec.hh"
-#include "sweep/thread_pool.hh"
+#include "util/thread_pool.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 
@@ -419,7 +419,7 @@ TEST(RouterFactory, BuildsRelations)
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 {
-    sweep::ThreadPool pool(4);
+    ThreadPool pool(4);
     std::vector<std::atomic<int>> counts(1000);
     pool.parallelFor(counts.size(), [&](std::size_t i) {
         counts[i].fetch_add(1);
@@ -430,7 +430,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 
 TEST(ThreadPool, ReusableAcrossBatches)
 {
-    sweep::ThreadPool pool(3);
+    ThreadPool pool(3);
     for (int round = 0; round < 5; ++round) {
         std::atomic<int> sum{0};
         pool.parallelFor(100, [&](std::size_t i) {
@@ -442,7 +442,7 @@ TEST(ThreadPool, ReusableAcrossBatches)
 
 TEST(ThreadPool, PropagatesExceptions)
 {
-    sweep::ThreadPool pool(2);
+    ThreadPool pool(2);
     EXPECT_THROW(pool.parallelFor(10,
                                   [&](std::size_t i) {
                                       if (i == 7)

@@ -23,7 +23,7 @@
 #include "sweep/result_cache.hh"
 #include "sweep/runner.hh"
 #include "sweep/sweep_spec.hh"
-#include "sweep/thread_pool.hh"
+#include "util/thread_pool.hh"
 #include "util/json.hh"
 
 namespace {
@@ -466,7 +466,7 @@ TEST(CostOrder, SweepsAreBitIdenticalAcrossOrderAndThreads)
 
 TEST(ThreadPool, OrderedBatchRunsEveryIndexOnce)
 {
-    sweep::ThreadPool pool(3);
+    ThreadPool pool(3);
     std::vector<std::size_t> order;
     for (std::size_t i = 0; i < 100; ++i)
         order.push_back(99 - i);

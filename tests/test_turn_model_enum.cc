@@ -178,23 +178,47 @@ TEST(EnumerateTurnModels, ThreeDimensionalFullSpacePinned)
     // one-turn-per-cycle combinations, 176 are deadlock-free (a number
     // the paper does not report; deterministic given the oracle).
     const auto net = topo::Network::mesh({3, 3, 3}, {1, 1, 1});
-    const auto result = enumerateTurnModels(net);
-    EXPECT_EQ(result.combinations, 4096u);
-    EXPECT_EQ(result.deadlockFree, 176u);
-    EXPECT_EQ(result.connected, 176u);
+    for (const unsigned threads : {1u, 3u}) {
+        const auto result = enumerateTurnModels(net, 1 << 20, threads);
+        EXPECT_EQ(result.combinations, 4096u) << threads << " threads";
+        EXPECT_EQ(result.deadlockFree, 176u) << threads << " threads";
+        EXPECT_EQ(result.connected, 176u) << threads << " threads";
+    }
 }
 
 TEST(EnumerateTurnModels, TwoVcFullSpacePinned)
 {
     // The Section 2 space: 65,536 combinations on a 2D mesh with 2 VCs
     // per dimension, of which 68 are deadlock-free, all minimally
-    // connected, and no two of them the same turn set.
+    // connected, and no two of them the same turn set. The index ranges
+    // split differently on 1 and 3 threads; the counts may not move.
     const auto net = topo::Network::mesh({4, 4}, {2, 2});
-    const auto result = enumerateTurnModels(net);
-    EXPECT_EQ(result.combinations, 65536u);
-    EXPECT_EQ(result.deadlockFree, 68u);
-    EXPECT_EQ(result.connected, 68u);
-    EXPECT_EQ(result.distinctDeadlockFreeSets, 68u);
+    for (const unsigned threads : {1u, 3u}) {
+        const auto result = enumerateTurnModels(net, 1 << 20, threads);
+        EXPECT_EQ(result.combinations, 65536u) << threads << " threads";
+        EXPECT_EQ(result.deadlockFree, 68u) << threads << " threads";
+        EXPECT_EQ(result.connected, 68u) << threads << " threads";
+        EXPECT_EQ(result.distinctDeadlockFreeSets, 68u)
+            << threads << " threads";
+    }
+}
+
+TEST(EnumerateTurnModels, CappedRangesMatchAcrossThreadCounts)
+{
+    // A cap that splits unevenly into ranges, and one below the range
+    // count: every thread count covers the same combinations.
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    for (const std::size_t cap : {std::size_t{3}, std::size_t{5000}}) {
+        const auto want = enumerateTurnModels(net, cap, 1);
+        for (const unsigned threads : {2u, 3u, 8u}) {
+            const auto got = enumerateTurnModels(net, cap, threads);
+            EXPECT_EQ(got.combinations, cap);
+            EXPECT_EQ(got.deadlockFree, want.deadlockFree);
+            EXPECT_EQ(got.connected, want.connected);
+            EXPECT_EQ(got.distinctDeadlockFreeSets,
+                      want.distinctDeadlockFreeSets);
+        }
+    }
 }
 
 TEST(EnumerateTurnModels, LabelledKernelMatchesReference2d)
