@@ -292,26 +292,6 @@ threadRatio()
     return r;
 }
 
-/** The host's CPU model from /proc/cpuinfo (JSON-safe), or "unknown". */
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto colon = line.find(':');
-        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
-            continue;
-        std::string model = line.substr(colon + 1);
-        model.erase(0, model.find_first_not_of(' '));
-        std::replace_if(
-            model.begin(), model.end(),
-            [](char ch) { return ch == '"' || ch == '\\'; }, ' ');
-        return model;
-    }
-    return "unknown";
-}
-
 /** Print the tables and the JSON summary; exit 1 when a gate failed. */
 void
 reproduce()
@@ -400,7 +380,7 @@ reproduce()
          << ",\"hardware_threads\":"
          << std::thread::hardware_concurrency()
          << ",\"host_threads\":" << hostThreads()
-         << ",\"cpu_model\":\"" << cpuModel() << "\""
+         << ",\"cpu_model\":\"" << bench::cpuModel() << "\""
          << ",\"pass\":" << (pass ? "true" : "false") << "}";
 
     t.print(std::cout);

@@ -1,23 +1,27 @@
 /**
  * @file
- * Microbenchmark for the route-table compiler (src/routing/route_table):
- * compiled-table lookups vs virtual-dispatch route compute on the
- * benches' standard 8x8, 2-VC mesh, each row with its table's size and
- * compile time, plus a fixed latency-sweep point timed with the table
- * on and off.
+ * Microbenchmark for the route table (src/routing/route_table): table
+ * lookups vs virtual-dispatch route compute on the benches' standard
+ * 8x8, 2-VC mesh. Each row reports the table's rows, its bytes once
+ * every reachable row is filled, the constructor's sizing time, and the
+ * first-touch cost per row (the first query of every reachable state
+ * on a fresh table, over the rows it filled) next to the steady-state
+ * ns per call. A fixed latency-sweep point is timed with the table on
+ * and off, with the rows that run filled.
  *
  * This binary is also a correctness smoke test and exits non-zero when
  *  - any table lookup differs from the virtual relation on a reachable
  *    state (contents or order), or
- *  - the compiled-table query loop, or the virtual-fallback query loop
+ *  - the filled-table query loop, or the virtual-fallback query loop
  *    (table disabled, scratch buffer warmed by one pass), performs a
  *    single heap allocation. Both are steady-state route compute: the
  *    fallback is what every over-budget fabric runs. A global operator
  *    new/delete hook below counts every allocation in the process.
  *
- * Machine-readable output: the JSON summary is printed to stdout and,
- * when EBDA_ROUTE_BENCH_JSON is set, written to that path (CI uploads
- * it as an artifact; scripts/perf_baseline.sh commits it as
+ * Machine-readable output: the JSON summary, with the host shape
+ * (hardware and host threads, SIMD path, CPU model), is printed to
+ * stdout and, when EBDA_ROUTE_BENCH_JSON is set, written to that path
+ * (CI uploads it as an artifact; scripts/perf_baseline.sh commits it as
  * BENCH_sim.json).
  */
 
@@ -30,12 +34,16 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cdg/routing_relation.hh"
+#include "common.hh"
 #include "routing/route_table.hh"
+#include "sim/event_queue.hh"
 #include "sim/simulator.hh"
 #include "sweep/router_factory.hh"
+#include "util/host_threads.hh"
 
 namespace {
 
@@ -114,7 +122,7 @@ struct State
 };
 
 /** Every reachable (in, src, dest) state: the closure of each pair's
- *  injection candidates, the states the table compiler fills. */
+ *  injection candidates, the states packets can query. */
 std::vector<State>
 reachableStates(const cdg::RoutingRelation &rel)
 {
@@ -160,8 +168,11 @@ struct RelationRow
     std::string spec;
     std::size_t states = 0;
     bool perSource = false;
+    std::size_t rows = 0;
+    std::size_t rowsFilled = 0;
     std::uint64_t tableBytes = 0;
     double compileMs = 0.0;
+    double firstTouchNsPerFill = 0.0;
     double virtualNsPerCall = 0.0;
     double tableNsPerCall = 0.0;
     double speedup = 0.0;
@@ -183,21 +194,37 @@ benchRelation(const topo::Network &net, const std::string &spec)
         row.match = false;
         return row;
     }
-    const routing::RouteTable table(*rel);
-    if (!table.compiled()) {
-        std::cerr << spec << ": table fell back to the virtual path\n";
-        row.match = false;
-        return row;
-    }
-    row.perSource = table.perSource();
-    row.tableBytes = table.tableBytes();
-    row.compileMs = static_cast<double>(table.compileNanos()) / 1e6;
-
     const auto states = reachableStates(*rel);
     row.states = states.size();
 
-    // Correctness first: every reachable state, contents and order.
+    const routing::RouteTable table(*rel);
+    row.perSource = table.perSource();
+    row.rows = table.rowCount();
+    row.compileMs = static_cast<double>(table.compileNanos()) / 1e6;
+
+    // `sink` defeats dead-code elimination of the timed loops.
+    std::uint64_t sink = 0;
+
+    // First touch: one query of every reachable state on the fresh
+    // table fills each row it meets, once.
     std::vector<topo::ChannelId> scratch;
+    const auto tf0 = Clock::now();
+    for (const State &s : states)
+        sink += table.candidatesView(s.in, s.at, s.src, s.dest, scratch)
+                    .size();
+    const double fillSec = secondsSince(tf0);
+    row.rowsFilled = table.rowsFilled();
+    row.firstTouchNsPerFill = fillSec * 1e9
+        / static_cast<double>(std::max<std::size_t>(1, row.rowsFilled));
+    if (!table.compiled()) {
+        std::cerr << spec << ": table fell back to the virtual path ("
+                  << routing::toString(table.fallback()) << ")\n";
+        row.match = false;
+        return row;
+    }
+    row.tableBytes = table.tableBytes();
+
+    // Correctness: every reachable state, contents and order.
     for (const State &s : states) {
         const auto want = rel->candidates(s.in, s.at, s.src, s.dest);
         const auto got =
@@ -211,9 +238,6 @@ benchRelation(const topo::Network &net, const std::string &spec)
             return row;
         }
     }
-
-    // `sink` defeats dead-code elimination of the timed loops.
-    std::uint64_t sink = 0;
 
     // The virtual fallback as the simulator runs it: a disabled table
     // filling one scratch buffer per query. One untimed pass grows the
@@ -264,6 +288,8 @@ struct SweepRow
 {
     std::uint64_t cycles = 0;
     std::uint64_t routeCalls = 0;
+    std::size_t rows = 0;
+    std::size_t rowsFilled = 0;
     double tableCyclesPerSec = 0.0;
     double virtualCyclesPerSec = 0.0;
     bool callsMatch = true;
@@ -291,8 +317,11 @@ benchSweepPoint(const topo::Network &net)
 
     cfg.routeTable = true;
     const auto t0 = Clock::now();
-    const auto onTable = sim::runSimulation(net, *rel, gen, cfg);
+    sim::Simulator tableSim(net, *rel, gen, cfg);
+    const auto onTable = tableSim.run();
     const double tableSec = secondsSince(t0);
+    row.rows = tableSim.routeTable().rowCount();
+    row.rowsFilled = tableSim.routeTable().rowsFilled();
 
     cfg.routeTable = false;
     const auto t1 = Clock::now();
@@ -321,20 +350,23 @@ benchMain()
     bool pass = true;
     std::printf("route compute on mesh 8x8, 2 VCs/dim (%zu channels)\n",
                 static_cast<std::size_t>(net.numChannels()));
-    std::printf("%-10s %8s %10s %10s %12s %12s %8s %7s %7s\n", "router",
-                "states", "bytes", "compile", "virtual", "table",
-                "speedup", "v-alloc", "t-alloc");
+    std::printf("%-10s %8s %8s %8s %10s %10s %12s %12s %12s %8s %7s "
+                "%7s\n",
+                "router", "states", "rows", "filled", "bytes", "compile",
+                "first-touch", "virtual", "table", "speedup", "v-alloc",
+                "t-alloc");
     for (const char *spec : specs) {
         rows.push_back(benchRelation(net, spec));
         const RelationRow &r = rows.back();
         pass = pass && r.match && r.tableAllocs == 0
             && r.virtualAllocs == 0;
         std::printf(
-            "%-10s %8zu %10llu %7.2f ms %9.1f ns %9.1f ns %7.1fx %7llu "
-            "%7llu%s\n",
-            r.spec.c_str(), r.states,
+            "%-10s %8zu %8zu %8zu %10llu %7.2f ms %9.1f ns %9.1f ns "
+            "%9.1f ns %7.1fx %7llu %7llu%s\n",
+            r.spec.c_str(), r.states, r.rows, r.rowsFilled,
             static_cast<unsigned long long>(r.tableBytes), r.compileMs,
-            r.virtualNsPerCall, r.tableNsPerCall, r.speedup,
+            r.firstTouchNsPerFill, r.virtualNsPerCall, r.tableNsPerCall,
+            r.speedup,
             static_cast<unsigned long long>(r.virtualAllocs),
             static_cast<unsigned long long>(r.tableAllocs),
             r.match ? "" : "  MISMATCH");
@@ -344,10 +376,12 @@ benchMain()
     pass = pass && sweep.callsMatch;
     std::printf("\nlatency point (fig7b, uniform 0.10): "
                 "%.0f cycles/s table, %.0f cycles/s virtual "
-                "(%llu cycles, %llu route calls)%s\n",
+                "(%llu cycles, %llu route calls, %zu of %zu rows "
+                "filled)%s\n",
                 sweep.tableCyclesPerSec, sweep.virtualCyclesPerSec,
                 static_cast<unsigned long long>(sweep.cycles),
                 static_cast<unsigned long long>(sweep.routeCalls),
+                sweep.rowsFilled, sweep.rows,
                 sweep.callsMatch ? "" : "  RESULT DIVERGED");
 
     std::ostringstream json;
@@ -358,8 +392,11 @@ benchMain()
         json << (i ? "," : "") << "{\"spec\":\"" << r.spec << "\""
              << ",\"states\":" << r.states
              << ",\"per_source\":" << (r.perSource ? "true" : "false")
+             << ",\"rows\":" << r.rows
+             << ",\"rows_filled\":" << r.rowsFilled
              << ",\"table_bytes\":" << r.tableBytes
              << ",\"compile_ms\":" << r.compileMs
+             << ",\"first_touch_ns_per_fill\":" << r.firstTouchNsPerFill
              << ",\"virtual_ns_per_call\":" << r.virtualNsPerCall
              << ",\"table_ns_per_call\":" << r.tableNsPerCall
              << ",\"speedup\":" << r.speedup
@@ -369,9 +406,15 @@ benchMain()
     }
     json << "],\"sweep\":{\"router\":\"fig7b\",\"cycles\":"
          << sweep.cycles << ",\"route_calls\":" << sweep.routeCalls
+         << ",\"rows\":" << sweep.rows
+         << ",\"rows_filled\":" << sweep.rowsFilled
          << ",\"table_cycles_per_sec\":" << sweep.tableCyclesPerSec
          << ",\"virtual_cycles_per_sec\":" << sweep.virtualCyclesPerSec
-         << "},\"pass\":" << (pass ? "true" : "false") << "}";
+         << "},\"hardware_threads\":" << std::thread::hardware_concurrency()
+         << ",\"host_threads\":" << hostThreads()
+         << ",\"simd_path\":\"" << sim::injectionEngineSimdPath() << "\""
+         << ",\"cpu_model\":\"" << bench::cpuModel() << "\""
+         << ",\"pass\":" << (pass ? "true" : "false") << "}";
 
     std::cout << "\nROUTE_BENCH_JSON: " << json.str() << '\n';
     if (const char *path = std::getenv("EBDA_ROUTE_BENCH_JSON");

@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -29,6 +30,27 @@ inline void
 banner(const std::string &title)
 {
     std::cout << "\n=== " << title << " ===\n";
+}
+
+/** The host's CPU model from /proc/cpuinfo (JSON-safe), or "unknown":
+ *  part of the host shape a bench's JSON summary records. */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        std::string model = line.substr(colon + 1);
+        model.erase(0, model.find_first_not_of(' '));
+        std::replace_if(
+            model.begin(), model.end(),
+            [](char ch) { return ch == '"' || ch == '\\'; }, ' ');
+        return model;
+    }
+    return "unknown";
 }
 
 /**

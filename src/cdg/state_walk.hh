@@ -2,8 +2,10 @@
  * @file
  * The one reachable-state walk. The relation-level checkers read it —
  * the Dally CDG (relation_cdg), the Mendlovic–Matias fixpoint
- * (mm_check), the connectivity check and Duato's escape check — and the
- * route-table compiler (routing/route_table.hh) fills its rows from it.
+ * (mm_check), the connectivity check and Duato's escape check. The
+ * route table (routing/route_table.hh) does not walk: it fills rows as
+ * packets query them, and checks one-class fills with this walk's
+ * spot-check probe rule.
  *
  * A routing state is (channel, src, dest) with the packet's head at the
  * channel's sink. A packet of the (src, dest) pair starts on one of its

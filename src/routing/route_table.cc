@@ -1,8 +1,9 @@
 #include "routing/route_table.hh"
 
+#include <algorithm>
 #include <chrono>
-
-#include "cdg/state_walk.hh"
+#include <limits>
+#include <new>
 
 namespace ebda::routing {
 
@@ -12,16 +13,47 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
       numNodes(relation.network().numNodes()),
       numChannels(relation.network().numChannels())
 {
-    if (!opts.enable)
+    if (!opts.enable) {
+        state = Fallback::Disabled;
         return;
+    }
     const auto t0 = std::chrono::steady_clock::now();
-    compiledFlag = fill();
-    if (!compiledFlag) {
-        rows.clear();
-        rows.shrink_to_fit();
-        pool.clear();
-        pool.shrink_to_fit();
-        bytes = 0;
+    // One source class collapses the source axis; more key the rows
+    // per source.
+    for (topo::NodeId src = 1; src < numNodes && !wide; ++src)
+        wide = rel.srcClass(src) != rel.srcClass(0);
+    const std::size_t chanRows = wide
+        ? numChannels * numNodes * numNodes
+        : numChannels * numNodes;
+    injBase = chanRows;
+    const std::size_t rowTotal = chanRows + numNodes * numNodes;
+    const std::uint64_t rowBytes =
+        static_cast<std::uint64_t>(rowTotal) * sizeof(std::uint64_t);
+    // Before any query: an over-budget table asks the relation nothing.
+    if (rowBytes > opts.memoryBudgetBytes) {
+        state = Fallback::RowsOverBudget;
+    } else {
+        // A row holds at most one node's output channels, so the pool
+        // never needs more than rows x the widest node's fan-out.
+        const topo::Network &net = rel.network();
+        std::uint64_t fanOut = 0;
+        for (topo::NodeId n = 0; n < numNodes; ++n) {
+            std::uint64_t out = 0;
+            for (const topo::LinkId l : net.outLinks(n))
+                out += static_cast<std::uint64_t>(net.vcsOnLink(l));
+            fanOut = std::max(fanOut, out);
+        }
+        poolCap = static_cast<std::size_t>(std::min<std::uint64_t>(
+            {(opts.memoryBudgetBytes - rowBytes) / sizeof(topo::ChannelId),
+             rowTotal * fanOut,
+             std::numeric_limits<std::uint32_t>::max() - 1u}));
+        rows.reset(static_cast<std::uint64_t *>(
+            std::calloc(rowTotal, sizeof(std::uint64_t))));
+        if (!rows)
+            throw std::bad_alloc();
+        pool = std::make_unique_for_overwrite<topo::ChannelId[]>(poolCap
+                                                                 + 1);
+        numRows = rowTotal;
     }
     compileNs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -29,65 +61,78 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
             .count());
 }
 
-bool
-RouteTable::fill()
+std::uint64_t
+RouteTable::tableBytes() const
 {
-    // One source class collapses the source axis; more compile
-    // per-source rows.
-    for (topo::NodeId src = 1; src < numNodes && !wide; ++src)
-        wide = rel.srcClass(src) != rel.srcClass(0);
-    const std::size_t chanRows = wide
-        ? numChannels * numNodes * numNodes
-        : numChannels * numNodes;
-    injBase = chanRows;
-    const std::size_t rowCount = chanRows + numNodes * numNodes;
-    const std::uint64_t rowBytes =
-        static_cast<std::uint64_t>(rowCount) * sizeof(Row);
-    // Before the walk: an over-budget table asks the relation nothing.
-    if (rowBytes > opts.memoryBudgetBytes)
-        return false;
-    rows.assign(rowCount, Row{});
+    if (!compiled())
+        return 0;
+    return static_cast<std::uint64_t>(numRows) * sizeof(std::uint64_t)
+        + static_cast<std::uint64_t>(poolUsed.load(std::memory_order_relaxed)
+                                     - 1)
+        * sizeof(topo::ChannelId);
+}
 
-    // Row r holds the channels of `states`, state indices of g.
-    const auto store = [&](const cdg::StateGraph &g, std::size_t r,
-                           std::span<const std::uint32_t> states) {
-        rows[r].begin = static_cast<std::uint32_t>(pool.size());
-        rows[r].len = static_cast<std::uint32_t>(states.size());
-        for (const std::uint32_t i : states)
-            pool.push_back(g.channel[i]);
+topo::NodeId
+RouteTable::probeSource(topo::NodeId at, topo::NodeId src,
+                        topo::NodeId dest) const
+{
+    // The walk's rule for a class holding every source: the current
+    // node, else the first source bound for dest, else the last.
+    if (at != src)
+        return at;
+    const topo::NodeId first = dest == 0 ? 1 : 0;
+    if (first != src)
+        return first;
+    return static_cast<topo::NodeId>(dest == numNodes - 1 ? numNodes - 2
+                                                          : numNodes - 1);
+}
+
+CandidateSpan
+RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                    topo::NodeId dest,
+                    std::vector<topo::ChannelId> &scratch) const
+{
+    const std::lock_guard<std::mutex> lock(fillMutex);
+    if (!compiled()) {
+        rel.candidatesInto(in, at, src, dest, scratch);
+        return CandidateSpan{scratch.data(), scratch.size()};
+    }
+    // Every later query asks the relation; this one has its answer in
+    // hand. Nothing is freed: a worker may still be reading a row.
+    const auto fallBack = [&](Fallback why) {
+        state.store(why, std::memory_order_relaxed);
+        scratch = fillScratch;
+        return CandidateSpan{scratch.data(), scratch.size()};
     };
-    bool fits = true;
-    cdg::ReplayScratch replay;
-    // The one-thread walk: sweep workers compile their tables at once.
-    const bool held = cdg::walkStateGraphs(rel, [&](const cdg::StateGraph &g) {
-        // Once the pool is over budget the rest of the walk stores
-        // nothing.
-        if (!fits)
-            return;
-        for (std::size_t k = 0; k < g.sources.size(); ++k) {
-            const topo::NodeId src = g.sources[k];
-            store(g, rowIndex(cdg::kInjectionChannel, src, g.dest),
-                  g.injection(k));
-            if (!wide)
-                continue;
-            // Packets eject on arrival; their rows are never queried.
-            g.replay(k, replay, [&](std::uint32_t i) {
-                if (!g.ejects[i])
-                    store(g, rowIndex(g.channel[i], src, g.dest),
-                          g.candidates(i));
-            });
+    const std::size_t idx = rowIndex(in, src, dest);
+    const std::atomic_ref<std::uint64_t> row = rowRef(idx);
+    // Another thread may have filled it since the caller looked.
+    if (const std::uint64_t r = row.load(std::memory_order_relaxed);
+        r != kEmptyRow)
+        return view(r);
+
+    rel.candidatesInto(in, at, src, dest, fillScratch);
+    if (!wide && in != cdg::kInjectionChannel) {
+        const topo::NodeId p = probeSource(at, src, dest);
+        if (p != src) {
+            rel.candidatesInto(in, at, p, dest, probeScratch);
+            if (probeScratch != fillScratch)
+                return fallBack(Fallback::SourceClassesFailed);
         }
-        if (!wide)
-            for (std::size_t i = 0; i < g.size(); ++i)
-                if (!g.ejects[i])
-                    store(g, rowIndex(g.channel[i], 0, g.dest),
-                          g.candidates(i));
-        bytes = rowBytes
-            + static_cast<std::uint64_t>(pool.size())
-                * sizeof(topo::ChannelId);
-        fits = bytes <= opts.memoryBudgetBytes;
-    });
-    return held && fits;
+    }
+    const std::size_t begin = poolUsed.load(std::memory_order_relaxed);
+    if (fillScratch.size() > poolCap + 1 - begin)
+        return fallBack(Fallback::PoolOverBudget);
+    std::copy(fillScratch.begin(), fillScratch.end(), pool.get() + begin);
+    poolUsed.store(begin + fillScratch.size(), std::memory_order_relaxed);
+    filledRows.fetch_add(1, std::memory_order_relaxed);
+    if (revBuilt)
+        for (const topo::ChannelId c : fillScratch)
+            revIndex[c].push_back(static_cast<std::uint32_t>(idx));
+    const std::uint64_t r = static_cast<std::uint64_t>(begin)
+        | static_cast<std::uint64_t>(fillScratch.size()) << 32;
+    row.store(r, std::memory_order_release);
+    return view(r);
 }
 
 void
@@ -95,48 +140,63 @@ RouteTable::candidatesInto(topo::ChannelId in, topo::NodeId at,
                            topo::NodeId src, topo::NodeId dest,
                            std::vector<topo::ChannelId> &out) const
 {
-    ++callCount;
-    if (compiledFlag) {
-        const Row r = rows[rowIndex(in, src, dest)];
-        out.assign(pool.begin() + r.begin,
-                   pool.begin() + r.begin + r.len);
-    } else {
-        rel.candidatesInto(in, at, src, dest, out);
-    }
-}
-
-void
-RouteTable::buildReverseIndex()
-{
-    revIndex.assign(numChannels, {});
-    for (std::size_t r = 0; r < rows.size(); ++r)
-        for (std::uint32_t k = 0; k < rows[r].len; ++k)
-            revIndex[pool[rows[r].begin + k]].push_back(
-                static_cast<std::uint32_t>(r));
-    revBuilt = true;
+    const CandidateSpan s = candidatesView(in, at, src, dest, out);
+    // The fallback answers in `out` itself.
+    if (s.begin() != out.data())
+        out.assign(s.begin(), s.end());
 }
 
 void
 RouteTable::filterDeadChannel(topo::ChannelId dead)
 {
-    if (!compiledFlag)
+    if (!compiled())
         return;
-    if (!revBuilt)
-        buildReverseIndex();
+    const std::lock_guard<std::mutex> lock(fillMutex);
+    if (!revBuilt) {
+        revIndex.assign(numChannels, {});
+        for (std::size_t r = 0; r < numRows; ++r) {
+            const CandidateSpan s =
+                view(rowRef(r).load(std::memory_order_relaxed));
+            for (const topo::ChannelId c : s)
+                revIndex[c].push_back(static_cast<std::uint32_t>(r));
+        }
+        revBuilt = true;
+    }
     if (dead >= revIndex.size())
         return;
     // In-row compaction: entries keep their relative order, matching
     // the order-preserving remove_if of FaultedRelationView exactly.
     for (const std::uint32_t r : revIndex[dead]) {
-        Row &row = rows[r];
+        const std::uint64_t v = rowRef(r).load(std::memory_order_relaxed);
+        const auto begin = static_cast<std::uint32_t>(v);
+        const auto len = static_cast<std::uint32_t>(v >> 32);
         std::uint32_t keep = 0;
-        for (std::uint32_t k = 0; k < row.len; ++k) {
-            const topo::ChannelId c = pool[row.begin + k];
+        for (std::uint32_t k = 0; k < len; ++k) {
+            const topo::ChannelId c = pool[begin + k];
             if (c != dead)
-                pool[row.begin + keep++] = c;
+                pool[begin + keep++] = c;
         }
-        row.len = keep;
+        rowRef(r).store(begin | static_cast<std::uint64_t>(keep) << 32,
+                        std::memory_order_relaxed);
     }
+}
+
+const char *
+toString(RouteTable::Fallback fallback)
+{
+    switch (fallback) {
+    case RouteTable::Fallback::None:
+        return "none";
+    case RouteTable::Fallback::Disabled:
+        return "disabled";
+    case RouteTable::Fallback::RowsOverBudget:
+        return "rows over budget";
+    case RouteTable::Fallback::PoolOverBudget:
+        return "pool over budget";
+    case RouteTable::Fallback::SourceClassesFailed:
+        return "source classes failed";
+    }
+    return "unknown";
 }
 
 } // namespace ebda::routing

@@ -1,8 +1,8 @@
 /**
  * @file
- * Route-table compiler: flattens a RoutingRelation over its fixed
- * Network into a CSR table so steady-state route compute is array
- * indexing instead of a virtual call that recomputes the candidates.
+ * Route table: serves a RoutingRelation over its fixed Network from
+ * flat rows, so steady-state route compute is array indexing instead
+ * of a virtual call that recomputes the candidates.
  *
  * Every EbDa-style relation is a pure function of (input channel,
  * current node, source, destination); the current node is itself
@@ -10,9 +10,7 @@
  * injection queries), so the whole relation fits in a table keyed by
  * (in, dest) — widened to (in, src, dest) when the relation's sources
  * fall into more than one class (RoutingRelation::srcClass(), e.g.
- * Odd-Even's source columns). Candidate *contents and order* are
- * exactly what the virtual relation returns, which is what keeps
- * compiled runs bit-identical to virtual-path runs.
+ * Odd-Even's source columns).
  *
  * Layout (rows hold {begin, len} into one shared candidate pool, one
  * copy of the candidate list per row):
@@ -22,36 +20,60 @@
  *  - wide:   row(in, src, dest)  = (in * N + src) * N + dest, injection
  *    block at C * N * N.
  *
- * Filling: the rows come from the state graphs of the checkers' walk
- * (cdg/state_walk.hh), so the relation is asked only about states a
- * real packet can occupy, with a real source of the state's class.
- * That matters — relations guard their reachable-state invariants with
- * asserts (EbDaRouting panics on unclassified channels, Elevator-First
- * on phases its own packets never enter). Unreachable rows stay empty
- * and are never queried at runtime (a packet can only occupy a channel
- * some filled row offered, by induction from injection). A narrow table
- * stores each graph state's candidates once per (in, dest); a wide one
- * replays each source's closure over the graph and stores a row per
- * (in, src, dest) it meets.
+ * Filling: the constructor only sizes the rows. The first query of a
+ * row asks the relation with the querying packet's real source and
+ * stores that answer, so every row holds exactly what the virtual
+ * relation returns for it and table runs are bit-identical to
+ * virtual-path runs by construction. A packet only ever asks about a
+ * state it occupies, so the relation is only asked about states a real
+ * packet can occupy; relations may assert on the others (EbDaRouting
+ * on unclassified channels, Elevator-First on phases its own packets
+ * never enter). Rows nobody queries stay empty and cost no relation
+ * call.
  *
- * Fallbacks, all to the virtual relation, with tableBytes() == 0: a
- * disabled table; rows alone over the memory budget (checked before the
- * relation is asked anything); rows plus pool over the budget; and
- * declared source classes that failed the walk's spot check (the table
- * is not compiled from a declaration found false).
+ * Source classes: a narrow row serves every source, which the
+ * relation's one-class declaration promises is sound. Before a narrow
+ * row is stored it is checked against a second source, chosen as the
+ * checkers' state walk chooses its spot-check probe (cdg/state_walk.hh):
+ * the current node, or the first or last other source when the current
+ * node is the packet's own. A mismatch proves the declaration false and
+ * sends the rest of the run to the relation. Injection rows and wide
+ * rows are keyed by the real source and need no check.
  *
- * Fault integration: the table is compiled over the simulator's
- * effective (possibly fault-degraded) relation. When a fault event
- * kills channels, `filterDeadChannel` edits only the rows containing
- * the dead channel in place — via a lazily built channel -> rows
- * reverse index — keeping the table exactly equal to the degraded
- * virtual view with no recompile.
+ * Threads: fills run under one lock with the relation call inside it,
+ * since the relation contract allows concurrent queries only for
+ * distinct destinations. The candidate pool is reserved up front (the
+ * budget's remainder, capped by what the rows could ever hold) and
+ * never reallocates; a row is published with one release store, after
+ * its candidates are in the pool. So the sharded loop's workers read
+ * filled rows without a lock, and two workers asking for one empty row
+ * fill it once. A fallback mid-run frees nothing: workers still
+ * reading a row read valid memory, and later relation calls keep
+ * taking the lock.
+ *
+ * Fallbacks, all to the virtual relation, with tableBytes() == 0
+ * (fallback() names the reason): a disabled table; rows alone over the
+ * memory budget (checked before the relation is asked anything); and,
+ * mid-run, a fill that would take the pool over the budget or a narrow
+ * fill whose second source disagrees.
+ *
+ * Fault integration: the table serves the simulator's effective
+ * (possibly fault-degraded) relation, so rows filled after a fault
+ * event hold the degraded answer. When an event kills channels,
+ * `filterDeadChannel` edits only the filled rows containing the dead
+ * channel in place — via a channel -> rows reverse index built on the
+ * first event and extended by every later fill — keeping the table
+ * exactly equal to the degraded virtual view with no refill.
  */
 
 #ifndef EBDA_ROUTING_ROUTE_TABLE_HH
 #define EBDA_ROUTING_ROUTE_TABLE_HH
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "cdg/routing_relation.hh"
@@ -79,20 +101,31 @@ struct CandidateSpan
 };
 
 /**
- * A compiled routing relation. Construct once per (Network, relation);
- * query via candidatesView (zero-allocation when compiled) or
- * candidatesInto.
+ * A routing relation served from rows filled on first query. Construct
+ * once per (Network, relation); query via candidatesView
+ * (zero-allocation once a row is filled) or candidatesInto.
  */
 class RouteTable
 {
   public:
     struct Options
     {
-        /** Compile at all; false forces the virtual fallback. */
+        /** Serve from rows at all; false forces the virtual fallback. */
         bool enable = true;
-        /** Table size cap (rows + pool); beyond it the table falls
-         *  back to the virtual relation. */
+        /** Table size cap (rows + filled pool); beyond it the table
+         *  falls back to the virtual relation. */
         std::uint64_t memoryBudgetBytes = kDefaultRouteTableBudget;
+    };
+
+    /** Why queries go to the virtual relation (None: served from
+     *  rows). */
+    enum class Fallback : std::uint8_t
+    {
+        None,
+        Disabled,
+        RowsOverBudget,
+        PoolOverBudget,
+        SourceClassesFailed,
     };
 
     RouteTable(const cdg::RoutingRelation &relation, Options options);
@@ -102,18 +135,37 @@ class RouteTable
     {
     }
 
-    /** True when queries are served from the table; false on the
-     *  virtual fallback (disabled, over budget, or source classes that
-     *  failed their spot check). */
-    bool compiled() const { return compiledFlag; }
+    /** True while queries are served from rows; false on the virtual
+     *  fallback (see fallback()). A table can turn false mid-run. */
+    bool compiled() const { return fallback() == Fallback::None; }
 
-    /** True when the table was widened to per-source rows. */
+    /** Why the table is on the virtual fallback, or None. */
+    Fallback fallback() const
+    {
+        return state.load(std::memory_order_relaxed);
+    }
+
+    /** True when rows are keyed per source. */
     bool perSource() const { return wide; }
 
-    /** Bytes held by rows + candidate pool (0 when not compiled). */
-    std::uint64_t tableBytes() const { return bytes; }
+    /** Bytes held by rows + filled candidate pool (0 on the
+     *  fallback). */
+    std::uint64_t tableBytes() const;
 
-    /** Wall-clock nanoseconds spent walking + filling the table. */
+    /** Rows sized (0 when never sized: disabled or over budget). */
+    std::size_t rowCount() const { return numRows; }
+
+    /** Rows filled so far. */
+    std::size_t rowsFilled() const
+    {
+        return filledRows.load(std::memory_order_relaxed);
+    }
+
+    /** The memory budget the table was sized against. */
+    std::uint64_t budgetBytes() const { return opts.memoryBudgetBytes; }
+
+    /** Wall-clock nanoseconds the constructor spent sizing the rows
+     *  (fills happen during the run, on first query). */
     std::uint64_t compileNanos() const { return compileNs; }
 
     /** Route-compute queries served so far (table or fallback). */
@@ -127,16 +179,16 @@ class RouteTable
      *  result.routeComputeCalls stays exact and deterministic. */
     void addCalls(std::uint64_t n) const { callCount += n; }
 
-    /** The relation compiled (the simulator's effective relation). */
+    /** The relation served (the simulator's effective relation). */
     const cdg::RoutingRelation &relation() const { return rel; }
 
     /**
-     * The hot path. Compiled: returns a view into the table, no
-     * allocation. Fallback: fills `scratch` via the virtual relation
-     * and returns a view of it — allocation-free too once `scratch`
-     * has grown to the largest candidate set. `at` is only consulted on the
-     * fallback; `dest` must differ from the current node (callers
-     * eject on arrival).
+     * The hot path. Filled row: a view into the table, no allocation.
+     * Empty row: fills it (see file doc) and returns the view.
+     * Fallback: fills `scratch` via the virtual relation and returns a
+     * view of it — allocation-free too once `scratch` has grown to the
+     * largest candidate set. `dest` must differ from the current node
+     * (callers eject on arrival).
      */
     CandidateSpan
     candidatesView(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
@@ -144,32 +196,33 @@ class RouteTable
                    std::vector<topo::ChannelId> &scratch) const
     {
         ++callCount;
-        if (compiledFlag) {
-            const Row r = rows[rowIndex(in, src, dest)];
-            return CandidateSpan{pool.data() + r.begin, r.len};
-        }
-        rel.candidatesInto(in, at, src, dest, scratch);
-        return CandidateSpan{scratch.data(), scratch.size()};
+        return candidatesViewUncounted(in, at, src, dest, scratch);
     }
 
     /**
      * candidatesView without the call tally — safe to invoke from
-     * several threads at once on a compiled table (pure reads). The
-     * caller counts queries itself and folds them in via addCalls().
-     * The virtual fallback fills the caller-provided scratch, so each
-     * thread must pass its own.
+     * several threads at once (filled rows are read lock-free, fills
+     * and post-fallback relation calls take the fill lock). The caller
+     * counts queries itself and folds them in via addCalls(). The
+     * fallback fills the caller-provided scratch, so each thread must
+     * pass its own.
      */
     CandidateSpan
     candidatesViewUncounted(topo::ChannelId in, topo::NodeId at,
                             topo::NodeId src, topo::NodeId dest,
                             std::vector<topo::ChannelId> &scratch) const
     {
-        if (compiledFlag) {
-            const Row r = rows[rowIndex(in, src, dest)];
-            return CandidateSpan{pool.data() + r.begin, r.len};
+        if (compiled()) {
+            const std::uint64_t r = rowRef(rowIndex(in, src, dest))
+                                        .load(std::memory_order_acquire);
+            if (r != kEmptyRow) [[likely]]
+                return view(r);
         }
-        rel.candidatesInto(in, at, src, dest, scratch);
-        return CandidateSpan{scratch.data(), scratch.size()};
+        if (numRows == 0) {
+            rel.candidatesInto(in, at, src, dest, scratch);
+            return CandidateSpan{scratch.data(), scratch.size()};
+        }
+        return fillRow(in, at, src, dest, scratch);
     }
 
     /** Copy the candidate list into `out` (cold paths that keep it). */
@@ -178,20 +231,34 @@ class RouteTable
                         std::vector<topo::ChannelId> &out) const;
 
     /**
-     * Remove `dead` from every row containing it (fault event). Only
-     * the affected rows are touched; the channel -> rows reverse index
-     * backing this is built lazily on the first call, so fault-free
-     * runs never pay for it. No-op on the fallback path (the degraded
-     * virtual relation filters dynamically).
+     * Remove `dead` from every filled row containing it (fault event).
+     * Only the affected rows are touched; the channel -> rows reverse
+     * index backing this is built on the first call and extended by
+     * later fills, so fault-free runs never pay for it. No-op on the
+     * fallback (the degraded virtual relation filters dynamically).
+     * Not concurrent with queries: faulted runs are never sharded.
      */
     void filterDeadChannel(topo::ChannelId dead);
 
   private:
-    struct Row
+    /** A row is {begin, len} packed as begin | len << 32. Pool entry 0
+     *  is never handed out, so a filled row is never 0. */
+    static constexpr std::uint64_t kEmptyRow = 0;
+
+    /** Rows are read and published atomically: workers of the
+     *  sharded loop read them while another fills. */
+    std::atomic_ref<std::uint64_t>
+    rowRef(std::size_t i) const
     {
-        std::uint32_t begin = 0;
-        std::uint32_t len = 0;
-    };
+        return std::atomic_ref<std::uint64_t>(rows[i]);
+    }
+
+    CandidateSpan
+    view(std::uint64_t r) const
+    {
+        return CandidateSpan{pool.get() + static_cast<std::uint32_t>(r),
+                             static_cast<std::size_t>(r >> 32)};
+    }
 
     std::size_t
     rowIndex(topo::ChannelId in, topo::NodeId src, topo::NodeId dest) const
@@ -205,12 +272,17 @@ class RouteTable
             + dest;
     }
 
-    /** Fill every reachable row from the state walk. False when the
-     *  table is over budget or the source classes failed their spot
-     *  check. */
-    bool fill();
+    /** The slow path of candidatesViewUncounted, under the fill lock:
+     *  fill the row, or ask the relation once the table has fallen
+     *  back. */
+    CandidateSpan fillRow(topo::ChannelId in, topo::NodeId at,
+                          topo::NodeId src, topo::NodeId dest,
+                          std::vector<topo::ChannelId> &scratch) const;
 
-    void buildReverseIndex();
+    /** The second source a narrow fill at (at, dest) by `src` is
+     *  checked against, or src when there is none. */
+    topo::NodeId probeSource(topo::NodeId at, topo::NodeId src,
+                             topo::NodeId dest) const;
 
     const cdg::RoutingRelation &rel;
     Options opts;
@@ -218,19 +290,40 @@ class RouteTable
     std::size_t numChannels;
 
     bool wide = false;
-    bool compiledFlag = false;
     std::size_t injBase = 0;
-    std::uint64_t bytes = 0;
+    std::size_t numRows = 0;
     std::uint64_t compileNs = 0;
     mutable std::uint64_t callCount = 0;
+    mutable std::atomic<Fallback> state{Fallback::None};
 
-    std::vector<Row> rows;
-    std::vector<topo::ChannelId> pool;
+    struct FreeDeleter
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+    /** calloc'd, so pages no query touches are never faulted in. */
+    std::unique_ptr<std::uint64_t[], FreeDeleter> rows;
+    /** Reserved at construction, never reallocated; entries
+     *  [1, poolUsed) are handed out. */
+    std::unique_ptr<topo::ChannelId[]> pool;
+    std::size_t poolCap = 0;
 
-    /** channel -> ids of rows whose candidate list contains it. */
-    std::vector<std::vector<std::uint32_t>> revIndex;
-    bool revBuilt = false;
+    /** Guards fills, the pool tail and the reverse index, and
+     *  serialises relation calls of a sized table. */
+    mutable std::mutex fillMutex;
+    mutable std::atomic<std::size_t> poolUsed{1};
+    mutable std::atomic<std::size_t> filledRows{0};
+    mutable std::vector<topo::ChannelId> fillScratch;
+    mutable std::vector<topo::ChannelId> probeScratch;
+
+    /** channel -> ids of filled rows whose candidate list contains
+     *  it; built on the first filterDeadChannel. */
+    mutable std::vector<std::vector<std::uint32_t>> revIndex;
+    mutable bool revBuilt = false;
 };
+
+/** The fallback's name for reports ("none", "disabled", "rows over
+ *  budget", "pool over budget", "source classes failed"). */
+const char *toString(RouteTable::Fallback fallback);
 
 } // namespace ebda::routing
 

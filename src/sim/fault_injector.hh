@@ -104,8 +104,8 @@ class FaultInjector
     /**
      * Channels newly marked dead since the last call, in marking
      * order; clears the list. The simulator drains this after every
-     * apply() to invalidate the affected compiled route-table rows —
-     * no full recompile per fault event.
+     * apply() to filter the affected filled route-table rows — no
+     * refill per fault event.
      */
     std::vector<topo::ChannelId>
     takeNewlyDeadChannels()

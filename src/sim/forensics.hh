@@ -114,7 +114,7 @@ struct DeadlockForensics
 class ProtocolState;
 
 /** Walk the frozen fabric and build the forensic dump. `route` is the
- *  simulator's compiled table over the effective relation: candidate
+ *  simulator's route table over the effective relation: candidate
  *  queries go through it, the Dally cross-reference through
  *  route.relation(). Pass the protocol state to extend the graph with
  *  endpoint vertices and cross-message edges. */

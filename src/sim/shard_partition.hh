@@ -48,9 +48,10 @@ inline constexpr int kMaxShards = 256;
  * actually use. Returns 1 (the single-threaded serial loop) whenever
  * the sharded loop cannot run the configuration in v1:
  * fault plans and the request-reply protocol layer mutate global state
- * the shard workers do not partition, and an uncompiled route table
- * falls back to the virtual relation, which memoises internally and is
- * not safe to share across threads.
+ * the shard workers do not partition, and a route table that never
+ * sized its rows (disabled or over budget) answers from the virtual
+ * relation without a lock, while the relation memoises internally and
+ * is not safe to share across threads for one destination.
  *
  * Otherwise: an explicit request (>= 1) is clamped to
  * [1, min(numNodes, kMaxShards)]; Auto (0) engages sharding only on

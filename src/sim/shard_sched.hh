@@ -42,8 +42,8 @@
  * but equally valid — simulation than the serial loop; shards = 1
  * always takes the serial loop, bit for bit.
  *
- * v1 scope: fault plans, the protocol layer and uncompiled route
- * tables run on the serial loop (sim/shard_partition.hh documents
+ * v1 scope: fault plans, the protocol layer and route tables that
+ * never sized their rows run on the serial loop (sim/shard_partition.hh documents
  * why), and so does every run whose mode resolves to Event.
  */
 

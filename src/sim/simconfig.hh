@@ -183,9 +183,10 @@ struct SimConfig
     std::uint64_t drainCycles = 100000;
     /** No-progress window that declares deadlock. */
     std::uint64_t watchdogCycles = 5000;
-    /** Compile the routing relation into a flat route table so
-     *  steady-state route compute is allocation-free array indexing
-     *  (routing/route_table.hh). Off forces the virtual relation. */
+    /** Serve the routing relation from a flat route table, each row
+     *  filled on its first query, so steady-state route compute is
+     *  allocation-free array indexing (routing/route_table.hh). Off
+     *  forces the virtual relation. */
     bool routeTable = true;
     /** Route-table size cap in bytes; a table that would exceed it
      *  falls back to the virtual relation. */
@@ -314,16 +315,18 @@ struct SimResult
      *  virtual fallback; identical either way, so sweeps stay
      *  bit-comparable across the two modes). */
     std::uint64_t routeComputeCalls = 0;
-    /** True when queries were served from a compiled table. */
+    /** True when the run ended with queries served from table rows. */
     bool routeTableCompiled = false;
     /** True when the table was widened to per-source rows. */
     bool routeTablePerSource = false;
-    /** Compiled table size (rows + candidate pool). */
+    /** Table size at the end of the run: rows + the candidate pool of
+     *  the rows the run filled (0 on the virtual fallback). */
     std::uint64_t routeTableBytes = 0;
-    /** Wall-clock nanoseconds spent compiling the table. NOT part of
-     *  the JSON wire format: it varies run to run, and serialized
+    /** Wall-clock nanoseconds spent sizing the table's rows. NOT part
+     *  of the JSON wire format: it varies run to run, and serialized
      *  results must be byte-identical across serial/parallel/cached
-     *  sweeps. bench_route_compute reports real compile timings. */
+     *  sweeps. bench_route_compute reports sizing and first-touch
+     *  timings. */
     std::uint64_t routeTableCompileNanos = 0;
     /** @} */
 

@@ -24,8 +24,8 @@ Simulator::Simulator(const topo::Network &network,
                     ? static_cast<const cdg::RoutingRelation &>(
                           faultedView)
                     : routing_relation),
-      // Compiled before the first event fires, so the pre-event view
-      // is transparent; per-event row filtering keeps it in sync.
+      // Rows filled before a fault event hold the base answer and are
+      // filtered per event; rows filled later ask the degraded view.
       table(effective, routing::RouteTable::Options{
                            cfg.routeTable, cfg.routeTableBudget}),
       fab(network, cfg), dom(fab, table),

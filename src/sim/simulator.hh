@@ -178,7 +178,8 @@ class Simulator
     /** The fault injector (schedule, liveness masks). */
     const FaultInjector &faults() const { return injector; }
 
-    /** The compiled route table (valid from construction). */
+    /** The route table (valid from construction; rows fill as the
+     *  run queries them). */
     const routing::RouteTable &routeTable() const { return table; }
 
     /** The shared buffer fabric (arena, packet table, flit-move
@@ -329,8 +330,8 @@ class Simulator
      *  when a FaultPlan is present, the base relation otherwise. */
     const cdg::RoutingRelation &effective;
 
-    /** Compiled route table over `effective` — every route-compute
-     *  call site queries this. Fault events filter its rows in place,
+    /** Route table over `effective` — every route-compute call site
+     *  queries this. Fault events filter its filled rows in place,
      *  keeping it exactly equal to the degraded virtual view. */
     routing::RouteTable table;
 

@@ -40,8 +40,8 @@ class ProtocolState;
 class VcAllocator
 {
   public:
-    /** `route` is the compiled table over the simulator's effective
-     *  relation — zero-allocation candidate lookup in steady state. */
+    /** `route` is the table over the simulator's effective relation —
+     *  zero-allocation candidate lookup in steady state. */
     VcAllocator(Fabric &fab, const routing::RouteTable &route)
         : fab(fab), route(route)
     {
@@ -141,8 +141,8 @@ class VcAllocator
     const routing::RouteTable &route;
     std::size_t vcArbOffset = 0;
     std::uint64_t routeCallCount = 0;
-    /** Fallback-path buffer for candidatesView (unused when the table
-     *  is compiled: views then point straight into it). */
+    /** Fallback-path buffer for candidatesView (unused once a row is
+     *  filled: views then point straight into it). */
     std::vector<topo::ChannelId> scratch;
     /** Free legal candidates of the VC under allocation. A member so
      *  its capacity persists across cycles (steady-state allocate()

@@ -1,26 +1,33 @@
 /**
  * @file
- * Property tests for the route-table compiler: a compiled table must
- * be indistinguishable from the virtual relation it flattened — same
+ * Property tests for the route table: a table must be
+ * indistinguishable from the virtual relation it serves — same
  * candidate contents, same order — at every state a packet can occupy.
  *
- * "Every state" means every *reachable* (in, src, dest): the compiler
- * fills its rows from the checkers' reachable-state walk, so
- * unreachable rows are deliberately empty (relations like EbDaRouting
+ * "Every state" means every *reachable* (in, src, dest): the table
+ * fills a row on its first query, and packets only query states they
+ * occupy, so unreachable rows stay empty (relations like EbDaRouting
  * and Elevator-First assert on unreachable combinations; the runtime
- * never queries them). The oracle here is an independent BFS of the
- * same reachability closure, one (src, dest) pair at a time, through
- * the virtual relation, and compares exhaustively on it.
+ * never queries them). The oracle here is a BFS of the reachability
+ * closure, one (src, dest) pair at a time, through the virtual
+ * relation; it queries the table at every state it meets, so a table
+ * it has walked holds every reachable row.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,21 +63,67 @@ headOf(const topo::Network &net, topo::ChannelId c)
 }
 
 /**
- * BFS the reachable states of `reach` per (src, dest) and compare the
- * table against `expect` at each one (both views, contents and order).
- * `reach` and `expect` differ only in the fault test, where rows were
- * compiled from the base relation and then filtered: reachability is
- * the base closure, expectation the degraded relation.
+ * Call visit(in, at, src, dest) at every state of the reachable closure
+ * of `reach`, one (src, dest) pair at a time, sources below `srcLimit`:
+ * the pair's injection state, then breadth first every state a packet
+ * can occupy short of its destination (it ejects on arrival and is
+ * never routed there).
+ */
+void
+forEachReachable(const topo::Network &net, const Oracle &reach,
+                 const std::function<void(topo::ChannelId, topo::NodeId,
+                                          topo::NodeId, topo::NodeId)>
+                     &visit,
+                 std::size_t srcLimit = SIZE_MAX)
+{
+    std::vector<std::uint8_t> seen;
+    std::vector<topo::ChannelId> frontier;
+    for (topo::NodeId src = 0; src < std::min(net.numNodes(), srcLimit);
+         ++src) {
+        for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
+            if (dest == src)
+                continue;
+            seen.assign(net.numChannels(), 0);
+            frontier.clear();
+            const auto push = [&](const std::vector<topo::ChannelId> &cs) {
+                for (const topo::ChannelId c : cs) {
+                    if (!seen[c]) {
+                        seen[c] = 1;
+                        frontier.push_back(c);
+                    }
+                }
+            };
+            visit(kInjectionChannel, src, src, dest);
+            push(reach(kInjectionChannel, src, src, dest));
+            for (std::size_t i = 0; i < frontier.size(); ++i) {
+                const topo::ChannelId in = frontier[i];
+                const topo::NodeId at = headOf(net, in);
+                if (at == dest)
+                    continue;
+                visit(in, at, src, dest);
+                push(reach(in, at, src, dest));
+            }
+        }
+    }
+}
+
+/**
+ * Compare the table against `expect` at every reachable state of
+ * `reach` (forEachReachable), both views, contents and order. `reach`
+ * and `expect` differ only in the fault tests, where rows were filled
+ * from the base relation and then filtered: reachability is the base
+ * closure, expectation the degraded relation.
  *
- * At every state the compiled relation's candidatesInto() also fills a
- * buffer that already holds stale channels; the result must equal
+ * At every state the relation's candidatesInto() also fills a buffer
+ * that already holds stale channels; the result must equal
  * candidates(), which pins the contract that the call replaces the
  * buffer's contents (never appends) in the relation's order.
  * Returns the number of states compared.
  */
 std::size_t
 expectTableMatches(const RouteTable &table, const topo::Network &net,
-                   const Oracle &reach, const Oracle &expect)
+                   const Oracle &reach, const Oracle &expect,
+                   std::size_t srcLimit = SIZE_MAX)
 {
     std::vector<topo::ChannelId> scratch;
     std::vector<topo::ChannelId> got;
@@ -100,34 +153,21 @@ expectTableMatches(const RouteTable &table, const topo::Network &net,
                                 << " dest=" << dest;
         ++states;
     };
-
-    for (topo::NodeId src = 0; src < net.numNodes(); ++src) {
-        for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
-            if (dest == src)
-                continue;
-            std::vector<std::uint8_t> seen(net.numChannels(), 0);
-            std::vector<topo::ChannelId> frontier;
-            const auto push = [&](const std::vector<topo::ChannelId> &cs) {
-                for (const topo::ChannelId c : cs) {
-                    if (!seen[c]) {
-                        seen[c] = 1;
-                        frontier.push_back(c);
-                    }
-                }
-            };
-            check(kInjectionChannel, src, src, dest);
-            push(reach(kInjectionChannel, src, src, dest));
-            for (std::size_t i = 0; i < frontier.size(); ++i) {
-                const topo::ChannelId in = frontier[i];
-                const topo::NodeId at = headOf(net, in);
-                if (at == dest)
-                    continue; // ejects on arrival, never queried
-                check(in, at, src, dest);
-                push(reach(in, at, src, dest));
-            }
-        }
-    }
+    forEachReachable(net, reach, check, srcLimit);
     return states;
+}
+
+/** A table row's key: (in, dest) on a narrow table, (in, src, dest) on
+ *  a per-source one; injection rows always keep the source. */
+using RowKey = std::tuple<topo::ChannelId, topo::NodeId, topo::NodeId>;
+
+RowKey
+rowKey(bool perSource, topo::ChannelId in, topo::NodeId src,
+       topo::NodeId dest)
+{
+    if (perSource || in == kInjectionChannel)
+        return {in, src, dest};
+    return {in, topo::kInvalidId, dest};
 }
 
 /** The sweep catalog, paired per topology family — the mesh baseline
@@ -181,11 +221,17 @@ TEST(RouteTable, CatalogRelationsCompileAndMatchVirtual)
                 << spec << " on " << nc.name
                 << " fell back to the virtual path";
             EXPECT_GT(table.tableBytes(), 0u) << spec << " on " << nc.name;
+            EXPECT_EQ(table.rowsFilled(), 0u) << spec << " on " << nc.name;
             const auto oracle = relationOracle(*rel);
             const std::size_t states =
                 expectTableMatches(table, nc.net, oracle, oracle);
             EXPECT_GT(states, nc.net.numNodes() * 2u)
                 << spec << " on " << nc.name;
+            // Every fill passed its source-class check.
+            EXPECT_TRUE(table.compiled())
+                << spec << " on " << nc.name << " fell back mid-walk: "
+                << toString(table.fallback());
+            EXPECT_GT(table.rowsFilled(), 0u) << spec << " on " << nc.name;
             ++compiledRelations;
         }
     }
@@ -194,17 +240,26 @@ TEST(RouteTable, CatalogRelationsCompileAndMatchVirtual)
     EXPECT_GE(compiledRelations, 33u); // 36 on these networks
 }
 
-/** The table sizes `bench_route_compute` records on the 8x8 2-VC mesh:
- *  narrow for xy and fig7b, per source for odd-even. */
+/** The table sizes `bench_route_compute` records on the 8x8 2-VC mesh
+ *  once every reachable state has been queried: narrow for xy and
+ *  fig7b, per source for odd-even. Before the first query a table holds
+ *  its rows alone. */
 TEST(RouteTable, MeshEightByEightTableBytesArePinned)
 {
     const auto net = topo::Network::mesh({8, 8}, {2, 2});
-    const std::pair<const char *, std::uint64_t> pinned[] = {
-        {"xy", 355'328}, {"odd-even", 15'862'848}, {"fig7b", 365'408}};
-    for (const auto &[spec, bytes] : pinned) {
+    const std::tuple<const char *, std::uint64_t, std::uint64_t> pinned[] =
+        {{"xy", 355'328, 262'144},
+         {"odd-even", 15'862'848, 14'712'832},
+         {"fig7b", 365'408, 262'144}};
+    for (const auto &[spec, bytes, rowBytes] : pinned) {
         const auto rel = sweep::makeRouter(net, spec);
         ASSERT_NE(rel, nullptr) << spec;
         const RouteTable table(*rel);
+        EXPECT_TRUE(table.compiled()) << spec;
+        EXPECT_EQ(table.tableBytes(), rowBytes) << spec;
+        EXPECT_EQ(table.rowCount() * 8, rowBytes) << spec;
+        const auto oracle = relationOracle(*rel);
+        expectTableMatches(table, net, oracle, oracle);
         EXPECT_TRUE(table.compiled()) << spec;
         EXPECT_EQ(table.tableBytes(), bytes) << spec;
     }
@@ -293,8 +348,9 @@ TEST(RouteTable, OddEvenSourceClassesShareCandidates)
 /**
  * A relation that lies about source independence: candidate order
  * flips whenever the consulted source differs from the current node.
- * The walk's spot check must catch the lie, and the table must take the
- * virtual path instead of freezing a corrupt narrow table.
+ * The first narrow fill's second-source check must catch the lie, and
+ * the table must take the virtual path instead of serving a corrupt
+ * narrow row.
  */
 class MisdeclaredRelation final : public cdg::RoutingRelation
 {
@@ -333,10 +389,37 @@ TEST(RouteTable, MisdeclaredIndependenceFallsBackInsteadOfCorrupting)
     const auto net = topo::Network::mesh({4, 4}, {2, 2});
     const MisdeclaredRelation rel(net);
     const RouteTable table(rel);
+    // Sized, nothing asked yet.
+    EXPECT_TRUE(table.compiled());
+    EXPECT_FALSE(table.perSource());
+
+    // A packet 0 -> 15: its injection row is keyed by its own source
+    // and needs no check; its first hop is the first narrow fill.
+    std::vector<topo::ChannelId> scratch;
+    const topo::NodeId dest = 15;
+    const auto inj = rel.candidates(kInjectionChannel, 0, 0, dest);
+    ASSERT_FALSE(inj.empty());
+    const auto injView =
+        table.candidatesView(kInjectionChannel, 0, 0, dest, scratch);
+    EXPECT_EQ(std::vector<topo::ChannelId>(injView.begin(), injView.end()),
+              inj);
+    EXPECT_TRUE(table.compiled());
+    EXPECT_EQ(table.rowsFilled(), 1u);
+
+    const topo::ChannelId hop = inj.front();
+    const topo::NodeId at = headOf(net, hop);
+    const auto want = rel.candidates(hop, at, 0, dest);
+    const auto got = table.candidatesView(hop, at, 0, dest, scratch);
+    EXPECT_EQ(std::vector<topo::ChannelId>(got.begin(), got.end()), want);
     EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.fallback(), RouteTable::Fallback::SourceClassesFailed);
     EXPECT_EQ(table.tableBytes(), 0u);
+    EXPECT_EQ(table.rowsFilled(), 1u);
+
+    // No wrong answer served anywhere after that.
     const auto oracle = relationOracle(rel);
     expectTableMatches(table, net, oracle, oracle);
+    EXPECT_EQ(table.rowsFilled(), 1u);
 }
 
 TEST(RouteTable, FaultFilterMatchesDegradedRelation)
@@ -346,6 +429,10 @@ TEST(RouteTable, FaultFilterMatchesDegradedRelation)
     ASSERT_NE(rel, nullptr);
     RouteTable table(*rel);
     ASSERT_TRUE(table.compiled());
+    // Fill every reachable row before the fault, as a run that has
+    // touched them all would have.
+    const auto reach = relationOracle(*rel);
+    expectTableMatches(table, net, reach, reach);
 
     // Kill every channel of two physical links, one at a time, the way
     // the simulator drains FaultInjector::takeNewlyDeadChannels().
@@ -358,10 +445,9 @@ TEST(RouteTable, FaultFilterMatchesDegradedRelation)
         }
     }
 
-    // Reachability is the BASE closure (rows were compiled pre-fault);
+    // Reachability is the BASE closure (rows were filled pre-fault);
     // the expected contents are the degraded relation's — the same
     // order-preserving filter FaultedRelationView applies.
-    const auto reach = relationOracle(*rel);
     const auto degraded = [&](topo::ChannelId in, topo::NodeId at,
                               topo::NodeId src, topo::NodeId dest) {
         auto out = rel->candidates(in, at, src, dest);
@@ -375,40 +461,139 @@ TEST(RouteTable, FaultFilterMatchesDegradedRelation)
     expectTableMatches(table, net, reach, degraded);
 }
 
-TEST(RouteTable, TinyBudgetFallsBackToVirtual)
-{
-    const auto net = topo::Network::mesh({4, 4}, {2, 2});
-    const auto rel = sweep::makeRouter(net, "fig7b");
-    ASSERT_NE(rel, nullptr);
-    ASSERT_FALSE(RouteTable(*rel).perSource());
-    // A budget below the rows, and one that holds the rows but not
-    // their candidate pool, which the walk overflows part way.
-    const std::uint64_t nodes = net.numNodes();
-    const std::uint64_t rowBytes =
-        (net.numChannels() * nodes + nodes * nodes) * 8;
-    for (const std::uint64_t budget : {std::uint64_t{64}, rowBytes + 64}) {
-        const RouteTable table(*rel, RouteTable::Options{true, budget});
-        EXPECT_FALSE(table.compiled()) << budget;
-        EXPECT_EQ(table.tableBytes(), 0u) << budget;
-        // The fallback path still answers, identically to the relation.
-        const auto oracle = relationOracle(*rel);
-        expectTableMatches(table, net, oracle, oracle);
-    }
-}
-
-/** Forwards every call to `base`, source classes included, and counts
- *  the candidate queries. */
-class CountingView final : public cdg::RoutingRelation
+/** The base relation minus a growing set of dead channels, in order:
+ *  what FaultedRelationView serves as fault events accumulate. */
+class DegradedView final : public cdg::RoutingRelation
 {
   public:
-    explicit CountingView(const cdg::RoutingRelation &base) : base(base) {}
+    explicit DegradedView(const cdg::RoutingRelation &base) : base(base) {}
 
     void
     candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
                    topo::NodeId dest,
                    std::vector<topo::ChannelId> &out) const override
     {
-        ++queries;
+        base.candidatesInto(in, at, src, dest, out);
+        out.erase(std::remove_if(out.begin(), out.end(),
+                                 [&](topo::ChannelId c) {
+                                     return dead.count(c) != 0;
+                                 }),
+                  out.end());
+    }
+    std::string name() const override { return base.name(); }
+    topo::NodeId
+    srcClass(topo::NodeId src) const override
+    {
+        return base.srcClass(src);
+    }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+
+    std::set<topo::ChannelId> dead;
+
+  private:
+    const cdg::RoutingRelation &base;
+};
+
+/**
+ * Rows filled between fault events: half the sources' rows before the
+ * first fault, the rest after it (from the degraded relation), then a
+ * second fault whose filter must reach rows of both kinds — the reverse
+ * index is built at the first fault and extended by later fills.
+ */
+TEST(RouteTable, FaultFilterReachesRowsFilledAfterTheFirstFault)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "fig7b");
+    ASSERT_NE(rel, nullptr);
+    DegradedView view(*rel);
+    RouteTable table(view);
+    const auto kill = [&](topo::LinkId l) {
+        for (int v = 0; v < net.vcsOnLink(l); ++v) {
+            const topo::ChannelId c = net.channel(l, v);
+            view.dead.insert(c);
+            table.filterDeadChannel(c);
+        }
+    };
+    const auto reach = relationOracle(*rel);
+    const auto degraded = relationOracle(view);
+
+    expectTableMatches(table, net, reach, degraded, net.numNodes() / 2);
+    const std::size_t beforeFault = table.rowsFilled();
+    kill(topo::LinkId{3});
+    expectTableMatches(table, net, reach, degraded);
+    EXPECT_GT(table.rowsFilled(), beforeFault);
+    kill(topo::LinkId{11});
+    kill(topo::LinkId{20});
+    expectTableMatches(table, net, reach, degraded);
+    EXPECT_TRUE(table.compiled());
+}
+
+TEST(RouteTable, TinyBudgetFallsBackToVirtual)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "fig7b");
+    ASSERT_NE(rel, nullptr);
+    ASSERT_FALSE(RouteTable(*rel).perSource());
+    const auto oracle = relationOracle(*rel);
+    const std::uint64_t nodes = net.numNodes();
+    const std::uint64_t rowBytes =
+        (net.numChannels() * nodes + nodes * nodes) * 8;
+
+    // A budget below the rows: the table never serves.
+    const RouteTable noRows(*rel, RouteTable::Options{true, 64});
+    EXPECT_FALSE(noRows.compiled());
+    EXPECT_EQ(noRows.fallback(), RouteTable::Fallback::RowsOverBudget);
+    EXPECT_EQ(noRows.tableBytes(), 0u);
+    expectTableMatches(noRows, net, oracle, oracle);
+
+    // The bytes every reachable row takes under an ample budget.
+    const RouteTable full(*rel);
+    expectTableMatches(full, net, oracle, oracle);
+    ASSERT_TRUE(full.compiled());
+    const std::uint64_t fullBytes = full.tableBytes();
+    ASSERT_GT(fullBytes, rowBytes);
+
+    // Budgets that admit the rows but not their pool: the table serves
+    // until a fill would overflow, then falls back for good. Exactly
+    // the full pool fits.
+    for (const std::uint64_t budget :
+         {rowBytes, rowBytes + 64, fullBytes - 4, fullBytes}) {
+        const RouteTable table(*rel, RouteTable::Options{true, budget});
+        EXPECT_TRUE(table.compiled()) << budget;
+        EXPECT_EQ(table.tableBytes(), rowBytes) << budget;
+        // Every answer, before and after the fallback, is the
+        // relation's.
+        expectTableMatches(table, net, oracle, oracle);
+        if (budget == fullBytes) {
+            EXPECT_TRUE(table.compiled());
+            EXPECT_EQ(table.tableBytes(), fullBytes);
+            continue;
+        }
+        EXPECT_FALSE(table.compiled()) << budget;
+        EXPECT_EQ(table.fallback(), RouteTable::Fallback::PoolOverBudget)
+            << budget;
+        EXPECT_EQ(table.tableBytes(), 0u) << budget;
+    }
+}
+
+/** Forwards every call to `base`, source classes included, and
+ *  records each candidate query's (in, src, dest). */
+class RecordingView final : public cdg::RoutingRelation
+{
+  public:
+    explicit RecordingView(const cdg::RoutingRelation &base) : base(base)
+    {
+    }
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        asked.emplace_back(in, src, dest);
         base.candidatesInto(in, at, src, dest, out);
     }
     std::string name() const override { return base.name(); }
@@ -422,7 +607,7 @@ class CountingView final : public cdg::RoutingRelation
         return base.network();
     }
 
-    mutable std::uint64_t queries = 0;
+    mutable std::vector<RowKey> asked;
 
   private:
     const cdg::RoutingRelation &base;
@@ -435,11 +620,14 @@ TEST(RouteTable, OverBudgetRowsAskTheRelationNothing)
     const auto net = topo::Network::mesh({16, 16}, {2, 2});
     const auto rel = sweep::makeRouter(net, "odd-even");
     ASSERT_NE(rel, nullptr);
-    const CountingView counted(*rel);
-    const RouteTable table(counted);
+    const RecordingView recorded(*rel);
+    const RouteTable table(recorded);
     EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.fallback(), RouteTable::Fallback::RowsOverBudget);
+    EXPECT_STREQ(toString(table.fallback()), "rows over budget");
     EXPECT_EQ(table.tableBytes(), 0u);
-    EXPECT_EQ(counted.queries, 0u);
+    EXPECT_EQ(table.rowCount(), 0u);
+    EXPECT_TRUE(recorded.asked.empty());
 }
 
 /**
@@ -475,14 +663,26 @@ TEST(RouteTable, DisabledTableCountsCalls)
         routing::DimensionOrderRouting::xy(net);
     const RouteTable table(rel, RouteTable::Options{false, 1ull << 30});
     EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.fallback(), RouteTable::Fallback::Disabled);
     std::vector<topo::ChannelId> scratch;
     (void)table.candidatesView(kInjectionChannel, 0, 0, 5, scratch);
     (void)table.candidatesView(kInjectionChannel, 0, 0, 6, scratch);
     EXPECT_EQ(table.calls(), 2u);
 }
 
+/** A result's JSON with the route-table fields masked: all that may
+ *  differ between table and virtual-path runs. */
+std::string
+maskedJson(sim::SimResult r)
+{
+    r.routeTableCompiled = false;
+    r.routeTablePerSource = false;
+    r.routeTableBytes = 0;
+    return sim::toJson(r);
+}
+
 /**
- * End to end: a faulted simulation routed through the compiled table
+ * End to end: a faulted simulation routed through the table
  * must be bit-identical to the same run on the virtual path — the
  * route-table meta fields are the only JSON difference allowed. One
  * link fault and one router fault, each given as a node pair / node.
@@ -524,11 +724,8 @@ expectFaultedRunBitIdentical(const topo::Network &net,
     EXPECT_FALSE(onVirtual.routeTableCompiled) << rel.name();
     EXPECT_GT(onTable.faultEventsApplied, 0u) << rel.name();
 
-    // Erase the meta fields; everything else must match bit for bit.
-    onTable.routeTableCompiled = onVirtual.routeTableCompiled = false;
-    onTable.routeTablePerSource = onVirtual.routeTablePerSource = false;
-    onTable.routeTableBytes = onVirtual.routeTableBytes = 0;
-    EXPECT_EQ(sim::toJson(onTable), sim::toJson(onVirtual)) << rel.name();
+    // Everything but the meta fields must match bit for bit.
+    EXPECT_EQ(maskedJson(onTable), maskedJson(onVirtual)) << rel.name();
 }
 
 TEST(RouteTable, FaultedSimulationBitIdenticalTableVsVirtual)
@@ -549,6 +746,269 @@ TEST(RouteTable, FaultedSimulationBitIdenticalTableVsVirtual)
     expectFaultedRunBitIdentical(net3d, elevator, net3d.node({1, 1, 0}),
                                  net3d.node({2, 1, 0}),
                                  net3d.node({1, 0, 1}));
+}
+
+/**
+ * After a simulated run the table holds exactly the rows the run
+ * queried, each equal to the relation's answer for its key. The rows a
+ * run queries are read off a table-off run of the same config, which
+ * asks the relation at every query. The table-on run may ask the
+ * relation only about those rows (a narrow fill asks twice: for the
+ * packet's source and for the check's second source), and afterwards
+ * serves every one of them without asking again.
+ */
+TEST(RouteTable, SimulatedRunFillsExactlyTheQueriedRows)
+{
+    const auto net = topo::Network::mesh({5, 5}, {2, 2});
+    const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
+    sim::SimConfig cfg;
+    cfg.warmupCycles = 200;
+    cfg.measureCycles = 1000;
+    cfg.drainCycles = 10000;
+    cfg.watchdogCycles = 2000;
+    cfg.injectionRate = 0.15;
+    cfg.seed = 7;
+    for (const char *spec : {"fig7b", "odd-even"}) {
+        const auto rel = sweep::makeRouter(net, spec);
+        ASSERT_NE(rel, nullptr) << spec;
+        const bool perSource = RouteTable(*rel).perSource();
+
+        const RecordingView plain(*rel);
+        cfg.routeTable = false;
+        sim::Simulator off(net, plain, gen, cfg);
+        const auto offResult = off.run();
+        std::set<RowKey> queried;
+        for (const auto &[in, src, dest] : plain.asked)
+            queried.insert(rowKey(perSource, in, src, dest));
+        ASSERT_FALSE(queried.empty()) << spec;
+
+        const RecordingView recorded(*rel);
+        cfg.routeTable = true;
+        sim::Simulator on(net, recorded, gen, cfg);
+        const auto onResult = on.run();
+        const RouteTable &table = on.routeTable();
+        ASSERT_TRUE(table.compiled()) << spec;
+        EXPECT_EQ(table.perSource(), perSource) << spec;
+        EXPECT_EQ(maskedJson(onResult), maskedJson(offResult)) << spec;
+
+        std::set<RowKey> asked;
+        for (const auto &[in, src, dest] : recorded.asked)
+            asked.insert(rowKey(perSource, in, src, dest));
+        EXPECT_EQ(asked, queried) << spec << ": a row nobody queried";
+        EXPECT_EQ(table.rowsFilled(), queried.size()) << spec;
+
+        recorded.asked.clear();
+        std::vector<topo::ChannelId> scratch;
+        for (const auto &[in, src, dest] : plain.asked) {
+            const topo::NodeId at =
+                in == kInjectionChannel ? src : headOf(net, in);
+            const auto got =
+                table.candidatesView(in, at, src, dest, scratch);
+            EXPECT_EQ(std::vector<topo::ChannelId>(got.begin(), got.end()),
+                      rel->candidates(in, at, src, dest))
+                << spec << " in=" << in << " src=" << src
+                << " dest=" << dest;
+        }
+        EXPECT_TRUE(recorded.asked.empty())
+            << spec << ": a filled row asked the relation again";
+        EXPECT_EQ(table.rowsFilled(), queried.size()) << spec;
+    }
+}
+
+/**
+ * Several threads query overlapping rows of one table at once: each
+ * walks every reachable state, two from the start of the list and two
+ * from its middle, released together so each pair races for the same
+ * empty rows. Every answer must be the relation's, a row asked by
+ * several threads is filled once, and the misdeclared relation falls
+ * back without serving a wrong answer. Meaningful under TSan.
+ */
+TEST(RouteTable, ConcurrentFillsServeTheRelation)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto fig7b = sweep::makeRouter(net, "fig7b");
+    const auto oddEven = sweep::makeRouter(net, "odd-even");
+    ASSERT_NE(fig7b, nullptr);
+    ASSERT_NE(oddEven, nullptr);
+    const MisdeclaredRelation misdeclared(net);
+
+    struct Query
+    {
+        topo::ChannelId in;
+        topo::NodeId at;
+        topo::NodeId src;
+        topo::NodeId dest;
+        std::vector<topo::ChannelId> want;
+    };
+    for (const cdg::RoutingRelation *rel :
+         {static_cast<const cdg::RoutingRelation *>(fig7b.get()),
+          static_cast<const cdg::RoutingRelation *>(oddEven.get()),
+          static_cast<const cdg::RoutingRelation *>(&misdeclared)}) {
+        // The answers, asked before any thread starts.
+        std::vector<Query> queries;
+        forEachReachable(net, relationOracle(*rel),
+                         [&](topo::ChannelId in, topo::NodeId at,
+                             topo::NodeId src, topo::NodeId dest) {
+                             queries.push_back(
+                                 {in, at, src, dest,
+                                  rel->candidates(in, at, src, dest)});
+                         });
+        std::set<RowKey> rows;
+        const bool perSource = RouteTable(*rel).perSource();
+        for (const Query &q : queries)
+            rows.insert(rowKey(perSource, q.in, q.src, q.dest));
+
+        // Fresh tables, so the race for empty rows repeats.
+        for (int round = 0; round < 8; ++round) {
+            const RouteTable table(*rel);
+            constexpr std::size_t kThreads = 4;
+            std::atomic<std::size_t> wrong{0};
+            std::atomic<bool> go{false};
+            std::vector<std::thread> threads;
+            for (std::size_t t = 0; t < kThreads; ++t)
+                threads.emplace_back([&, t] {
+                    std::vector<topo::ChannelId> scratch;
+                    const std::size_t n = queries.size();
+                    const std::size_t start = t % 2 * n / 2;
+                    while (!go.load())
+                        std::this_thread::yield();
+                    for (std::size_t k = 0; k < n; ++k) {
+                        const Query &q = queries[(start + k) % n];
+                        const auto got = table.candidatesViewUncounted(
+                            q.in, q.at, q.src, q.dest, scratch);
+                        if (!std::equal(got.begin(), got.end(),
+                                        q.want.begin(), q.want.end()))
+                            wrong.fetch_add(1);
+                    }
+                });
+            go.store(true);
+            for (std::thread &t : threads)
+                t.join();
+            EXPECT_EQ(wrong.load(), 0u) << rel->name();
+            if (rel == &misdeclared) {
+                EXPECT_EQ(table.fallback(),
+                          RouteTable::Fallback::SourceClassesFailed);
+            } else {
+                EXPECT_TRUE(table.compiled()) << rel->name();
+                EXPECT_EQ(table.rowsFilled(), rows.size()) << rel->name();
+            }
+        }
+    }
+}
+
+/**
+ * Seeded differential: lazy rows against eager ones and against the
+ * virtual path. The configurations take the fabrics in turn (2D/3D
+ * meshes and tori, Odd-Even on a 5x4 mesh, Elevator-First on a partial
+ * 3D mesh), with random link faults every other round, and draw one of
+ * the catalog routers the fabric hosts, a rate in [0.01, 0.4] and 1, 2
+ * or 4 shards. It runs three times: on the virtual path
+ * (routeTable = false), on lazy rows, and on rows all filled before the
+ * run (every reachable state queried through the simulator's own
+ * table, as the ahead-of-run compile did). With the route-table fields
+ * masked, the lazy run's JSON must equal the eager run's, and the
+ * virtual run's whenever the config runs serially: an uncompiled table
+ * never shards, so a sharded run has no virtual twin.
+ */
+TEST(RouteTable, LazyRowsMatchEagerRowsAndVirtualRuns)
+{
+    struct Fabric
+    {
+        const char *name;
+        topo::Network net;
+        std::vector<std::string> specs;
+    };
+    const std::vector<std::pair<int, int>> elevators = {
+        {0, 0}, {0, 2}, {2, 0}, {2, 2}};
+    std::vector<Fabric> fabrics;
+    fabrics.push_back({"mesh4x4", topo::Network::mesh({4, 4}, {2, 2}),
+                       {kMeshSpecs.begin(), kMeshSpecs.end()}});
+    fabrics.push_back({"mesh5x4", topo::Network::mesh({5, 4}, {1, 1}),
+                       {"odd-even"}});
+    fabrics.push_back({"torus4x4", topo::Network::torus({4, 4}, {2, 2}),
+                       {kTorusSpecs.begin(), kTorusSpecs.end()}});
+    fabrics.push_back({"mesh3x3x2",
+                       topo::Network::mesh({3, 3, 2}, {2, 2, 2}),
+                       {kMesh3dSpecs.begin(), kMesh3dSpecs.end()}});
+    fabrics.push_back({"torus3x3x3",
+                       topo::Network::torus({3, 3, 3}, {2, 2, 2}),
+                       {"minimal", "region:3", "merged:3", "updown"}});
+    fabrics.push_back(
+        {"partial3x3x2",
+         topo::Network::partialMesh3d({3, 3, 2}, {2, 2, 1}, elevators),
+         {"elevator-first"}});
+
+    std::mt19937_64 rng(20170624);
+    std::size_t sharded = 0;
+    std::size_t faulted = 0;
+    std::set<std::string> ran;
+    for (int k = 0; k < 48; ++k) {
+        const Fabric &f = fabrics[k % fabrics.size()];
+        const std::string &spec = f.specs[rng() % f.specs.size()];
+        std::unique_ptr<cdg::RoutingRelation> rel;
+        if (spec == "elevator-first")
+            rel = std::make_unique<ElevatorFirstRouting>(f.net, elevators);
+        else
+            rel = sweep::makeRouter(f.net, spec);
+        if (!rel)
+            continue; // not hostable on this fabric
+
+        sim::SimConfig cfg;
+        cfg.warmupCycles = 100;
+        cfg.measureCycles = 600;
+        cfg.drainCycles = 6000;
+        cfg.watchdogCycles = 1500;
+        cfg.seed = rng();
+        cfg.injectionRate = 0.01
+            + 0.39 * std::uniform_real_distribution<double>()(rng);
+        const bool faults = k / fabrics.size() % 2 == 1;
+        if (faults) {
+            cfg.faults.seed = rng();
+            cfg.faults.randomLinkFaults = 1 + static_cast<int>(rng() % 2);
+            cfg.faults.firstCycle = 200;
+            cfg.faults.spacing = 150;
+        }
+        cfg.shards = std::array<int, 3>{1, 2, 4}[rng() % 3];
+        // Event mode never shards; ask for cycle mode when sharding.
+        if (cfg.shards > 1)
+            cfg.schedMode = sim::SchedMode::Cycle;
+        const std::string label = std::string(f.name) + ' ' + spec
+            + " rate " + std::to_string(cfg.injectionRate)
+            + (faults ? " faults" : "") + " shards "
+            + std::to_string(cfg.shards);
+
+        const sim::TrafficGenerator gen(f.net,
+                                        sim::TrafficPattern::Uniform);
+        cfg.routeTable = false;
+        const auto onVirtual = sim::runSimulation(f.net, *rel, gen, cfg);
+        cfg.routeTable = true;
+        const auto lazy = sim::runSimulation(f.net, *rel, gen, cfg);
+        sim::Simulator eagerSim(f.net, *rel, gen, cfg);
+        std::vector<topo::ChannelId> scratch;
+        forEachReachable(f.net, relationOracle(*rel),
+                         [&](topo::ChannelId in, topo::NodeId at,
+                             topo::NodeId src, topo::NodeId dest) {
+                             (void)eagerSim.routeTable()
+                                 .candidatesViewUncounted(in, at, src,
+                                                          dest, scratch);
+                         });
+        const auto eager = eagerSim.run();
+
+        EXPECT_TRUE(lazy.routeTableCompiled) << label;
+        EXPECT_EQ(maskedJson(lazy), maskedJson(eager)) << label;
+        if (cfg.shards == 1 || faults)
+            EXPECT_EQ(maskedJson(lazy), maskedJson(onVirtual)) << label;
+        else
+            ++sharded;
+        faulted += faults ? 1 : 0;
+        ran.insert(spec);
+    }
+    // The draw must cover both sides of each axis, and the per-source
+    // routers.
+    EXPECT_GT(sharded, 0u);
+    EXPECT_GT(faulted, 0u);
+    EXPECT_EQ(ran.count("odd-even"), 1u);
+    EXPECT_EQ(ran.count("elevator-first"), 1u);
 }
 
 } // namespace

@@ -406,8 +406,9 @@ printRunJson(const char *router_key, const std::string &router,
 }
 
 /** Simulate a scheme's routing; the report ends with the backend that
- *  ran (--sched, sim/scheduler.hh) and its wakeups. Exit 1 on a
- *  deadlock or a scheme Theorem 1 rejects. */
+ *  ran (--sched, sim/scheduler.hh) and its wakeups, then the route
+ *  table's filled rows and bytes or the reason it fell back. Exit 1 on
+ *  a deadlock or a scheme Theorem 1 rejects. */
 int
 cmdSimulate(const Args &args)
 {
@@ -455,7 +456,15 @@ cmdSimulate(const Args &args)
               << ")\nchannel load CV: " << result.channelLoadCv
               << "\nbackend: " << sim::toString(result.schedMode) << ", "
               << result.wakeups << " wakeups over " << result.cycles
-              << " cycles\n";
+              << " cycles\nroute table: ";
+    const routing::RouteTable &table = run.simulator.routeTable();
+    if (table.compiled())
+        std::cout << table.rowsFilled() << " of " << table.rowCount()
+                  << " rows filled, " << table.tableBytes() << " of "
+                  << table.budgetBytes() << " bytes\n";
+    else
+        std::cout << "virtual relation ("
+                  << routing::toString(table.fallback()) << ")\n";
     return 0;
 }
 
