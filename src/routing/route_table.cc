@@ -93,17 +93,13 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
                     std::vector<topo::ChannelId> &scratch) const
 {
     const std::lock_guard<std::mutex> lock(fillMutex);
-    if (!compiled()) {
-        rel.candidatesInto(in, at, src, dest, scratch);
-        return CandidateSpan{scratch.data(), scratch.size()};
-    }
-    // Every later query asks the relation; this one has its answer in
-    // hand. Nothing is freed: a worker may still be reading a row.
-    const auto fallBack = [&](Fallback why) {
-        state.store(why, std::memory_order_relaxed);
-        scratch = fillScratch;
+    const auto answer = [&] {
         return CandidateSpan{scratch.data(), scratch.size()};
     };
+    if (!compiled()) {
+        rel.candidatesInto(in, at, src, dest, scratch);
+        return answer();
+    }
     const std::size_t idx = rowIndex(in, src, dest);
     const std::atomic_ref<std::uint64_t> row = rowRef(idx);
     // Another thread may have filled it since the caller looked.
@@ -111,26 +107,37 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
         r != kEmptyRow)
         return view(r);
 
-    rel.candidatesInto(in, at, src, dest, fillScratch);
+    // On a failed check or a full pool, every later query asks the
+    // relation; this one has its answer in hand. Nothing is freed: a
+    // worker may still be reading a row.
+    rel.candidatesInto(in, at, src, dest, scratch);
     if (!wide && in != cdg::kInjectionChannel) {
         const topo::NodeId p = probeSource(at, src, dest);
         if (p != src) {
             rel.candidatesInto(in, at, p, dest, probeScratch);
-            if (probeScratch != fillScratch)
-                return fallBack(Fallback::SourceClassesFailed);
+            if (probeScratch != scratch) {
+                state.store(Fallback::SourceClassesFailed,
+                            std::memory_order_relaxed);
+                return answer();
+            }
         }
     }
     const std::size_t begin = poolUsed.load(std::memory_order_relaxed);
-    if (fillScratch.size() > poolCap + 1 - begin)
-        return fallBack(Fallback::PoolOverBudget);
-    std::copy(fillScratch.begin(), fillScratch.end(), pool.get() + begin);
-    poolUsed.store(begin + fillScratch.size(), std::memory_order_relaxed);
-    filledRows.fetch_add(1, std::memory_order_relaxed);
+    if (scratch.size() > poolCap + 1 - begin) {
+        state.store(Fallback::PoolOverBudget, std::memory_order_relaxed);
+        return answer();
+    }
+    std::copy(scratch.begin(), scratch.end(), pool.get() + begin);
+    // Written only under the lock: plain increments, atomic for the
+    // lock-free readers of tableBytes() and rowsFilled().
+    poolUsed.store(begin + scratch.size(), std::memory_order_relaxed);
+    filledRows.store(filledRows.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
     if (revBuilt)
-        for (const topo::ChannelId c : fillScratch)
+        for (const topo::ChannelId c : scratch)
             revIndex[c].push_back(static_cast<std::uint32_t>(idx));
     const std::uint64_t r = static_cast<std::uint64_t>(begin)
-        | static_cast<std::uint64_t>(fillScratch.size()) << 32;
+        | static_cast<std::uint64_t>(scratch.size()) << 32;
     row.store(r, std::memory_order_release);
     return view(r);
 }

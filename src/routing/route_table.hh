@@ -187,8 +187,9 @@ class RouteTable
      * Empty row: fills it (see file doc) and returns the view.
      * Fallback: fills `scratch` via the virtual relation and returns a
      * view of it — allocation-free too once `scratch` has grown to the
-     * largest candidate set. `dest` must differ from the current node
-     * (callers eject on arrival).
+     * largest candidate set. A fill also asks the relation into
+     * `scratch`. `dest` must differ from the current node (callers
+     * eject on arrival).
      */
     CandidateSpan
     candidatesView(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
@@ -312,7 +313,6 @@ class RouteTable
     mutable std::mutex fillMutex;
     mutable std::atomic<std::size_t> poolUsed{1};
     mutable std::atomic<std::size_t> filledRows{0};
-    mutable std::vector<topo::ChannelId> fillScratch;
     mutable std::vector<topo::ChannelId> probeScratch;
 
     /** channel -> ids of filled rows whose candidate list contains
