@@ -44,7 +44,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/shard_partition.hh"
 #include "sim/sim_json.hh"
 #include "sim/simulator.hh"
 #include "sweep/router_factory.hh"
@@ -138,10 +137,7 @@ runOnce(const topo::Network &net, const cdg::RoutingRelation &rel,
     rep.resultJson = sim::toJson(result);
     rep.packetsEjected = result.packetsEjected;
     rep.packetsMeasured = result.packetsMeasured;
-    rep.shards = sim::resolveShardCount(shards, net.numNodes(),
-                                        result.routeTableCompiled,
-                                        !cfg.faults.empty(),
-                                        cfg.protocol.enabled());
+    rep.shards = result.shards;
     return rep;
 }
 

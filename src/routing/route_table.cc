@@ -43,7 +43,7 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
                 out += static_cast<std::uint64_t>(net.vcsOnLink(l));
             fanOut = std::max(fanOut, out);
         }
-        poolCap = static_cast<std::size_t>(std::min<std::uint64_t>(
+        poolEnd = 1 + static_cast<std::size_t>(std::min<std::uint64_t>(
             {(opts.memoryBudgetBytes - rowBytes) / sizeof(topo::ChannelId),
              rowTotal * fanOut,
              std::numeric_limits<std::uint32_t>::max() - 1u}));
@@ -51,8 +51,8 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
             std::calloc(rowTotal, sizeof(std::uint64_t))));
         if (!rows)
             throw std::bad_alloc();
-        pool = std::make_unique_for_overwrite<topo::ChannelId[]>(poolCap
-                                                                 + 1);
+        pool = std::make_unique_for_overwrite<topo::ChannelId[]>(poolEnd);
+        stripes = std::make_unique<Stripe[]>(kStripes);
         numRows = rowTotal;
     }
     compileNs = static_cast<std::uint64_t>(
@@ -70,6 +70,15 @@ RouteTable::tableBytes() const
         + static_cast<std::uint64_t>(poolUsed.load(std::memory_order_relaxed)
                                      - 1)
         * sizeof(topo::ChannelId);
+}
+
+std::size_t
+RouteTable::rowsFilled() const
+{
+    std::size_t n = 0;
+    for (std::size_t i = 0; stripes && i < kStripes; ++i)
+        n += stripes[i].filled.load(std::memory_order_relaxed);
+    return n;
 }
 
 topo::NodeId
@@ -92,54 +101,82 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
                     topo::NodeId dest,
                     std::vector<topo::ChannelId> &scratch) const
 {
-    const std::lock_guard<std::mutex> lock(fillMutex);
-    const auto answer = [&] {
-        return CandidateSpan{scratch.data(), scratch.size()};
-    };
-    if (!compiled()) {
+    CandidateSpan answer;
+    {
+        Stripe &stripe = stripeOf(dest);
+        const std::lock_guard<std::mutex> lock(stripe.mutex);
+        const std::size_t idx = rowIndex(in, src, dest);
+        const std::atomic_ref<std::uint64_t> row = rowRef(idx);
+        // Another thread of this stripe may have filled it since the
+        // caller looked.
+        if (const std::uint64_t r = row.load(std::memory_order_relaxed);
+            r != kEmptyRow)
+            return view(r);
         rel.candidatesInto(in, at, src, dest, scratch);
-        return answer();
-    }
-    const std::size_t idx = rowIndex(in, src, dest);
-    const std::atomic_ref<std::uint64_t> row = rowRef(idx);
-    // Another thread may have filled it since the caller looked.
-    if (const std::uint64_t r = row.load(std::memory_order_relaxed);
-        r != kEmptyRow)
-        return view(r);
-
-    // On a failed check or a full pool, every later query asks the
-    // relation; this one has its answer in hand. Nothing is freed: a
-    // worker may still be reading a row.
-    rel.candidatesInto(in, at, src, dest, scratch);
-    if (!wide && in != cdg::kInjectionChannel) {
-        const topo::NodeId p = probeSource(at, src, dest);
-        if (p != src) {
-            rel.candidatesInto(in, at, p, dest, probeScratch);
-            if (probeScratch != scratch) {
-                state.store(Fallback::SourceClassesFailed,
-                            std::memory_order_relaxed);
-                return answer();
+        const std::size_t n = scratch.size();
+        if (!compiled())
+            return CandidateSpan{scratch.data(), n};
+        const std::size_t begin =
+            poolUsed.fetch_add(n, std::memory_order_relaxed);
+        // Over the budget: stop filling, keep serving the rows already
+        // filled.
+        if (begin + n > poolEnd) {
+            state.store(Fallback::PoolOverBudget, std::memory_order_relaxed);
+            return CandidateSpan{scratch.data(), n};
+        }
+        std::copy(scratch.begin(), scratch.end(), pool.get() + begin);
+        answer = CandidateSpan{pool.get() + begin, n};
+        // A narrow row serves every source: check a second one before
+        // publishing. Its answer lands in scratch; this query's is in
+        // the pool.
+        bool sourcesAgree = true;
+        if (!wide && in != cdg::kInjectionChannel) {
+            const topo::NodeId p = probeSource(at, src, dest);
+            if (p != src) {
+                rel.candidatesInto(in, at, p, dest, scratch);
+                sourcesAgree = std::equal(scratch.begin(), scratch.end(),
+                                          answer.begin(), answer.end());
             }
         }
+        if (sourcesAgree) {
+            std::atomic<std::size_t> &filled = stripe.filled;
+            filled.store(filled.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+            if (revBuilt) {
+                const std::lock_guard<std::mutex> revLock(revMutex);
+                for (const topo::ChannelId c : answer)
+                    revIndex[c].push_back(static_cast<std::uint32_t>(idx));
+            }
+            row.store(static_cast<std::uint64_t>(begin)
+                          | static_cast<std::uint64_t>(n) << 32,
+                      std::memory_order_release);
+            return answer;
+        }
     }
-    const std::size_t begin = poolUsed.load(std::memory_order_relaxed);
-    if (scratch.size() > poolCap + 1 - begin) {
-        state.store(Fallback::PoolOverBudget, std::memory_order_relaxed);
-        return answer();
+    // The declaration is proven false. This query's answer stays in its
+    // unpublished pool slice, which is never freed.
+    dropRows();
+    return answer;
+}
+
+void
+RouteTable::dropRows() const
+{
+    for (std::size_t i = 0; i < kStripes; ++i)
+        stripes[i].mutex.lock();
+    // Also over a pool fallback, whose rows are still served.
+    if (fallback() != Fallback::SourceClassesFailed) {
+        state.store(Fallback::SourceClassesFailed,
+                    std::memory_order_relaxed);
+        // Reads keep the untouched (never faulted-in) rows unmapped.
+        for (std::size_t r = 0; r < numRows; ++r)
+            if (rowRef(r).load(std::memory_order_relaxed) != kEmptyRow)
+                rowRef(r).store(kEmptyRow, std::memory_order_relaxed);
+        for (std::size_t i = 0; i < kStripes; ++i)
+            stripes[i].filled.store(0, std::memory_order_relaxed);
     }
-    std::copy(scratch.begin(), scratch.end(), pool.get() + begin);
-    // Written only under the lock: plain increments, atomic for the
-    // lock-free readers of tableBytes() and rowsFilled().
-    poolUsed.store(begin + scratch.size(), std::memory_order_relaxed);
-    filledRows.store(filledRows.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    if (revBuilt)
-        for (const topo::ChannelId c : scratch)
-            revIndex[c].push_back(static_cast<std::uint32_t>(idx));
-    const std::uint64_t r = static_cast<std::uint64_t>(begin)
-        | static_cast<std::uint64_t>(scratch.size()) << 32;
-    row.store(r, std::memory_order_release);
-    return view(r);
+    for (std::size_t i = kStripes; i-- > 0;)
+        stripes[i].mutex.unlock();
 }
 
 void
@@ -156,9 +193,10 @@ RouteTable::candidatesInto(topo::ChannelId in, topo::NodeId at,
 void
 RouteTable::filterDeadChannel(topo::ChannelId dead)
 {
-    if (!compiled())
+    // Filled rows are served after a pool fallback too.
+    if (numRows == 0)
         return;
-    const std::lock_guard<std::mutex> lock(fillMutex);
+    const std::lock_guard<std::mutex> lock(revMutex);
     if (!revBuilt) {
         revIndex.assign(numChannels, {});
         for (std::size_t r = 0; r < numRows; ++r) {

@@ -40,22 +40,28 @@
  * sends the rest of the run to the relation. Injection rows and wide
  * rows are keyed by the real source and need no check.
  *
- * Threads: fills run under one lock with the relation call inside it,
- * since the relation contract allows concurrent queries only for
- * distinct destinations. The candidate pool is reserved up front (the
- * budget's remainder, capped by what the rows could ever hold) and
- * never reallocates; a row is published with one release store, after
- * its candidates are in the pool. So the sharded loop's workers read
- * filled rows without a lock, and two workers asking for one empty row
- * fill it once. A fallback mid-run frees nothing: workers still
- * reading a row read valid memory, and later relation calls keep
- * taking the lock.
+ * Threads: a fill holds the lock of its destination's stripe (one of
+ * kStripes, by dest) with the relation call inside it, since the
+ * relation contract allows concurrent queries only for distinct
+ * destinations; fills for destinations in different stripes run in
+ * parallel. The candidate pool is reserved up front (the budget's
+ * remainder, capped by what the rows could ever hold) and never
+ * reallocates; a fill claims its slice with one fetch_add and publishes
+ * its row with one release store, after its candidates are in the
+ * pool. So the sharded loop's workers read filled rows with one acquire
+ * load and no lock, and two workers asking for one empty row fill it
+ * once. Nothing in the pool is ever freed: a worker still reading a
+ * row reads valid memory whatever happens after it loaded the row.
  *
- * Fallbacks, all to the virtual relation, with tableBytes() == 0
- * (fallback() names the reason): a disabled table; rows alone over the
- * memory budget (checked before the relation is asked anything); and,
- * mid-run, a fill that would take the pool over the budget or a narrow
- * fill whose second source disagrees.
+ * Fallbacks (fallback() names the reason; compiled() and tableBytes()
+ * then read false and 0): a disabled table and rows alone over the
+ * memory budget (checked before the relation is asked anything) send
+ * every query to the virtual relation. Mid-run, a fill that would take
+ * the pool over the budget stops filling: rows already filled stay
+ * served lock-free, and queries of empty rows ask the relation under
+ * their stripe's lock. A narrow fill whose second source disagrees
+ * proves the rows' keying wrong: under every stripe lock it empties all
+ * rows, so every later query asks the relation.
  *
  * Fault integration: the table serves the simulator's effective
  * (possibly fault-degraded) relation, so rows filled after a fault
@@ -135,8 +141,9 @@ class RouteTable
     {
     }
 
-    /** True while queries are served from rows; false on the virtual
-     *  fallback (see fallback()). A table can turn false mid-run. */
+    /** True while every query is served from rows or fills one; false
+     *  once the table has fallen back (see fallback()), which can
+     *  happen mid-run. */
     bool compiled() const { return fallback() == Fallback::None; }
 
     /** Why the table is on the virtual fallback, or None. */
@@ -148,18 +155,17 @@ class RouteTable
     /** True when rows are keyed per source. */
     bool perSource() const { return wide; }
 
-    /** Bytes held by rows + filled candidate pool (0 on the
-     *  fallback). */
+    /** Bytes held by rows + filled candidate pool (0 on any fallback:
+     *  which rows a sharded run filled before its pool ran over
+     *  depends on thread timing). */
     std::uint64_t tableBytes() const;
 
     /** Rows sized (0 when never sized: disabled or over budget). */
     std::size_t rowCount() const { return numRows; }
 
-    /** Rows filled so far. */
-    std::size_t rowsFilled() const
-    {
-        return filledRows.load(std::memory_order_relaxed);
-    }
+    /** Rows filled so far (0 again after SourceClassesFailed empties
+     *  them). */
+    std::size_t rowsFilled() const;
 
     /** The memory budget the table was sized against. */
     std::uint64_t budgetBytes() const { return opts.memoryBudgetBytes; }
@@ -202,28 +208,26 @@ class RouteTable
 
     /**
      * candidatesView without the call tally — safe to invoke from
-     * several threads at once (filled rows are read lock-free, fills
-     * and post-fallback relation calls take the fill lock). The caller
-     * counts queries itself and folds them in via addCalls(). The
-     * fallback fills the caller-provided scratch, so each thread must
-     * pass its own.
+     * several threads at once (filled rows are read with one acquire
+     * load, fills and post-fallback relation calls take their
+     * destination's stripe lock). The caller counts queries itself and
+     * folds them in via addCalls(). The fallback fills the
+     * caller-provided scratch, so each thread must pass its own.
      */
     CandidateSpan
     candidatesViewUncounted(topo::ChannelId in, topo::NodeId at,
                             topo::NodeId src, topo::NodeId dest,
                             std::vector<topo::ChannelId> &scratch) const
     {
-        if (compiled()) {
+        if (rows) [[likely]] {
             const std::uint64_t r = rowRef(rowIndex(in, src, dest))
                                         .load(std::memory_order_acquire);
             if (r != kEmptyRow) [[likely]]
                 return view(r);
+            return fillRow(in, at, src, dest, scratch);
         }
-        if (numRows == 0) {
-            rel.candidatesInto(in, at, src, dest, scratch);
-            return CandidateSpan{scratch.data(), scratch.size()};
-        }
-        return fillRow(in, at, src, dest, scratch);
+        rel.candidatesInto(in, at, src, dest, scratch);
+        return CandidateSpan{scratch.data(), scratch.size()};
     }
 
     /** Copy the candidate list into `out` (cold paths that keep it). */
@@ -235,9 +239,11 @@ class RouteTable
      * Remove `dead` from every filled row containing it (fault event).
      * Only the affected rows are touched; the channel -> rows reverse
      * index backing this is built on the first call and extended by
-     * later fills, so fault-free runs never pay for it. No-op on the
-     * fallback (the degraded virtual relation filters dynamically).
-     * Not concurrent with queries: faulted runs are never sharded.
+     * later fills, so fault-free runs never pay for it. Rows still
+     * served after a pool fallback are filtered too; unfilled rows ask
+     * the degraded relation, which filters dynamically. No-op on an
+     * unsized table. Not concurrent with queries: faulted runs are
+     * never sharded.
      */
     void filterDeadChannel(topo::ChannelId dead);
 
@@ -273,9 +279,9 @@ class RouteTable
             + dest;
     }
 
-    /** The slow path of candidatesViewUncounted, under the fill lock:
-     *  fill the row, or ask the relation once the table has fallen
-     *  back. */
+    /** The slow path of candidatesViewUncounted, under the stripe
+     *  lock of `dest`: fill the row, or ask the relation once the table
+     *  has fallen back. */
     CandidateSpan fillRow(topo::ChannelId in, topo::NodeId at,
                           topo::NodeId src, topo::NodeId dest,
                           std::vector<topo::ChannelId> &scratch) const;
@@ -284,6 +290,11 @@ class RouteTable
      *  checked against, or src when there is none. */
     topo::NodeId probeSource(topo::NodeId at, topo::NodeId src,
                              topo::NodeId dest) const;
+
+    /** Fall back for a failed source-class check: under every stripe
+     *  lock, empty every row so later queries reach fillRow, which asks
+     *  the relation. */
+    void dropRows() const;
 
     const cdg::RoutingRelation &rel;
     Options opts;
@@ -295,7 +306,6 @@ class RouteTable
     std::size_t numRows = 0;
     std::uint64_t compileNs = 0;
     mutable std::uint64_t callCount = 0;
-    mutable std::atomic<Fallback> state{Fallback::None};
 
     struct FreeDeleter
     {
@@ -303,18 +313,38 @@ class RouteTable
     };
     /** calloc'd, so pages no query touches are never faulted in. */
     std::unique_ptr<std::uint64_t[], FreeDeleter> rows;
-    /** Reserved at construction, never reallocated; entries
-     *  [1, poolUsed) are handed out. */
+    /** Reserved at construction, never reallocated or zeroed; entries
+     *  from 1 up to poolUsed (or poolEnd, after an overrun) are handed
+     *  out. */
     std::unique_ptr<topo::ChannelId[]> pool;
-    std::size_t poolCap = 0;
+    std::size_t poolEnd = 0;
 
-    /** Guards fills, the pool tail and the reverse index, and
-     *  serialises relation calls of a sized table. */
-    mutable std::mutex fillMutex;
+    /** Fill locks, one per stripe of destinations. Serialises the
+     *  relation calls of one destination, as the relation contract
+     *  asks; different stripes fill in parallel. */
+    static constexpr std::size_t kStripes = 64;
+    struct alignas(64) Stripe
+    {
+        std::mutex mutex;
+        /** Rows this stripe filled. Written under the lock by load and
+         *  store, so a fill spends no locked instruction on it. */
+        std::atomic<std::size_t> filled{0};
+    };
+    std::unique_ptr<Stripe[]> stripes;
+
+    Stripe &stripeOf(topo::NodeId dest) const
+    {
+        return stripes[dest % kStripes];
+    }
+
+    /** What every fill reads and bumps, kept together. */
+    mutable std::atomic<Fallback> state{Fallback::None};
+    /** Next free pool entry; a fill reserves its slice by fetch_add.
+     *  Past poolEnd once the pool has run over. */
     mutable std::atomic<std::size_t> poolUsed{1};
-    mutable std::atomic<std::size_t> filledRows{0};
-    mutable std::vector<topo::ChannelId> probeScratch;
 
+    /** Guards the reverse index. */
+    mutable std::mutex revMutex;
     /** channel -> ids of filled rows whose candidate list contains
      *  it; built on the first filterDeadChannel. */
     mutable std::vector<std::vector<std::uint32_t>> revIndex;

@@ -315,12 +315,14 @@ struct SimResult
      *  virtual fallback; identical either way, so sweeps stay
      *  bit-comparable across the two modes). */
     std::uint64_t routeComputeCalls = 0;
-    /** True when the run ended with queries served from table rows. */
+    /** True when the run ended with every query served from table rows
+     *  or filling one; false on any fallback, mid-run ones included
+     *  (RouteTable::fallback()). */
     bool routeTableCompiled = false;
     /** True when the table was widened to per-source rows. */
     bool routeTablePerSource = false;
     /** Table size at the end of the run: rows + the candidate pool of
-     *  the rows the run filled (0 on the virtual fallback). */
+     *  the rows the run filled (0 on any fallback). */
     std::uint64_t routeTableBytes = 0;
     /** Wall-clock nanoseconds spent sizing the table's rows. NOT part
      *  of the JSON wire format: it varies run to run, and serialized
@@ -366,6 +368,10 @@ struct SimResult
     /** Cycles the loop actually executed. Equals `cycles` (+1) in
      *  cycle mode; far fewer in event mode at low load. */
     std::uint64_t wakeups = 0;
+    /** Spatial shards the run used (1: the serial loop). NOT part of
+     *  the JSON wire format: a sharded run and its serial twin
+     *  serialise byte-identically. */
+    int shards = 1;
     /** @} */
 };
 

@@ -693,6 +693,7 @@ Simulator::run()
     SimResult result;
     const Schedule sched = resolveSchedule();
     result.schedMode = sched.mode;
+    result.shards = sched.shards;
     finalCycle = sched.shards > 1 ? runSharded(*this, result, sched.shards)
                                   : runSerial(result, sched.skipIdle);
     result.cycles = finalCycle;

@@ -414,12 +414,77 @@ TEST(RouteTable, MisdeclaredIndependenceFallsBackInsteadOfCorrupting)
     EXPECT_FALSE(table.compiled());
     EXPECT_EQ(table.fallback(), RouteTable::Fallback::SourceClassesFailed);
     EXPECT_EQ(table.tableBytes(), 0u);
-    EXPECT_EQ(table.rowsFilled(), 1u);
+    // The fallback empties every row, the injection row included.
+    EXPECT_EQ(table.rowsFilled(), 0u);
 
-    // No wrong answer served anywhere after that.
+    // No wrong answer served anywhere after that, and nothing filled.
     const auto oracle = relationOracle(rel);
     expectTableMatches(table, net, oracle, oracle);
-    EXPECT_EQ(table.rowsFilled(), 1u);
+    EXPECT_EQ(table.rowsFilled(), 0u);
+}
+
+/** Declares one source class, but source 5 gets its candidates in
+ *  reverse: rows filled for other sources pass their check. */
+class OneSourceDiffers final : public cdg::RoutingRelation
+{
+  public:
+    explicit OneSourceDiffers(const topo::Network &net) : base(net) {}
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        base.candidatesInto(in, at, src, dest, out);
+        if (src == 5)
+            std::reverse(out.begin(), out.end());
+    }
+
+    std::string name() const override { return "OneSourceDiffers"; }
+    const topo::Network &network() const override
+    {
+        return base.network();
+    }
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
+
+  private:
+    routing::MinimalAdaptiveRouting base;
+};
+
+/** A row filled and checked before the declaration fails must not be
+ *  served after it: the fallback empties every row. */
+TEST(RouteTable, SourceClassFailureEmptiesRowsFilledBefore)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const OneSourceDiffers rel(net);
+    const RouteTable table(rel);
+    std::vector<topo::ChannelId> scratch;
+    const topo::NodeId dest = 15;
+    // The first hop of a packet from a source, and the state it asks.
+    const auto firstHop = [&](topo::NodeId src) {
+        const auto inj = rel.candidates(kInjectionChannel, src, src, dest);
+        (void)table.candidatesView(kInjectionChannel, src, src, dest,
+                                   scratch);
+        return inj.front();
+    };
+
+    // Source 0 fills a narrow row; its check asks a source other than 5.
+    const topo::ChannelId hop0 = firstHop(0);
+    const topo::NodeId at0 = headOf(net, hop0);
+    ASSERT_GE(rel.candidates(hop0, at0, 0, dest).size(), 2u);
+    (void)table.candidatesView(hop0, at0, 0, dest, scratch);
+    ASSERT_TRUE(table.compiled());
+
+    // Source 5's first narrow fill disagrees with its check.
+    const topo::ChannelId hop5 = firstHop(5);
+    ASSERT_GE(rel.candidates(hop5, headOf(net, hop5), 5, dest).size(), 2u);
+    (void)table.candidatesView(hop5, headOf(net, hop5), 5, dest, scratch);
+    EXPECT_EQ(table.fallback(), RouteTable::Fallback::SourceClassesFailed);
+
+    // Source 5 at source 0's state gets its own answer, not the row.
+    const auto got = table.candidatesView(hop0, at0, 5, dest, scratch);
+    EXPECT_EQ(std::vector<topo::ChannelId>(got.begin(), got.end()),
+              rel.candidates(hop0, at0, 5, dest));
 }
 
 TEST(RouteTable, FaultFilterMatchesDegradedRelation)
@@ -501,82 +566,47 @@ class DegradedView final : public cdg::RoutingRelation
  * Rows filled between fault events: half the sources' rows before the
  * first fault, the rest after it (from the degraded relation), then a
  * second fault whose filter must reach rows of both kinds — the reverse
- * index is built at the first fault and extended by later fills.
+ * index is built at the first fault and extended by later fills. Run
+ * again with a budget the pool runs over between the faults: the rows
+ * filled by then are still served, so the second fault must reach them
+ * too, while empty rows ask the degraded relation.
  */
 TEST(RouteTable, FaultFilterReachesRowsFilledAfterTheFirstFault)
 {
     const auto net = topo::Network::mesh({4, 4}, {2, 2});
     const auto rel = sweep::makeRouter(net, "fig7b");
     ASSERT_NE(rel, nullptr);
-    DegradedView view(*rel);
-    RouteTable table(view);
-    const auto kill = [&](topo::LinkId l) {
-        for (int v = 0; v < net.vcsOnLink(l); ++v) {
-            const topo::ChannelId c = net.channel(l, v);
-            view.dead.insert(c);
-            table.filterDeadChannel(c);
-        }
-    };
     const auto reach = relationOracle(*rel);
-    const auto degraded = relationOracle(view);
+    // Table bytes after the first and the second walk.
+    const auto run = [&](std::uint64_t budget) {
+        DegradedView view(*rel);
+        RouteTable table(view, RouteTable::Options{true, budget});
+        const auto kill = [&](topo::LinkId l) {
+            for (int v = 0; v < net.vcsOnLink(l); ++v) {
+                const topo::ChannelId c = net.channel(l, v);
+                view.dead.insert(c);
+                table.filterDeadChannel(c);
+            }
+        };
+        const auto degraded = relationOracle(view);
 
-    expectTableMatches(table, net, reach, degraded, net.numNodes() / 2);
-    const std::size_t beforeFault = table.rowsFilled();
-    kill(topo::LinkId{3});
-    expectTableMatches(table, net, reach, degraded);
-    EXPECT_GT(table.rowsFilled(), beforeFault);
-    kill(topo::LinkId{11});
-    kill(topo::LinkId{20});
-    expectTableMatches(table, net, reach, degraded);
-    EXPECT_TRUE(table.compiled());
-}
-
-TEST(RouteTable, TinyBudgetFallsBackToVirtual)
-{
-    const auto net = topo::Network::mesh({4, 4}, {2, 2});
-    const auto rel = sweep::makeRouter(net, "fig7b");
-    ASSERT_NE(rel, nullptr);
-    ASSERT_FALSE(RouteTable(*rel).perSource());
-    const auto oracle = relationOracle(*rel);
-    const std::uint64_t nodes = net.numNodes();
-    const std::uint64_t rowBytes =
-        (net.numChannels() * nodes + nodes * nodes) * 8;
-
-    // A budget below the rows: the table never serves.
-    const RouteTable noRows(*rel, RouteTable::Options{true, 64});
-    EXPECT_FALSE(noRows.compiled());
-    EXPECT_EQ(noRows.fallback(), RouteTable::Fallback::RowsOverBudget);
-    EXPECT_EQ(noRows.tableBytes(), 0u);
-    expectTableMatches(noRows, net, oracle, oracle);
-
-    // The bytes every reachable row takes under an ample budget.
-    const RouteTable full(*rel);
-    expectTableMatches(full, net, oracle, oracle);
-    ASSERT_TRUE(full.compiled());
-    const std::uint64_t fullBytes = full.tableBytes();
-    ASSERT_GT(fullBytes, rowBytes);
-
-    // Budgets that admit the rows but not their pool: the table serves
-    // until a fill would overflow, then falls back for good. Exactly
-    // the full pool fits.
-    for (const std::uint64_t budget :
-         {rowBytes, rowBytes + 64, fullBytes - 4, fullBytes}) {
-        const RouteTable table(*rel, RouteTable::Options{true, budget});
-        EXPECT_TRUE(table.compiled()) << budget;
-        EXPECT_EQ(table.tableBytes(), rowBytes) << budget;
-        // Every answer, before and after the fallback, is the
-        // relation's.
-        expectTableMatches(table, net, oracle, oracle);
-        if (budget == fullBytes) {
-            EXPECT_TRUE(table.compiled());
-            EXPECT_EQ(table.tableBytes(), fullBytes);
-            continue;
-        }
-        EXPECT_FALSE(table.compiled()) << budget;
-        EXPECT_EQ(table.fallback(), RouteTable::Fallback::PoolOverBudget)
-            << budget;
-        EXPECT_EQ(table.tableBytes(), 0u) << budget;
-    }
+        expectTableMatches(table, net, reach, degraded, net.numNodes() / 2);
+        const std::size_t beforeFault = table.rowsFilled();
+        const std::uint64_t firstBytes = table.tableBytes();
+        kill(topo::LinkId{3});
+        expectTableMatches(table, net, reach, degraded);
+        EXPECT_GT(table.rowsFilled(), beforeFault) << budget;
+        const std::uint64_t secondBytes = table.tableBytes();
+        kill(topo::LinkId{11});
+        kill(topo::LinkId{20});
+        expectTableMatches(table, net, reach, degraded);
+        EXPECT_EQ(table.compiled(), secondBytes != 0) << budget;
+        return std::pair{firstBytes, secondBytes};
+    };
+    const auto [firstBytes, secondBytes] = run(kDefaultRouteTableBudget);
+    ASSERT_GT(secondBytes, firstBytes);
+    // The tight run's pool runs over in its second walk.
+    EXPECT_EQ(run((firstBytes + secondBytes) / 2).second, 0u);
 }
 
 /** Forwards every call to `base`, source classes included, and
@@ -612,6 +642,91 @@ class RecordingView final : public cdg::RoutingRelation
   private:
     const cdg::RoutingRelation &base;
 };
+
+TEST(RouteTable, TinyBudgetFallsBackToVirtual)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "fig7b");
+    ASSERT_NE(rel, nullptr);
+    ASSERT_FALSE(RouteTable(*rel).perSource());
+    const auto oracle = relationOracle(*rel);
+    const std::uint64_t nodes = net.numNodes();
+    const std::uint64_t rowBytes =
+        (net.numChannels() * nodes + nodes * nodes) * 8;
+
+    // A budget below the rows: the table never serves.
+    const RouteTable noRows(*rel, RouteTable::Options{true, 64});
+    EXPECT_FALSE(noRows.compiled());
+    EXPECT_EQ(noRows.fallback(), RouteTable::Fallback::RowsOverBudget);
+    EXPECT_EQ(noRows.tableBytes(), 0u);
+    expectTableMatches(noRows, net, oracle, oracle);
+
+    // The bytes every reachable row takes under an ample budget.
+    const RouteTable full(*rel);
+    expectTableMatches(full, net, oracle, oracle);
+    ASSERT_TRUE(full.compiled());
+    const std::uint64_t fullBytes = full.tableBytes();
+    ASSERT_GT(fullBytes, rowBytes);
+
+    // Every reachable row's key.
+    std::set<RowKey> keys;
+    forEachReachable(net, oracle,
+                     [&](topo::ChannelId in, topo::NodeId, topo::NodeId src,
+                         topo::NodeId dest) {
+                         keys.insert(rowKey(false, in, src, dest));
+                     });
+
+    // Budgets that admit the rows but not their pool: the table fills
+    // until a fill would overflow, then stops filling. Exactly the full
+    // pool fits.
+    for (const std::uint64_t budget :
+         {rowBytes, rowBytes + 64, fullBytes - 4, fullBytes}) {
+        const RecordingView recorded(*rel);
+        const RouteTable table(recorded, RouteTable::Options{true, budget});
+        EXPECT_TRUE(table.compiled()) << budget;
+        EXPECT_EQ(table.tableBytes(), rowBytes) << budget;
+        // Every answer, before and after the fallback, is the
+        // relation's.
+        expectTableMatches(table, net, oracle, oracle);
+        if (budget == fullBytes) {
+            EXPECT_TRUE(table.compiled());
+            EXPECT_EQ(table.tableBytes(), fullBytes);
+            EXPECT_EQ(table.rowsFilled(), keys.size());
+            continue;
+        }
+        EXPECT_FALSE(table.compiled()) << budget;
+        EXPECT_EQ(table.fallback(), RouteTable::Fallback::PoolOverBudget)
+            << budget;
+        EXPECT_EQ(table.tableBytes(), 0u) << budget;
+
+        // The rows filled before the overflow stay served: a second
+        // walk fills nothing, answers as the relation does, and asks
+        // the relation exactly for the rows left empty.
+        const std::size_t filled = table.rowsFilled();
+        EXPECT_LT(filled, keys.size()) << budget;
+        if (budget == fullBytes - 4)
+            EXPECT_GT(filled, 0u);
+        recorded.asked.clear();
+        std::vector<topo::ChannelId> scratch;
+        forEachReachable(
+            net, oracle,
+            [&](topo::ChannelId in, topo::NodeId at, topo::NodeId src,
+                topo::NodeId dest) {
+                const auto got =
+                    table.candidatesView(in, at, src, dest, scratch);
+                EXPECT_EQ(std::vector<topo::ChannelId>(got.begin(),
+                                                       got.end()),
+                          rel->candidates(in, at, src, dest))
+                    << budget << " in=" << in << " src=" << src
+                    << " dest=" << dest;
+            });
+        std::set<RowKey> asked;
+        for (const auto &[in, src, dest] : recorded.asked)
+            asked.insert(rowKey(false, in, src, dest));
+        EXPECT_EQ(asked.size(), keys.size() - filled) << budget;
+        EXPECT_EQ(table.rowsFilled(), filled) << budget;
+    }
+}
 
 TEST(RouteTable, OverBudgetRowsAskTheRelationNothing)
 {
@@ -813,6 +928,53 @@ TEST(RouteTable, SimulatedRunFillsExactlyTheQueriedRows)
             << spec << ": a filled row asked the relation again";
         EXPECT_EQ(table.rowsFilled(), queried.size()) << spec;
     }
+}
+
+/**
+ * A sharded run whose pool runs over mid-run: the budget admits the
+ * rows and half the pool an ample run fills. The run keeps its two
+ * shards, serves the rows it filled before the overflow, asks the
+ * relation (under the stripe locks) for the rest, and matches the
+ * ample run (a table-off run never shards, so it has no virtual twin).
+ * Meaningful under TSan.
+ */
+TEST(RouteTable, PoolOverflowInAShardedRunKeepsItsShards)
+{
+    const auto net = topo::Network::mesh({6, 6}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "fig7b");
+    ASSERT_NE(rel, nullptr);
+    const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
+    sim::SimConfig cfg;
+    cfg.warmupCycles = 200;
+    cfg.measureCycles = 1000;
+    cfg.drainCycles = 10000;
+    cfg.watchdogCycles = 2000;
+    cfg.injectionRate = 0.2;
+    cfg.seed = 11;
+    cfg.schedMode = sim::SchedMode::Cycle;
+    cfg.shards = 2;
+
+    sim::Simulator ample(net, *rel, gen, cfg);
+    const auto ampleResult = ample.run();
+    ASSERT_TRUE(ampleResult.routeTableCompiled);
+    EXPECT_EQ(ampleResult.shards, 2);
+    const std::uint64_t rowBytes =
+        ample.routeTable().rowCount() * sizeof(std::uint64_t);
+    ASSERT_GT(ampleResult.routeTableBytes, rowBytes);
+
+    cfg.routeTableBudget =
+        rowBytes + (ampleResult.routeTableBytes - rowBytes) / 2;
+    sim::Simulator tight(net, *rel, gen, cfg);
+    const auto tightResult = tight.run();
+    const RouteTable &table = tight.routeTable();
+    EXPECT_EQ(tightResult.shards, 2);
+    EXPECT_EQ(table.fallback(), RouteTable::Fallback::PoolOverBudget);
+    EXPECT_FALSE(tightResult.routeTableCompiled);
+    EXPECT_EQ(tightResult.routeTableBytes, 0u);
+    EXPECT_GT(table.rowsFilled(), 0u);
+    EXPECT_LT(table.rowsFilled(), ample.routeTable().rowsFilled());
+
+    EXPECT_EQ(maskedJson(tightResult), maskedJson(ampleResult));
 }
 
 /**

@@ -462,6 +462,11 @@ cmdSimulate(const Args &args)
         std::cout << table.rowsFilled() << " of " << table.rowCount()
                   << " rows filled, " << table.tableBytes() << " of "
                   << table.budgetBytes() << " bytes\n";
+    else if (table.fallback() == routing::RouteTable::Fallback::PoolOverBudget)
+        std::cout << table.rowsFilled() << " of " << table.rowCount()
+                  << " rows filled, then "
+                  << routing::toString(table.fallback())
+                  << " (empty rows ask the relation)\n";
     else
         std::cout << "virtual relation ("
                   << routing::toString(table.fallback()) << ")\n";
