@@ -3,15 +3,20 @@
  * Microbenchmark for the route table (src/routing/route_table): table
  * lookups vs virtual-dispatch route compute on the benches' standard
  * 8x8, 2-VC mesh. Each row reports the table's rows, its bytes once
- * every reachable row is filled, the constructor's sizing time, and the
- * first-touch cost per row (the first query of every reachable state
- * on a fresh table, over the rows it filled) next to the steady-state
- * ns per call. A fixed latency-sweep point is timed with the table on
- * and off, with the rows that run filled.
+ * every reachable row is filled, the distinct candidate lists its node
+ * directories then hold (most at one node, and in total), the
+ * constructor's sizing time, and the first-touch cost per row (the
+ * first query of every reachable state on a fresh table, over the rows
+ * it filled) next to the steady-state ns per call. A fixed
+ * latency-sweep point is timed with the table on and off, with the rows
+ * that run filled. A sizing check constructs, without querying, the
+ * tables of two large fabrics: 32x32 fig7b and a 48x48 EbDa scheme
+ * with 1,2 VCs.
  *
  * This binary is also a correctness smoke test and exits non-zero when
  *  - any table lookup differs from the virtual relation on a reachable
- *    state (contents or order), or
+ *    state (contents or order),
+ *  - a sizing-check table does not fit the default budget, or
  *  - the filled-table query loop, or the virtual-fallback query loop
  *    (table disabled, scratch buffer warmed by one pass), performs a
  *    single heap allocation. Both are steady-state route compute: the
@@ -171,6 +176,8 @@ struct RelationRow
     std::size_t rows = 0;
     std::size_t rowsFilled = 0;
     std::uint64_t tableBytes = 0;
+    std::size_t lists = 0;
+    std::size_t maxListsPerNode = 0;
     double compileMs = 0.0;
     double firstTouchNsPerFill = 0.0;
     double virtualNsPerCall = 0.0;
@@ -223,6 +230,8 @@ benchRelation(const topo::Network &net, const std::string &spec)
         return row;
     }
     row.tableBytes = table.tableBytes();
+    row.lists = table.listCount();
+    row.maxListsPerNode = table.maxListsPerNode();
 
     // Correctness: every reachable state, contents and order.
     for (const State &s : states) {
@@ -340,6 +349,38 @@ benchSweepPoint(const topo::Network &net)
     return row;
 }
 
+/** A table sized, not queried, on a large fabric. */
+struct SizingRow
+{
+    std::string fabric;
+    std::string spec;
+    std::size_t rows = 0;
+    std::uint64_t tableBytes = 0;
+    std::string fallback;
+    bool compiled = false;
+};
+
+SizingRow
+sizeTable(const std::string &fabric, const topo::Network &net,
+          const std::string &spec)
+{
+    SizingRow row;
+    row.fabric = fabric;
+    row.spec = spec;
+    std::string err;
+    const auto rel = sweep::makeRouter(net, spec, &err);
+    if (!rel) {
+        row.fallback = "makeRouter failed: " + err;
+        return row;
+    }
+    const routing::RouteTable table(*rel);
+    row.rows = table.rowCount();
+    row.tableBytes = table.tableBytes();
+    row.fallback = routing::toString(table.fallback());
+    row.compiled = table.compiled();
+    return row;
+}
+
 int
 benchMain()
 {
@@ -350,21 +391,25 @@ benchMain()
     bool pass = true;
     std::printf("route compute on mesh 8x8, 2 VCs/dim (%zu channels)\n",
                 static_cast<std::size_t>(net.numChannels()));
-    std::printf("%-10s %8s %8s %8s %10s %10s %12s %12s %12s %8s %7s "
-                "%7s\n",
-                "router", "states", "rows", "filled", "bytes", "compile",
-                "first-touch", "virtual", "table", "speedup", "v-alloc",
-                "t-alloc");
+    std::printf("one-byte rows (%zu B each) naming lists in per-node "
+                "directories\n",
+                routing::RouteTable::kRowBytes);
+    std::printf("%-10s %8s %8s %8s %10s %6s %6s %10s %12s %12s %12s %8s "
+                "%7s %7s\n",
+                "router", "states", "rows", "filled", "bytes", "lists",
+                "/node", "compile", "first-touch", "virtual", "table",
+                "speedup", "v-alloc", "t-alloc");
     for (const char *spec : specs) {
         rows.push_back(benchRelation(net, spec));
         const RelationRow &r = rows.back();
         pass = pass && r.match && r.tableAllocs == 0
             && r.virtualAllocs == 0;
         std::printf(
-            "%-10s %8zu %8zu %8zu %10llu %7.2f ms %9.1f ns %9.1f ns "
-            "%9.1f ns %7.1fx %7llu %7llu%s\n",
+            "%-10s %8zu %8zu %8zu %10llu %6zu %6zu %7.2f ms %9.1f ns "
+            "%9.1f ns %9.1f ns %7.1fx %7llu %7llu%s\n",
             r.spec.c_str(), r.states, r.rows, r.rowsFilled,
-            static_cast<unsigned long long>(r.tableBytes), r.compileMs,
+            static_cast<unsigned long long>(r.tableBytes), r.lists,
+            r.maxListsPerNode, r.compileMs,
             r.firstTouchNsPerFill, r.virtualNsPerCall, r.tableNsPerCall,
             r.speedup,
             static_cast<unsigned long long>(r.virtualAllocs),
@@ -384,6 +429,25 @@ benchMain()
                 sweep.rowsFilled, sweep.rows,
                 sweep.callsMatch ? "" : "  RESULT DIVERGED");
 
+    std::vector<SizingRow> sizing;
+    sizing.push_back(sizeTable(
+        "mesh32x32_vc2", topo::Network::mesh({32, 32}, {2, 2}), "fig7b"));
+    sizing.push_back(sizeTable("mesh48x48_vc1,2",
+                               topo::Network::mesh({48, 48}, {1, 2}),
+                               "ebda:{X1+ Y1+ Y1-} -> {X1- Y2+ Y2-}"));
+    std::printf("\nsizing under the default %llu-byte budget "
+                "(constructed, not queried):\n",
+                static_cast<unsigned long long>(
+                    routing::kDefaultRouteTableBudget));
+    for (const SizingRow &s : sizing) {
+        pass = pass && s.compiled;
+        std::printf("  %-16s %-36s %10zu rows %11llu bytes  %s\n",
+                    s.fabric.c_str(), s.spec.c_str(), s.rows,
+                    static_cast<unsigned long long>(s.tableBytes),
+                    s.compiled ? "compiled"
+                               : ("NOT COMPILED: " + s.fallback).c_str());
+    }
+
     std::ostringstream json;
     json << "{\"bench\":\"route_compute\","
          << "\"network\":\"mesh8x8_vc2\",\"relations\":[";
@@ -395,6 +459,8 @@ benchMain()
              << ",\"rows\":" << r.rows
              << ",\"rows_filled\":" << r.rowsFilled
              << ",\"table_bytes\":" << r.tableBytes
+             << ",\"lists\":" << r.lists
+             << ",\"max_lists_per_node\":" << r.maxListsPerNode
              << ",\"compile_ms\":" << r.compileMs
              << ",\"first_touch_ns_per_fill\":" << r.firstTouchNsPerFill
              << ",\"virtual_ns_per_call\":" << r.virtualNsPerCall
@@ -410,7 +476,16 @@ benchMain()
          << ",\"rows_filled\":" << sweep.rowsFilled
          << ",\"table_cycles_per_sec\":" << sweep.tableCyclesPerSec
          << ",\"virtual_cycles_per_sec\":" << sweep.virtualCyclesPerSec
-         << "},\"hardware_threads\":" << std::thread::hardware_concurrency()
+         << "},\"row_bytes\":" << routing::RouteTable::kRowBytes
+         << ",\"sizing\":[";
+    for (std::size_t i = 0; i < sizing.size(); ++i) {
+        const SizingRow &s = sizing[i];
+        json << (i ? "," : "") << "{\"fabric\":\"" << s.fabric
+             << "\",\"spec\":\"" << s.spec << "\",\"rows\":" << s.rows
+             << ",\"table_bytes\":" << s.tableBytes
+             << ",\"compiled\":" << (s.compiled ? "true" : "false") << "}";
+    }
+    json << "],\"hardware_threads\":" << std::thread::hardware_concurrency()
          << ",\"host_threads\":" << hostThreads()
          << ",\"simd_path\":\"" << sim::injectionEngineSimdPath() << "\""
          << ",\"cpu_model\":\"" << bench::cpuModel() << "\""

@@ -27,30 +27,36 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
         : numChannels * numNodes;
     injBase = chanRows;
     const std::size_t rowTotal = chanRows + numNodes * numNodes;
-    const std::uint64_t rowBytes =
-        static_cast<std::uint64_t>(rowTotal) * sizeof(std::uint64_t);
+    // Rows and directory slots are reserved whole; the pool takes what
+    // the budget leaves.
+    const std::uint64_t fixedBytes =
+        static_cast<std::uint64_t>(rowTotal) * kRowBytes
+        + static_cast<std::uint64_t>(numNodes) * kDirectoryBytes;
     // Before any query: an over-budget table asks the relation nothing.
-    if (rowBytes > opts.memoryBudgetBytes) {
+    if (fixedBytes > opts.memoryBudgetBytes) {
         state = Fallback::RowsOverBudget;
     } else {
-        // A row holds at most one node's output channels, so the pool
-        // never needs more than rows x the widest node's fan-out.
+        // A list holds at most its node's output channels, so the pool
+        // never needs more than every directory full of the widest
+        // lists.
         const topo::Network &net = rel.network();
-        std::uint64_t fanOut = 0;
+        std::uint64_t poolCap = 0;
         for (topo::NodeId n = 0; n < numNodes; ++n) {
             std::uint64_t out = 0;
             for (const topo::LinkId l : net.outLinks(n))
                 out += static_cast<std::uint64_t>(net.vcsOnLink(l));
-            fanOut = std::max(fanOut, out);
+            poolCap += kMaxListsPerNode * out;
         }
-        poolEnd = 1 + static_cast<std::size_t>(std::min<std::uint64_t>(
-            {(opts.memoryBudgetBytes - rowBytes) / sizeof(topo::ChannelId),
-             rowTotal * fanOut,
-             std::numeric_limits<std::uint32_t>::max() - 1u}));
-        rows.reset(static_cast<std::uint64_t *>(
-            std::calloc(rowTotal, sizeof(std::uint64_t))));
+        poolEnd = static_cast<std::size_t>(std::min<std::uint64_t>(
+            {(opts.memoryBudgetBytes - fixedBytes) / sizeof(topo::ChannelId),
+             poolCap, std::numeric_limits<std::uint32_t>::max()}));
+        rows.reset(static_cast<std::uint8_t *>(
+            std::calloc(rowTotal, kRowBytes)));
         if (!rows)
             throw std::bad_alloc();
+        slots = std::make_unique_for_overwrite<std::uint64_t[]>(
+            numNodes * (kMaxListsPerNode + 1));
+        listsAt = std::make_unique<std::uint8_t[]>(numNodes);
         pool = std::make_unique_for_overwrite<topo::ChannelId[]>(poolEnd);
         stripes = std::make_unique<Stripe[]>(kStripes);
         numRows = rowTotal;
@@ -66,9 +72,10 @@ RouteTable::tableBytes() const
 {
     if (!compiled())
         return 0;
-    return static_cast<std::uint64_t>(numRows) * sizeof(std::uint64_t)
-        + static_cast<std::uint64_t>(poolUsed.load(std::memory_order_relaxed)
-                                     - 1)
+    return static_cast<std::uint64_t>(numRows) * kRowBytes
+        + static_cast<std::uint64_t>(numNodes) * kDirectoryBytes
+        + static_cast<std::uint64_t>(
+              poolUsed.load(std::memory_order_relaxed))
         * sizeof(topo::ChannelId);
 }
 
@@ -79,6 +86,27 @@ RouteTable::rowsFilled() const
     for (std::size_t i = 0; stripes && i < kStripes; ++i)
         n += stripes[i].filled.load(std::memory_order_relaxed);
     return n;
+}
+
+std::size_t
+RouteTable::listCount() const
+{
+    std::size_t total = 0;
+    for (std::size_t n = 0; listsAt && n < numNodes; ++n)
+        total += std::atomic_ref<std::uint8_t>(listsAt[n])
+                     .load(std::memory_order_relaxed);
+    return total;
+}
+
+std::size_t
+RouteTable::maxListsPerNode() const
+{
+    std::size_t most = 0;
+    for (std::size_t n = 0; listsAt && n < numNodes; ++n)
+        most = std::max<std::size_t>(
+            most, std::atomic_ref<std::uint8_t>(listsAt[n])
+                      .load(std::memory_order_relaxed));
+    return most;
 }
 
 topo::NodeId
@@ -105,30 +133,25 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
     {
         Stripe &stripe = stripeOf(dest);
         const std::lock_guard<std::mutex> lock(stripe.mutex);
-        const std::size_t idx = rowIndex(in, src, dest);
-        const std::atomic_ref<std::uint64_t> row = rowRef(idx);
+        const std::atomic_ref<std::uint8_t> row =
+            rowRef(rowIndex(in, src, dest));
         // Another thread of this stripe may have filled it since the
         // caller looked.
-        if (const std::uint64_t r = row.load(std::memory_order_relaxed);
-            r != kEmptyRow)
-            return view(r);
+        if (const std::uint8_t k = row.load(std::memory_order_relaxed);
+            k != kEmptyRow)
+            return listAt(at, k);
         rel.candidatesInto(in, at, src, dest, scratch);
-        const std::size_t n = scratch.size();
         if (!compiled())
-            return CandidateSpan{scratch.data(), n};
-        const std::size_t begin =
-            poolUsed.fetch_add(n, std::memory_order_relaxed);
-        // Over the budget: stop filling, keep serving the rows already
-        // filled.
-        if (begin + n > poolEnd) {
-            state.store(Fallback::PoolOverBudget, std::memory_order_relaxed);
-            return CandidateSpan{scratch.data(), n};
-        }
-        std::copy(scratch.begin(), scratch.end(), pool.get() + begin);
-        answer = CandidateSpan{pool.get() + begin, n};
+            return CandidateSpan{scratch.data(), scratch.size()};
+        // A full directory or pool stops filling; the rows already
+        // filled stay served.
+        const std::uint8_t k = findOrAddList(at, scratch);
+        if (k == kEmptyRow)
+            return CandidateSpan{scratch.data(), scratch.size()};
+        answer = listAt(at, k);
         // A narrow row serves every source: check a second one before
         // publishing. Its answer lands in scratch; this query's is in
-        // the pool.
+        // the directory.
         bool sourcesAgree = true;
         if (!wide && in != cdg::kInjectionChannel) {
             const topo::NodeId p = probeSource(at, src, dest);
@@ -142,21 +165,43 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
             std::atomic<std::size_t> &filled = stripe.filled;
             filled.store(filled.load(std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
-            if (revBuilt) {
-                const std::lock_guard<std::mutex> revLock(revMutex);
-                for (const topo::ChannelId c : answer)
-                    revIndex[c].push_back(static_cast<std::uint32_t>(idx));
-            }
-            row.store(static_cast<std::uint64_t>(begin)
-                          | static_cast<std::uint64_t>(n) << 32,
-                      std::memory_order_release);
+            row.store(k, std::memory_order_release);
             return answer;
         }
     }
-    // The declaration is proven false. This query's answer stays in its
-    // unpublished pool slice, which is never freed.
+    // The declaration is proven false. This query's answer stays in the
+    // directory, which is never freed.
     dropRows();
     return answer;
+}
+
+std::uint8_t
+RouteTable::findOrAddList(topo::NodeId at,
+                          const std::vector<topo::ChannelId> &list) const
+{
+    const std::lock_guard<std::mutex> lock(stripes[at % kStripes].dirMutex);
+    const std::atomic_ref<std::uint8_t> held(listsAt[at]);
+    const std::size_t n = held.load(std::memory_order_relaxed);
+    for (std::size_t k = 1; k <= n; ++k) {
+        const CandidateSpan s = listAt(at, k);
+        if (std::equal(list.begin(), list.end(), s.begin(), s.end()))
+            return static_cast<std::uint8_t>(k);
+    }
+    if (n == kMaxListsPerNode) {
+        state.store(Fallback::DirectoryFull, std::memory_order_relaxed);
+        return kEmptyRow;
+    }
+    const std::size_t begin =
+        poolUsed.fetch_add(list.size(), std::memory_order_relaxed);
+    if (begin + list.size() > poolEnd) {
+        state.store(Fallback::PoolOverBudget, std::memory_order_relaxed);
+        return kEmptyRow;
+    }
+    std::copy(list.begin(), list.end(), pool.get() + begin);
+    slot(at, n + 1) = static_cast<std::uint64_t>(begin)
+        | static_cast<std::uint64_t>(list.size()) << 32;
+    held.store(static_cast<std::uint8_t>(n + 1), std::memory_order_relaxed);
+    return static_cast<std::uint8_t>(n + 1);
 }
 
 void
@@ -193,36 +238,24 @@ RouteTable::candidatesInto(topo::ChannelId in, topo::NodeId at,
 void
 RouteTable::filterDeadChannel(topo::ChannelId dead)
 {
-    // Filled rows are served after a pool fallback too.
+    // Filled rows are served after a mid-run fallback too.
     if (numRows == 0)
         return;
-    const std::lock_guard<std::mutex> lock(revMutex);
-    if (!revBuilt) {
-        revIndex.assign(numChannels, {});
-        for (std::size_t r = 0; r < numRows; ++r) {
-            const CandidateSpan s =
-                view(rowRef(r).load(std::memory_order_relaxed));
-            for (const topo::ChannelId c : s)
-                revIndex[c].push_back(static_cast<std::uint32_t>(r));
-        }
-        revBuilt = true;
-    }
-    if (dead >= revIndex.size())
-        return;
-    // In-row compaction: entries keep their relative order, matching
+    const topo::Network &net = rel.network();
+    const topo::NodeId from = net.link(net.linkOf(dead)).src;
+    // In-list compaction: entries keep their relative order, matching
     // the order-preserving remove_if of FaultedRelationView exactly.
-    for (const std::uint32_t r : revIndex[dead]) {
-        const std::uint64_t v = rowRef(r).load(std::memory_order_relaxed);
-        const auto begin = static_cast<std::uint32_t>(v);
-        const auto len = static_cast<std::uint32_t>(v >> 32);
+    for (std::size_t k = 1; k <= listsAt[from]; ++k) {
+        std::uint64_t &s = slot(from, k);
+        const auto begin = static_cast<std::uint32_t>(s);
+        const auto len = static_cast<std::uint32_t>(s >> 32);
         std::uint32_t keep = 0;
-        for (std::uint32_t k = 0; k < len; ++k) {
-            const topo::ChannelId c = pool[begin + k];
+        for (std::uint32_t i = 0; i < len; ++i) {
+            const topo::ChannelId c = pool[begin + i];
             if (c != dead)
                 pool[begin + keep++] = c;
         }
-        rowRef(r).store(begin | static_cast<std::uint64_t>(keep) << 32,
-                        std::memory_order_relaxed);
+        s = begin | static_cast<std::uint64_t>(keep) << 32;
     }
 }
 
@@ -240,6 +273,8 @@ toString(RouteTable::Fallback fallback)
         return "pool over budget";
     case RouteTable::Fallback::SourceClassesFailed:
         return "source classes failed";
+    case RouteTable::Fallback::DirectoryFull:
+        return "directory full";
     }
     return "unknown";
 }

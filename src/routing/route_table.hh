@@ -12,24 +12,35 @@
  * fall into more than one class (RoutingRelation::srcClass(), e.g.
  * Odd-Even's source columns).
  *
- * Layout (rows hold {begin, len} into one shared candidate pool, one
- * copy of the candidate list per row):
+ * Layout: a row is one byte. 0 means empty; k means the k-th list in
+ * the directory of the querying node (`at`, which the hot path already
+ * has). A node's directory holds each distinct candidate list its rows
+ * have been filled with, once: an EbDa relation depends on the
+ * occupied channel's class and the destination, and few class
+ * transitions are allowed, so a node sees few distinct lists (xy 4,
+ * Odd-Even 8, fig7b 12, region:2 16, updown on an 8x8 torus 15 and
+ * `minimal` on a 4x4x4 mesh 26 at most, measured over the reachable
+ * states). The two-hop full mesh needs about two per destination (29
+ * on 16 nodes). This is the shape InfiniBand subnet managers program:
+ * per-switch forwarding tables plus SL-to-VL tables.
  *  - narrow: row(in, dest)       = in * N + dest, then an injection
  *    block at C * N keyed (src, dest) — injection candidates depend on
  *    the source because the source IS the current node there;
  *  - wide:   row(in, src, dest)  = (in * N + src) * N + dest, injection
  *    block at C * N * N.
+ * A directory has 255 slots, one per nonzero row byte, each the
+ * {begin, len} of one list in the shared candidate pool.
  *
  * Filling: the constructor only sizes the rows. The first query of a
- * row asks the relation with the querying packet's real source and
- * stores that answer, so every row holds exactly what the virtual
- * relation returns for it and table runs are bit-identical to
- * virtual-path runs by construction. A packet only ever asks about a
- * state it occupies, so the relation is only asked about states a real
- * packet can occupy; relations may assert on the others (EbDaRouting
- * on unclassified channels, Elevator-First on phases its own packets
- * never enter). Rows nobody queries stay empty and cost no relation
- * call.
+ * row asks the relation with the querying packet's real source, finds
+ * or adds that answer in the node's directory and stores its index, so
+ * every row holds exactly what the virtual relation returns for it and
+ * table runs are bit-identical to virtual-path runs by construction. A
+ * packet only ever asks about a state it occupies, so the relation is
+ * only asked about states a real packet can occupy; relations may
+ * assert on the others (EbDaRouting on unclassified channels,
+ * Elevator-First on phases its own packets never enter). Rows nobody
+ * queries stay empty and cost no relation call.
  *
  * Source classes: a narrow row serves every source, which the
  * relation's one-class declaration promises is sound. Before a narrow
@@ -44,32 +55,34 @@
  * kStripes, by dest) with the relation call inside it, since the
  * relation contract allows concurrent queries only for distinct
  * destinations; fills for destinations in different stripes run in
- * parallel. The candidate pool is reserved up front (the budget's
- * remainder, capped by what the rows could ever hold) and never
- * reallocates; a fill claims its slice with one fetch_add and publishes
- * its row with one release store, after its candidates are in the
- * pool. So the sharded loop's workers read filled rows with one acquire
- * load and no lock, and two workers asking for one empty row fill it
- * once. Nothing in the pool is ever freed: a worker still reading a
- * row reads valid memory whatever happens after it loaded the row.
+ * parallel. Finding or adding the list takes the directory lock of the
+ * node's stripe too (by node; always taken inside a fill lock, never
+ * around one). The candidate pool and the directory slots are reserved
+ * up front and never reallocate; a new list claims its pool slice with
+ * one fetch_add, and a slot is written before any row names it. A row
+ * is published with one release store after its list is in place. So
+ * the sharded loop's workers read filled rows with one acquire load and
+ * no lock, and two workers asking for one empty row fill it once.
+ * Nothing in the pool is ever freed: a worker still reading a list
+ * reads valid memory whatever happens after it loaded the row.
  *
  * Fallbacks (fallback() names the reason; compiled() and tableBytes()
  * then read false and 0): a disabled table and rows alone over the
  * memory budget (checked before the relation is asked anything) send
  * every query to the virtual relation. Mid-run, a fill that would take
- * the pool over the budget stops filling: rows already filled stay
- * served lock-free, and queries of empty rows ask the relation under
- * their stripe's lock. A narrow fill whose second source disagrees
- * proves the rows' keying wrong: under every stripe lock it empties all
- * rows, so every later query asks the relation.
+ * the pool over the budget, or give a node a 256th list, stops
+ * filling: rows already filled stay served lock-free, and queries of
+ * empty rows ask the relation under their stripe's lock. A narrow fill
+ * whose second source disagrees proves the rows' keying wrong: under
+ * every stripe lock it empties all rows, so every later query asks the
+ * relation.
  *
  * Fault integration: the table serves the simulator's effective
  * (possibly fault-degraded) relation, so rows filled after a fault
- * event hold the degraded answer. When an event kills channels,
- * `filterDeadChannel` edits only the filled rows containing the dead
- * channel in place — via a channel -> rows reverse index built on the
- * first event and extended by every later fill — keeping the table
- * exactly equal to the degraded virtual view with no refill.
+ * event hold the degraded answer. When an event kills a channel, only
+ * the node it leaves can hold it in a list: `filterDeadChannel` edits
+ * that node's directory in place, keeping the table exactly equal to
+ * the degraded virtual view with no refill.
  */
 
 #ifndef EBDA_ROUTING_ROUTE_TABLE_HH
@@ -86,7 +99,8 @@
 
 namespace ebda::routing {
 
-/** Default cap on a route table's rows + candidate pool, in bytes. */
+/** Default cap on a route table's rows, directory slots and candidate
+ *  pool, in bytes. */
 constexpr std::uint64_t kDefaultRouteTableBudget = 64ull << 20;
 
 /**
@@ -118,8 +132,8 @@ class RouteTable
     {
         /** Serve from rows at all; false forces the virtual fallback. */
         bool enable = true;
-        /** Table size cap (rows + filled pool); beyond it the table
-         *  falls back to the virtual relation. */
+        /** Table size cap (rows, directory slots and pool); beyond it
+         *  the table falls back to the virtual relation. */
         std::uint64_t memoryBudgetBytes = kDefaultRouteTableBudget;
     };
 
@@ -132,7 +146,15 @@ class RouteTable
         RowsOverBudget,
         PoolOverBudget,
         SourceClassesFailed,
+        DirectoryFull,
     };
+
+    /** Bytes per row. */
+    static constexpr std::size_t kRowBytes = sizeof(std::uint8_t);
+
+    /** Lists one node's directory holds at most: one per nonzero row
+     *  byte. */
+    static constexpr std::size_t kMaxListsPerNode = 255;
 
     RouteTable(const cdg::RoutingRelation &relation, Options options);
 
@@ -155,10 +177,17 @@ class RouteTable
     /** True when rows are keyed per source. */
     bool perSource() const { return wide; }
 
-    /** Bytes held by rows + filled candidate pool (0 on any fallback:
-     *  which rows a sharded run filled before its pool ran over
-     *  depends on thread timing). */
+    /** Bytes held: the rows (one each) and the directories' slots,
+     *  both reserved whole, plus the pool's lists. 0 on any fallback:
+     *  which rows a sharded run filled before it stopped filling
+     *  depends on thread timing. */
     std::uint64_t tableBytes() const;
+
+    /** Distinct candidate lists held, over every node's directory. */
+    std::size_t listCount() const;
+
+    /** The most lists one node's directory holds. */
+    std::size_t maxListsPerNode() const;
 
     /** Rows sized (0 when never sized: disabled or over budget). */
     std::size_t rowCount() const { return numRows; }
@@ -220,10 +249,10 @@ class RouteTable
                             std::vector<topo::ChannelId> &scratch) const
     {
         if (rows) [[likely]] {
-            const std::uint64_t r = rowRef(rowIndex(in, src, dest))
-                                        .load(std::memory_order_acquire);
-            if (r != kEmptyRow) [[likely]]
-                return view(r);
+            const std::uint8_t k = rowRef(rowIndex(in, src, dest))
+                                       .load(std::memory_order_acquire);
+            if (k != kEmptyRow) [[likely]]
+                return listAt(at, k);
             return fillRow(in, at, src, dest, scratch);
         }
         rel.candidatesInto(in, at, src, dest, scratch);
@@ -236,35 +265,49 @@ class RouteTable
                         std::vector<topo::ChannelId> &out) const;
 
     /**
-     * Remove `dead` from every filled row containing it (fault event).
-     * Only the affected rows are touched; the channel -> rows reverse
-     * index backing this is built on the first call and extended by
-     * later fills, so fault-free runs never pay for it. Rows still
-     * served after a pool fallback are filtered too; unfilled rows ask
-     * the degraded relation, which filters dynamically. No-op on an
-     * unsized table. Not concurrent with queries: faulted runs are
-     * never sharded.
+     * Remove `dead` from every list holding it (fault event): only the
+     * directory of the node `dead` leaves is touched, in place, so
+     * every row naming one of its lists reads the filtered list. Rows
+     * still served after a mid-run fallback are filtered too; unfilled
+     * rows ask the degraded relation, which filters dynamically. No-op
+     * on an unsized table. Not concurrent with queries: faulted runs
+     * are never sharded.
      */
     void filterDeadChannel(topo::ChannelId dead);
 
   private:
-    /** A row is {begin, len} packed as begin | len << 32. Pool entry 0
-     *  is never handed out, so a filled row is never 0. */
-    static constexpr std::uint64_t kEmptyRow = 0;
+    /** Row byte of an unfilled row; k > 0 names slot k of the querying
+     *  node's directory. */
+    static constexpr std::uint8_t kEmptyRow = 0;
 
     /** Rows are read and published atomically: workers of the
      *  sharded loop read them while another fills. */
-    std::atomic_ref<std::uint64_t>
+    std::atomic_ref<std::uint8_t>
     rowRef(std::size_t i) const
     {
-        return std::atomic_ref<std::uint64_t>(rows[i]);
+        return std::atomic_ref<std::uint8_t>(rows[i]);
     }
 
-    CandidateSpan
-    view(std::uint64_t r) const
+    /** A node's directory: 256 slots (slot 0 unused) and its list
+     *  count. */
+    static constexpr std::uint64_t kDirectoryBytes =
+        (kMaxListsPerNode + 1) * sizeof(std::uint64_t) + 1;
+
+    /** Slot k of node n's directory: one list's {begin, len} in the
+     *  pool, packed as begin | len << 32. Slot 0 is never used. */
+    std::uint64_t &
+    slot(topo::NodeId n, std::size_t k) const
     {
-        return CandidateSpan{pool.get() + static_cast<std::uint32_t>(r),
-                             static_cast<std::size_t>(r >> 32)};
+        return slots[k * numNodes + n];
+    }
+
+    /** List k of `at`'s directory. */
+    CandidateSpan
+    listAt(topo::NodeId at, std::size_t k) const
+    {
+        const std::uint64_t s = slot(at, k);
+        return CandidateSpan{pool.get() + static_cast<std::uint32_t>(s),
+                             static_cast<std::size_t>(s >> 32)};
     }
 
     std::size_t
@@ -285,6 +328,13 @@ class RouteTable
     CandidateSpan fillRow(topo::ChannelId in, topo::NodeId at,
                           topo::NodeId src, topo::NodeId dest,
                           std::vector<topo::ChannelId> &scratch) const;
+
+    /** The slot of `list` in `at`'s directory, adding it when new; 0
+     *  once adding it would overflow the directory or the pool, which
+     *  stops filling. */
+    std::uint8_t findOrAddList(topo::NodeId at,
+                               const std::vector<topo::ChannelId> &list)
+        const;
 
     /** The second source a narrow fill at (at, dest) by `src` is
      *  checked against, or src when there is none. */
@@ -311,21 +361,36 @@ class RouteTable
     {
         void operator()(void *p) const { std::free(p); }
     };
-    /** calloc'd, so pages no query touches are never faulted in. */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> rows;
-    /** Reserved at construction, never reallocated or zeroed; entries
-     *  from 1 up to poolUsed (or poolEnd, after an overrun) are handed
-     *  out. */
+    /** calloc'd. A fresh mmap'd block's pages are faulted in only when
+     *  a query touches them, but once glibc's dynamic mmap threshold
+     *  has risen past the rows' size (a long-lived process that freed
+     *  such a block), calloc serves them from the heap and zeroes every
+     *  row: 2.8–3.7 ms of the 4.46 MB of 8-byte rows 16x16 fig7b used
+     *  to take, against 0.02 ms when mapped fresh. */
+    std::unique_ptr<std::uint8_t[], FreeDeleter> rows;
+    /** 256 slots per node (slot 0 unused), slot-major: slot k of every
+     *  node, then slot k + 1, so a run that gives each node a few lists
+     *  touches a few pages. Reserved uninitialised: a slot is written
+     *  before any row names it. */
+    std::unique_ptr<std::uint64_t[]> slots;
+    /** Lists in each node's directory; written under its directory
+     *  lock. */
+    std::unique_ptr<std::uint8_t[]> listsAt;
+    /** The directories' lists. Reserved at construction, never
+     *  reallocated or zeroed; entries below poolUsed (or poolEnd, after
+     *  an overrun) are handed out. */
     std::unique_ptr<topo::ChannelId[]> pool;
     std::size_t poolEnd = 0;
 
-    /** Fill locks, one per stripe of destinations. Serialises the
-     *  relation calls of one destination, as the relation contract
-     *  asks; different stripes fill in parallel. */
+    /** Locks, one pair per stripe. `mutex` serialises the relation
+     *  calls of one destination stripe, as the relation contract asks;
+     *  different stripes fill in parallel. `dirMutex` guards the
+     *  directories of one node stripe. */
     static constexpr std::size_t kStripes = 64;
     struct alignas(64) Stripe
     {
         std::mutex mutex;
+        std::mutex dirMutex;
         /** Rows this stripe filled. Written under the lock by load and
          *  store, so a fill spends no locked instruction on it. */
         std::atomic<std::size_t> filled{0};
@@ -339,20 +404,14 @@ class RouteTable
 
     /** What every fill reads and bumps, kept together. */
     mutable std::atomic<Fallback> state{Fallback::None};
-    /** Next free pool entry; a fill reserves its slice by fetch_add.
-     *  Past poolEnd once the pool has run over. */
-    mutable std::atomic<std::size_t> poolUsed{1};
-
-    /** Guards the reverse index. */
-    mutable std::mutex revMutex;
-    /** channel -> ids of filled rows whose candidate list contains
-     *  it; built on the first filterDeadChannel. */
-    mutable std::vector<std::vector<std::uint32_t>> revIndex;
-    mutable bool revBuilt = false;
+    /** Next free pool entry; a new list reserves its slice by
+     *  fetch_add. Past poolEnd once the pool has run over. */
+    mutable std::atomic<std::size_t> poolUsed{0};
 };
 
 /** The fallback's name for reports ("none", "disabled", "rows over
- *  budget", "pool over budget", "source classes failed"). */
+ *  budget", "pool over budget", "source classes failed", "directory
+ *  full"). */
 const char *toString(RouteTable::Fallback fallback);
 
 } // namespace ebda::routing

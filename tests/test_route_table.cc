@@ -240,28 +240,45 @@ TEST(RouteTable, CatalogRelationsCompileAndMatchVirtual)
     EXPECT_GE(compiledRelations, 33u); // 36 on these networks
 }
 
+/** A node's directory reserves 256 eight-byte list slots and a list
+ *  count. */
+constexpr std::uint64_t kDirectoryBytes = 256 * 8 + 1;
+
 /** The table sizes `bench_route_compute` records on the 8x8 2-VC mesh
  *  once every reachable state has been queried: narrow for xy and
  *  fig7b, per source for odd-even. Before the first query a table holds
- *  its rows alone. */
+ *  its one-byte rows and its directory slots alone; each node's
+ *  directory then holds each distinct list once. */
 TEST(RouteTable, MeshEightByEightTableBytesArePinned)
 {
     const auto net = topo::Network::mesh({8, 8}, {2, 2});
-    const std::tuple<const char *, std::uint64_t, std::uint64_t> pinned[] =
-        {{"xy", 355'328, 262'144},
-         {"odd-even", 15'862'848, 14'712'832},
-         {"fig7b", 365'408, 262'144}};
-    for (const auto &[spec, bytes, rowBytes] : pinned) {
-        const auto rel = sweep::makeRouter(net, spec);
-        ASSERT_NE(rel, nullptr) << spec;
+    struct Pinned
+    {
+        const char *spec;
+        std::uint64_t bytes;
+        std::uint64_t rowBytes;
+        std::size_t lists;
+        std::size_t maxListsPerNode;
+    };
+    const Pinned pinned[] = {{"xy", 165'696, 163'904, 224, 4},
+                             {"odd-even", 1'974'272, 1'970'240, 364, 8},
+                             {"fig7b", 168'416, 163'904, 626, 12}};
+    for (const Pinned &p : pinned) {
+        const auto rel = sweep::makeRouter(net, p.spec);
+        ASSERT_NE(rel, nullptr) << p.spec;
         const RouteTable table(*rel);
-        EXPECT_TRUE(table.compiled()) << spec;
-        EXPECT_EQ(table.tableBytes(), rowBytes) << spec;
-        EXPECT_EQ(table.rowCount() * 8, rowBytes) << spec;
+        EXPECT_TRUE(table.compiled()) << p.spec;
+        EXPECT_EQ(table.tableBytes(), p.rowBytes) << p.spec;
+        EXPECT_EQ(table.rowCount() + net.numNodes() * kDirectoryBytes,
+                  p.rowBytes)
+            << p.spec;
+        EXPECT_EQ(table.listCount(), 0u) << p.spec;
         const auto oracle = relationOracle(*rel);
         expectTableMatches(table, net, oracle, oracle);
-        EXPECT_TRUE(table.compiled()) << spec;
-        EXPECT_EQ(table.tableBytes(), bytes) << spec;
+        EXPECT_TRUE(table.compiled()) << p.spec;
+        EXPECT_EQ(table.tableBytes(), p.bytes) << p.spec;
+        EXPECT_EQ(table.listCount(), p.lists) << p.spec;
+        EXPECT_EQ(table.maxListsPerNode(), p.maxListsPerNode) << p.spec;
     }
 }
 
@@ -565,8 +582,8 @@ class DegradedView final : public cdg::RoutingRelation
 /**
  * Rows filled between fault events: half the sources' rows before the
  * first fault, the rest after it (from the degraded relation), then a
- * second fault whose filter must reach rows of both kinds — the reverse
- * index is built at the first fault and extended by later fills. Run
+ * second fault whose filter must reach rows of both kinds, through the
+ * lists of the directories they name. Run
  * again with a budget the pool runs over between the faults: the rows
  * filled by then are still served, so the second fault must reach them
  * too, while empty rows ask the degraded relation.
@@ -651,8 +668,8 @@ TEST(RouteTable, TinyBudgetFallsBackToVirtual)
     ASSERT_FALSE(RouteTable(*rel).perSource());
     const auto oracle = relationOracle(*rel);
     const std::uint64_t nodes = net.numNodes();
-    const std::uint64_t rowBytes =
-        (net.numChannels() * nodes + nodes * nodes) * 8;
+    const std::uint64_t rowBytes = net.numChannels() * nodes
+        + nodes * nodes + nodes * kDirectoryBytes;
 
     // A budget below the rows: the table never serves.
     const RouteTable noRows(*rel, RouteTable::Options{true, 64});
@@ -743,6 +760,94 @@ TEST(RouteTable, OverBudgetRowsAskTheRelationNothing)
     EXPECT_EQ(table.tableBytes(), 0u);
     EXPECT_EQ(table.rowCount(), 0u);
     EXPECT_TRUE(recorded.asked.empty());
+}
+
+/**
+ * A relation whose every row holds its own list: the output channels
+ * of `at` picked by the bits of a code unique to the row's (in, dest).
+ * The centre of a 5x5 mesh with 4 VCs per dimension has 16 output
+ * channels, so its 408 rows hold 408 distinct lists. Source-blind, so
+ * its rows are narrow.
+ */
+class ListPerRowRelation final : public cdg::RoutingRelation
+{
+  public:
+    explicit ListPerRowRelation(const topo::Network &net) : net(net) {}
+
+    void
+    candidatesInto(topo::ChannelId in, topo::NodeId at, topo::NodeId,
+                   topo::NodeId dest,
+                   std::vector<topo::ChannelId> &out) const override
+    {
+        const std::uint64_t row =
+            in == kInjectionChannel ? net.numChannels() : in;
+        const std::uint64_t code = row * net.numNodes() + dest + 1;
+        out.clear();
+        std::size_t bit = 0;
+        for (const topo::LinkId l : net.outLinks(at))
+            for (int v = 0; v < net.vcsOnLink(l); ++v, ++bit)
+                if (code >> bit & 1)
+                    out.push_back(net.channel(l, v));
+    }
+    std::string name() const override { return "ListPerRow"; }
+    topo::NodeId srcClass(topo::NodeId) const override { return 0; }
+    const topo::Network &network() const override { return net; }
+
+  private:
+    const topo::Network &net;
+};
+
+/**
+ * A node's directory holds 255 lists. The fill that would add a 256th
+ * stops filling, as a pool overflow does: the rows filled before stay
+ * served, and every answer, before and after, is the relation's.
+ */
+TEST(RouteTable, FullDirectoryStopsFilling)
+{
+    const auto net = topo::Network::mesh({5, 5}, {4, 4});
+    const ListPerRowRelation rel(net);
+    const topo::NodeId centre = 12;
+    std::vector<std::pair<topo::ChannelId, topo::NodeId>> rows;
+    for (topo::NodeId dest = 0; dest < net.numNodes(); ++dest) {
+        if (dest == centre)
+            continue;
+        rows.emplace_back(kInjectionChannel, dest);
+        for (const topo::LinkId l : net.inLinks(centre))
+            for (int v = 0; v < net.vcsOnLink(l); ++v)
+                rows.emplace_back(net.channel(l, v), dest);
+    }
+    ASSERT_GT(rows.size(), RouteTable::kMaxListsPerNode);
+
+    const RouteTable table(rel);
+    ASSERT_FALSE(table.perSource());
+    std::vector<topo::ChannelId> scratch;
+    const auto ask = [&](std::size_t r) {
+        const auto [in, dest] = rows[r];
+        const auto got =
+            table.candidatesView(in, centre, centre, dest, scratch);
+        EXPECT_EQ(std::vector<topo::ChannelId>(got.begin(), got.end()),
+                  rel.candidates(in, centre, centre, dest))
+            << "row " << r;
+    };
+    for (std::size_t r = 0; r < RouteTable::kMaxListsPerNode; ++r)
+        ask(r);
+    EXPECT_TRUE(table.compiled());
+    EXPECT_EQ(table.maxListsPerNode(), RouteTable::kMaxListsPerNode);
+    EXPECT_EQ(table.rowsFilled(), RouteTable::kMaxListsPerNode);
+
+    ask(RouteTable::kMaxListsPerNode);
+    EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.fallback(), RouteTable::Fallback::DirectoryFull);
+    EXPECT_STREQ(toString(table.fallback()), "directory full");
+    EXPECT_EQ(table.tableBytes(), 0u);
+
+    // Twice over every row: the filled ones are served, the rest ask
+    // the relation, and nothing more is filled.
+    for (int pass = 0; pass < 2; ++pass)
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            ask(r);
+    EXPECT_EQ(table.rowsFilled(), RouteTable::kMaxListsPerNode);
+    EXPECT_EQ(table.maxListsPerNode(), RouteTable::kMaxListsPerNode);
 }
 
 /**
@@ -958,8 +1063,7 @@ TEST(RouteTable, PoolOverflowInAShardedRunKeepsItsShards)
     const auto ampleResult = ample.run();
     ASSERT_TRUE(ampleResult.routeTableCompiled);
     EXPECT_EQ(ampleResult.shards, 2);
-    const std::uint64_t rowBytes =
-        ample.routeTable().rowCount() * sizeof(std::uint64_t);
+    const std::uint64_t rowBytes = RouteTable(*rel).tableBytes();
     ASSERT_GT(ampleResult.routeTableBytes, rowBytes);
 
     cfg.routeTableBudget =
@@ -1062,7 +1166,8 @@ TEST(RouteTable, ConcurrentFillsServeTheRelation)
  * Seeded differential: lazy rows against eager ones and against the
  * virtual path. The configurations take the fabrics in turn (2D/3D
  * meshes and tori, Odd-Even on a 5x4 mesh, Elevator-First on a partial
- * 3D mesh), with random link faults every other round, and draw one of
+ * 3D mesh, updown on an 8x8 torus, the two-hop full mesh), with random
+ * link faults every other round, and draw one of
  * the catalog routers the fabric hosts, a rate in [0.01, 0.4] and 1, 2
  * or 4 shards. It runs three times: on the virtual path
  * (routeTable = false), on lazy rows, and on rows all filled before the
@@ -1099,6 +1204,13 @@ TEST(RouteTable, LazyRowsMatchEagerRowsAndVirtualRuns)
         {"partial3x3x2",
          topo::Network::partialMesh3d({3, 3, 2}, {2, 2, 1}, elevators),
          {"elevator-first"}});
+    // Relations whose nodes need more than 8 distinct lists: up to 15
+    // per node for updown on this torus, about one per destination on
+    // a full mesh.
+    fabrics.push_back({"torus8x8", topo::Network::torus({8, 8}, {2, 2}),
+                       {"updown"}});
+    fabrics.push_back(
+        {"fullmesh12", topo::Network::fullMesh(12), {"fullmesh-2hop"}});
 
     std::mt19937_64 rng(20170624);
     std::size_t sharded = 0;
@@ -1165,12 +1277,14 @@ TEST(RouteTable, LazyRowsMatchEagerRowsAndVirtualRuns)
         faulted += faults ? 1 : 0;
         ran.insert(spec);
     }
-    // The draw must cover both sides of each axis, and the per-source
-    // routers.
+    // The draw must cover both sides of each axis, the per-source
+    // routers and the relations with many lists per node.
     EXPECT_GT(sharded, 0u);
     EXPECT_GT(faulted, 0u);
     EXPECT_EQ(ran.count("odd-even"), 1u);
     EXPECT_EQ(ran.count("elevator-first"), 1u);
+    EXPECT_EQ(ran.count("updown"), 1u);
+    EXPECT_EQ(ran.count("fullmesh-2hop"), 1u);
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "core/catalog.hh"
 #include "routing/baselines.hh"
 #include "routing/duato.hh"
@@ -432,6 +435,65 @@ TEST(ActiveSet, MidSweepSchedulesJoinNextSweep)
         return false;
     });
     EXPECT_EQ(second, (std::vector<std::size_t>{5}));
+}
+
+/**
+ * Randomized differential against a reference ordered set, over
+ * universes that end inside a word, on a word boundary and past one,
+ * and span many words. Each round schedules a random batch, then sweeps
+ * from a random offset (past the universe too) with a visitor that
+ * drops some members and schedules others into the same set mid-sweep.
+ * The visits must be the reference's members in rotated ascending
+ * order, each once; mid-sweep schedules join afterwards.
+ */
+TEST(ActiveSet, MatchesAReferenceOrderedSet)
+{
+    std::mt19937_64 rng(20171024);
+    for (const std::size_t universe : {1u, 63u, 64u, 65u, 130u, 4097u}) {
+        ActiveSet set(universe);
+        std::set<std::size_t> ref;
+        for (int round = 0; round < 200; ++round) {
+            // Sparse and dense batches, and rounds adding nothing.
+            const std::size_t adds =
+                rng() % 3 == 0 ? 0 : rng() % (universe / 8 + 2);
+            for (std::size_t a = 0; a < adds; ++a) {
+                const std::size_t i = rng() % universe;
+                set.schedule(i);
+                ref.insert(i);
+            }
+            ASSERT_EQ(set.size(), ref.size()) << universe;
+
+            const std::size_t offset = rng() % (universe + 2);
+            std::vector<std::size_t> want(ref.lower_bound(offset),
+                                          ref.end());
+            want.insert(want.end(), ref.begin(),
+                        ref.lower_bound(offset));
+            const std::uint64_t dropSalt = rng();
+            std::vector<std::size_t> visited;
+            std::set<std::size_t> joined;
+            set.sweep(offset, [&](std::size_t i) {
+                visited.push_back(i);
+                if (rng() % 4 == 0) {
+                    const std::size_t j = rng() % universe;
+                    set.schedule(j);
+                    joined.insert(j);
+                }
+                const bool keep = ((i ^ dropSalt) & 3) != 0;
+                if (!keep)
+                    ref.erase(i);
+                return keep;
+            });
+            EXPECT_EQ(visited, want)
+                << "universe " << universe << " round " << round
+                << " offset " << offset;
+            ref.insert(joined.begin(), joined.end());
+            ASSERT_EQ(set.size(), ref.size()) << universe;
+            for (std::size_t i = 0; i < universe; ++i)
+                ASSERT_EQ(set.contains(i), ref.count(i) != 0)
+                    << "universe " << universe << " round " << round
+                    << " index " << i;
+        }
+    }
 }
 
 TEST(Fabric, ZeroCycleOccupancyHorizonYieldsZeroMeans)
