@@ -241,57 +241,57 @@ constexpr auto kSaf = sim::SwitchingMode::StoreAndForward;
  *  arbitration, credit flow or packet bookkeeping changed; re-pin only
  *  for an intended change of simulated behaviour. */
 const ShardedRow kShardedRows[] = {
-    {{0, kMax, kWh}, 2, false, 0x96ba915db0483e46},
-    {{0, kMax, kWh}, 4, false, 0xf0900023e5719685},
-    {{0, kMax, kVct}, 2, false, 0xbbe66aa321d003d},
-    {{0, kMax, kVct}, 4, false, 0xd6d7c7b7c6759661},
-    {{0, kMax, kSaf}, 2, false, 0x6d95ef30a2691894},
-    {{0, kMax, kSaf}, 4, false, 0xf48ba01b48347832},
-    {{0, kRr, kWh}, 2, false, 0xff8ceb462f4b50de},
-    {{0, kRr, kWh}, 4, false, 0xba9884713bf9382e},
-    {{0, kRr, kVct}, 2, false, 0x14afdeb1433a3bc1},
-    {{0, kRr, kVct}, 4, false, 0x1b289de2367b0109},
-    {{0, kRr, kSaf}, 2, false, 0xb99453fcb7e9e8a7},
-    {{0, kRr, kSaf}, 4, false, 0xbd60baf0be284a50},
-    {{0, kRand, kWh}, 2, false, 0x77b5007fd9b1b7b2},
-    {{0, kRand, kWh}, 4, false, 0xa60338bb95e7dfff},
-    {{0, kRand, kVct}, 2, false, 0xe4ad387a7e1e3a7b},
-    {{0, kRand, kVct}, 4, false, 0x257b760eeb16cf61},
-    {{0, kRand, kSaf}, 2, false, 0x53ca0821dab7f1d3},
-    {{0, kRand, kSaf}, 4, false, 0x1b7cb2ad53557b71},
-    {{0, kFirst, kWh}, 2, false, 0x9d31029a0d65f5},
-    {{0, kFirst, kWh}, 4, false, 0x6c18e3aae9b8b288},
-    {{0, kFirst, kVct}, 2, false, 0xeb5e4c322251423a},
-    {{0, kFirst, kVct}, 4, false, 0x4f3c8f2a4ab0e1d7},
-    {{0, kFirst, kSaf}, 2, false, 0x4f14a02a0e70345b},
-    {{0, kFirst, kSaf}, 4, false, 0x88d5820e55d7347},
-    {{1, kMax, kWh}, 2, false, 0x3d666395ae6af53b},
-    {{1, kMax, kWh}, 4, false, 0x66cf8ae3824e9da4},
-    {{1, kMax, kVct}, 2, false, 0x92ac90bfb129463d},
-    {{1, kMax, kVct}, 4, false, 0xe4cd219adb1ff1a3},
-    {{1, kMax, kSaf}, 2, false, 0x657d8e248ef3d339},
-    {{1, kMax, kSaf}, 4, false, 0x29eed5a3dd1287aa},
-    {{1, kRr, kWh}, 2, false, 0x4eea91831f939738},
-    {{1, kRr, kWh}, 4, false, 0x132274c5db4b9f50},
-    {{1, kRr, kVct}, 2, false, 0xdbcbe937eaeb5c9a},
-    {{1, kRr, kVct}, 4, false, 0xd480b53d29355fd7},
-    {{1, kRr, kSaf}, 2, false, 0x17872e58e21ef270},
-    {{1, kRr, kSaf}, 4, false, 0xa89b42e09e86dc99},
-    {{1, kRand, kWh}, 2, false, 0x76870239b06d812f},
-    {{1, kRand, kWh}, 4, false, 0x67d1aef4efc7920f},
-    {{1, kRand, kVct}, 2, false, 0xa4231bb362fffd37},
-    {{1, kRand, kVct}, 4, false, 0x820d6dd0de548ee6},
-    {{1, kRand, kSaf}, 2, false, 0x5ee412d498a29598},
-    {{1, kRand, kSaf}, 4, false, 0xae755dfc393b150d},
-    {{1, kFirst, kWh}, 2, false, 0xd0d6fd85bc9a701},
-    {{1, kFirst, kWh}, 4, false, 0x8faf7061f620703},
-    {{1, kFirst, kVct}, 2, false, 0x271290c95f34d1b6},
-    {{1, kFirst, kVct}, 4, false, 0xe64f76c54d93fefd},
-    {{1, kFirst, kSaf}, 2, false, 0xbc932d23c43683e1},
-    {{1, kFirst, kSaf}, 4, false, 0xa84c0872c7624e72},
+    {{0, kMax, kWh}, 2, false, 0xeb0e067c9efbbe1b},
+    {{0, kMax, kWh}, 4, false, 0x76e0d6d517c556c8},
+    {{0, kMax, kVct}, 2, false, 0xd02c316855e38160},
+    {{0, kMax, kVct}, 4, false, 0x322eb714528ded00},
+    {{0, kMax, kSaf}, 2, false, 0xda42e26cdd33f7f8},
+    {{0, kMax, kSaf}, 4, false, 0x78a3c7ec7e49578f},
+    {{0, kRr, kWh}, 2, false, 0xd4dce213727b078e},
+    {{0, kRr, kWh}, 4, false, 0x5d7e3e8df448975e},
+    {{0, kRr, kVct}, 2, false, 0x17411e0ace8f58f4},
+    {{0, kRr, kVct}, 4, false, 0x76d9fe68464143bc},
+    {{0, kRr, kSaf}, 2, false, 0x4d058dd571aaa6d5},
+    {{0, kRr, kSaf}, 4, false, 0xb940ec5375be760d},
+    {{0, kRand, kWh}, 2, false, 0xbbe024c477f57819},
+    {{0, kRand, kWh}, 4, false, 0x3628791a07ede778},
+    {{0, kRand, kVct}, 2, false, 0x500199ea6a1c5d90},
+    {{0, kRand, kVct}, 4, false, 0x50196fd7cf6217f3},
+    {{0, kRand, kSaf}, 2, false, 0xcd5a437a2b9f20c5},
+    {{0, kRand, kSaf}, 4, false, 0x5d74d750fe3bc9b8},
+    {{0, kFirst, kWh}, 2, false, 0xb1a800c30de395ac},
+    {{0, kFirst, kWh}, 4, false, 0x8ced20a6eae1ceb1},
+    {{0, kFirst, kVct}, 2, false, 0x821c2fd048a2e0df},
+    {{0, kFirst, kVct}, 4, false, 0x2a956f0865e0d7e2},
+    {{0, kFirst, kSaf}, 2, false, 0x6848512380e9d391},
+    {{0, kFirst, kSaf}, 4, false, 0x60b2e6c54c8abe43},
+    {{1, kMax, kWh}, 2, false, 0x63baa7165b59bd8a},
+    {{1, kMax, kWh}, 4, false, 0x8443d7ed28a2351d},
+    {{1, kMax, kVct}, 2, false, 0x8b571d007adac824},
+    {{1, kMax, kVct}, 4, false, 0xc7a37828dbfc7342},
+    {{1, kMax, kSaf}, 2, false, 0x87eb8ee14f4b3e22},
+    {{1, kMax, kSaf}, 4, false, 0xfc3d99f010a69a8d},
+    {{1, kRr, kWh}, 2, false, 0xf9185c304aa845c},
+    {{1, kRr, kWh}, 4, false, 0x3f4a18cf9ff8834},
+    {{1, kRr, kVct}, 2, false, 0x8a72e7dce3ef8d96},
+    {{1, kRr, kVct}, 4, false, 0xbded76398f733f3},
+    {{1, kRr, kSaf}, 2, false, 0xfa3ec691c8e32db1},
+    {{1, kRr, kSaf}, 4, false, 0xbf40dea9c88b52f5},
+    {{1, kRand, kWh}, 2, false, 0x7a393e93fd8685c6},
+    {{1, kRand, kWh}, 4, false, 0x2103a19996dc3226},
+    {{1, kRand, kVct}, 2, false, 0xdc0f96046db4c540},
+    {{1, kRand, kVct}, 4, false, 0x362516790e87417d},
+    {{1, kRand, kSaf}, 2, false, 0xf15d9c8c7d1309e5},
+    {{1, kRand, kSaf}, 4, false, 0x85b0a2b5648eb7c},
+    {{1, kFirst, kWh}, 2, false, 0xe340e2b771b42a91},
+    {{1, kFirst, kWh}, 4, false, 0x393b69913aac1173},
+    {{1, kFirst, kVct}, 2, false, 0x5277452eebe63ede},
+    {{1, kFirst, kVct}, 4, false, 0xbfcb819631d2860d},
+    {{1, kFirst, kSaf}, 2, false, 0xff6932dafe674776},
+    {{1, kFirst, kSaf}, 4, false, 0x1559c05f62b2b774},
     // Atomic allocation on a sharded fabric: cut channels test
     // "all credits home" instead of an empty live buffer.
-    {{0, kMax, kWh}, 4, true, 0x223e43e1ad379a24},
+    {{0, kMax, kWh}, 4, true, 0x2d53b766ca6f46e9},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -356,8 +356,8 @@ TEST(ShardEquiv, Mesh8x8TwoAndFourShards)
     const auto net = topo::Network::mesh({8, 8}, {1, 2});
     const routing::EbDaRouting router(net, core::schemeFig7b());
     const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
-    expectShardedDeterministic(net, router, gen, baseConfig(), 2, 0xe09c98d426d9c015);
-    expectShardedDeterministic(net, router, gen, baseConfig(), 4, 0x4dcf9fa6eb5584aa);
+    expectShardedDeterministic(net, router, gen, baseConfig(), 2, 0x692e912122c02f04);
+    expectShardedDeterministic(net, router, gen, baseConfig(), 4, 0x548a0a3c8673fff);
 }
 
 /** Torus wrap links connect the first and last slab: the cut-edge set
@@ -370,8 +370,8 @@ TEST(ShardEquiv, TorusWrapEdgesCrossCuts)
         net, core::torusAdaptiveScheme2d(), {},
         routing::EbDaRouting::Mode::ShortestState);
     const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
-    expectShardedDeterministic(net, router, gen, baseConfig(), 2, 0x3d666395ae6af53b);
-    expectShardedDeterministic(net, router, gen, baseConfig(), 4, 0x66cf8ae3824e9da4);
+    expectShardedDeterministic(net, router, gen, baseConfig(), 2, 0x63baa7165b59bd8a);
+    expectShardedDeterministic(net, router, gen, baseConfig(), 4, 0x8443d7ed28a2351d);
 }
 
 /** Non-uniform traffic exercises skewed boundary flows (all pairs
@@ -384,7 +384,7 @@ TEST(ShardEquiv, TransposeTrafficSharded)
                                     sim::TrafficPattern::Transpose);
     sim::SimConfig cfg = baseConfig();
     cfg.injectionRate = 0.08;
-    expectShardedDeterministic(net, router, gen, cfg, 4, 0x80f57b2e26a27b93);
+    expectShardedDeterministic(net, router, gen, cfg, 4, 0x28ffc6f7431af284);
 }
 
 TEST(ShardEquiv, DragonflyShardedRun)
@@ -395,7 +395,7 @@ TEST(ShardEquiv, DragonflyShardedRun)
     sim::SimConfig cfg = baseConfig();
     cfg.seed = 23;
     cfg.injectionRate = 0.05;
-    expectShardedDeterministic(net, router, gen, cfg, 3, 0xe2c132fac2a3f081);
+    expectShardedDeterministic(net, router, gen, cfg, 3, 0xc9d19cf1bf6837bf);
 }
 
 /** A deadlocking configuration must deadlock deterministically under
@@ -419,7 +419,7 @@ TEST(ShardEquiv, DeadlockedShardedRunIsDeterministic)
     EXPECT_FALSE(a.deadlockCycle.empty())
         << "deadlocked sharded run must carry a forensic witness";
     EXPECT_EQ(sim::toJson(a), sim::toJson(b));
-    EXPECT_EQ(hex(digest(a)), hex(0x2971339dfeafd3dc));
+    EXPECT_EQ(hex(digest(a)), hex(0xc1afb84eaded91fe));
 
     // The serial run deadlocks on this configuration too.
     EXPECT_TRUE(runWith(net, router, gen, cfg, 1).deadlocked);
