@@ -6,6 +6,7 @@
 
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/host_threads.hh"

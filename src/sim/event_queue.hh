@@ -16,11 +16,12 @@
  * fixed slice of the streams whole windows of cycles ahead of the
  * serial loop, the rotations by closed-form resync
  * (VcAllocator::resyncOffset / SwitchAllocator::resyncOffset), and the
- * counter by adding the span length. So a skipping run keeps a
- * timestamp-ordered EventQueue of deadlines — injection timers from
- * the draw engine, measurement-phase boundaries, the abort-poll
- * cadence, the cycle limit — and when the fabric is empty it jumps
- * straight to the earliest one. Idle routers are never touched.
+ * counter by adding the span length. So when the fabric is empty the
+ * serial loop jumps straight to the next cycle it must execute,
+ * Simulator::nextDeadline: the earliest of the draw engine's next
+ * injection hit, the measurement-phase boundaries, the abort-poll
+ * cadence, the cycle limit, the next fault event and the retransmit
+ * and reply timers. Idle routers are never touched.
  *
  * Trace equivalence (tests/test_sched_equiv.cc): a skipping and a
  * non-skipping run consume identical per-router RNG streams and execute
@@ -38,21 +39,19 @@
  * serial loop sorted by (cycle, node) whichever thread found them.
  *
  * Which runs skip is decided once, by Simulator::resolveSchedule: the
- * mode must resolve to Event, and the run must have no fault plan
- * (fault events, retry deadlines and stranded scans make almost every
- * cycle a potential event), the protocol layer off (service timers and
- * reply injection fire off the injection-draw schedule), a selection
- * policy other than Random (its draws interleave with allocation, so
- * streams cannot be precomputed) and a per-flit packet rate strictly
- * between 0 and 1. Every other Event run executes each cycle, exactly
- * as a Cycle run does (same wakeups; results identical by
- * construction).
+ * mode must resolve to Event, the selection policy must not be Random
+ * (its draws come from the same per-router streams during allocation,
+ * so the streams cannot be precomputed) and the per-flit packet rate
+ * must lie strictly between 0 and 1 (Rng::nextBool draws nothing
+ * otherwise). Fault plans and the protocol layer skip too: their fault
+ * events, retransmit backoffs and reply service timers are deadlines.
+ * Every other Event run executes each cycle, exactly as a Cycle run
+ * does (same wakeups; results identical by construction).
  */
 
 #ifndef EBDA_SIM_EVENT_QUEUE_HH
 #define EBDA_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <array>
 #include <condition_variable>
 #include <cstdint>
@@ -66,75 +65,6 @@
 #include "util/logging.hh"
 
 namespace ebda::sim {
-
-/** What a queued deadline means (tie-break order at equal cycles). */
-enum class EventKind : std::uint8_t
-{
-    /** First measurement cycle: hooks fire, generation turns measured. */
-    MeasureStart,
-    /** First post-measurement cycle: hooks fire, drain accounting. */
-    MeasureEnd,
-    /** Cooperative-abort poll cadence (every 1024 cycles). */
-    AbortPoll,
-    /** setCycleLimit deadline: the run aborts at this cycle. */
-    CycleLimit,
-    /** Next cycle on which some node's injection coin lands. */
-    Injection,
-};
-
-/** A deadline: execute the cycle it names. */
-struct SchedEvent
-{
-    std::uint64_t cycle;
-    EventKind kind;
-};
-
-/**
- * Timestamp-ordered deadline queue: a binary min-heap over
- * (cycle, kind). Deadlines are sparse — a handful live at any time —
- * so a flat heap beats anything fancier.
- */
-class EventQueue
-{
-  public:
-    void
-    push(std::uint64_t cycle, EventKind kind)
-    {
-        heap.push_back({cycle, kind});
-        std::push_heap(heap.begin(), heap.end(), later);
-    }
-
-    bool empty() const { return heap.empty(); }
-
-    /** Earliest deadline; queue must be non-empty. */
-    const SchedEvent &top() const { return heap.front(); }
-
-    /** Drop the deadlines that fired before `cycle`, re-arming the
-     *  abort poller at its next 1024-cycle boundary. */
-    void
-    retireBefore(std::uint64_t cycle)
-    {
-        while (!heap.empty() && heap.front().cycle < cycle) {
-            std::pop_heap(heap.begin(), heap.end(), later);
-            const EventKind kind = heap.back().kind;
-            heap.pop_back();
-            if (kind == EventKind::AbortPoll)
-                push((cycle + 1023) & ~std::uint64_t{1023},
-                     EventKind::AbortPoll);
-        }
-    }
-
-  private:
-    static bool
-    later(const SchedEvent &a, const SchedEvent &b)
-    {
-        if (a.cycle != b.cycle)
-            return a.cycle > b.cycle;
-        return a.kind > b.kind;
-    }
-
-    std::vector<SchedEvent> heap;
-};
 
 /**
  * Four xoshiro256** streams in structure-of-arrays form: state word w
@@ -178,9 +108,12 @@ struct alignas(32) Lanes4
  * order, by its helper or by the serial loop; the mutex hand-off orders
  * each window after the one before, so the draw sequence of every
  * stream is the same whichever thread runs it. A skipping run has no
- * other RNG consumer (injection is the only draw site when faults are
- * off and selection is not Random), so the live per-router Rng objects
- * are left untouched at their seed state.
+ * other consumer of these streams: Random selection, the only other
+ * draw site, does not skip, and fault plans and protocol service
+ * jitter draw from substreams of their own. So the live per-router Rng
+ * objects are left untouched at their seed state. A dead router's
+ * lane keeps drawing, which nothing can observe: routers never come
+ * back, and admission drops the packets its hits draw.
  */
 class InjectionEngine
 {

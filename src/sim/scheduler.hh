@@ -15,7 +15,8 @@
  *    release, stranded scans, protocol replies, the watchdog with
  *    recovery escalation and the drain test. When the run can skip
  *    (sim/event_queue.hh) it also jumps over spans where the fabric is
- *    empty and no deadline is due, and draws injections from a
+ *    empty and no packet awaits injection, straight to the next
+ *    deadline (Simulator::nextDeadline), and draws injections from a
  *    block-batched engine; skipping and non-skipping runs are
  *    trace-equivalent (tests/test_sched_equiv.cc diffs the full result
  *    JSON).
@@ -100,7 +101,8 @@ struct Schedule
     SchedMode mode = SchedMode::Cycle;
     /** Spatial shards: 1 runs the serial loop, more the sharded one. */
     int shards = 1;
-    /** The serial loop jumps idle spans (sim/event_queue.hh). */
+    /** The serial loop jumps idle spans (sim/event_queue.hh): Event
+     *  mode, selection not Random and a packet rate in (0, 1). */
     bool skipIdle = false;
 };
 

@@ -59,20 +59,25 @@ void
 Simulator::generateAt(Down &down, PipelineDomain &d, topo::NodeId n,
                       std::uint64_t cycle, bool measuring)
 {
-    const bool faults_on = injector.enabled();
-    // A dead router neither injects nor draws from its substream;
-    // every other node's stream is untouched by the fault.
-    if (faults_on && injector.nodeDead(n))
-        return;
     Rng &rng = routerTable[n].rng;
     if (!rng.nextBool(packetRate))
         return;
-    const auto dest = traffic.dest(n, rng);
-    if (!dest)
-        return;
-    // The draw is consumed either way; a dead destination just
-    // discards the packet (nobody to deliver to).
-    if (faults_on && injector.nodeDead(*dest))
+    if (const auto dest = traffic.dest(n, rng))
+        admitPacket(down, d, n, *dest, cycle, measuring);
+}
+
+template <class Down>
+void
+Simulator::admitPacket(Down &down, PipelineDomain &d, topo::NodeId n,
+                       topo::NodeId dest, std::uint64_t cycle,
+                       bool measuring)
+{
+    // The draw is consumed either way. A dead endpoint discards the
+    // packet: nothing injects from a dead source (whose stream nothing
+    // else reads again, as routers never come back), and nobody
+    // receives at a dead destination.
+    if (injector.enabled()
+        && (injector.nodeDead(n) || injector.nodeDead(dest)))
         return;
     // End-to-end credit: no local slot for the eventual reply means
     // no request this cycle (the draw is still consumed, keeping
@@ -80,15 +85,6 @@ Simulator::generateAt(Down &down, PipelineDomain &d, topo::NodeId n,
     if (proto && proto->reservationMode()
         && !proto->tryReserveRequest(n))
         return;
-    enqueuePacket(down, d, n, *dest, cycle, measuring);
-}
-
-template <class Down>
-void
-Simulator::enqueuePacket(Down &down, PipelineDomain &d, topo::NodeId n,
-                         topo::NodeId dest, std::uint64_t cycle,
-                         bool measuring)
-{
     PacketRec rec;
     rec.src = n;
     rec.dest = dest;
@@ -537,22 +533,45 @@ Simulator::resolveSchedule() const
     Schedule s;
     s.mode = resolveSchedMode(cfg.schedMode, cfg.injectionRate,
                               net.numNodes());
-    const bool faults_on = injector.enabled();
     if (s.mode != SchedMode::Event) {
         s.shards = resolveShardCount(cfg.shards, net.numNodes(),
-                                     table.compiled(), faults_on,
+                                     table.compiled(), injector.enabled(),
                                      proto != nullptr);
         return s;
     }
-    // Event mode never shards. It skips idle spans unless a cycle the
-    // injection engine cannot foresee may matter (see event_queue.hh):
-    // fault plans and protocol endpoints raise events off the
-    // injection-draw schedule, Random selection draws during
-    // allocation, and degenerate rates leave nothing to skip.
-    s.skipIdle = !faults_on && !proto
-        && cfg.selection != SelectionPolicy::Random && packetRate > 0.0
-        && packetRate < 1.0;
+    // Event mode never shards. It skips idle spans unless the injection
+    // engine cannot reproduce the per-node draws (see event_queue.hh):
+    // Random selection draws from the same streams during allocation,
+    // and degenerate rates draw nothing.
+    s.skipIdle = cfg.selection != SelectionPolicy::Random
+        && packetRate > 0.0 && packetRate < 1.0;
     return s;
+}
+
+std::uint64_t
+Simulator::nextDeadline(std::uint64_t cycle, InjectionEngine &engine)
+{
+    // No fault plan (or none left) reads as UINT64_MAX.
+    std::uint64_t next = std::min(hardStop, injector.nextEventCycle());
+    if (const auto hit = engine.nextHitCycle())
+        next = std::min(next, *hit);
+    for (const std::uint64_t edge : {measureStart, measureEnd})
+        if (edge >= cycle)
+            next = std::min(next, edge);
+    if (cycleLimit)
+        next = std::min(next, cycleLimit);
+    if (abortCheck)
+        next = std::min(next, (cycle + 1023) & ~std::uint64_t{1023});
+    for (const RetryEntry &entry : retryQueue)
+        next = std::min(next, entry.ready);
+    // A reply waits for its service timer behind its endpoint's head.
+    if (proto)
+        proto->replyActive.sweep(0, [&](std::size_t n) {
+            const auto node = static_cast<topo::NodeId>(n);
+            next = std::min(next, proto->endpoint(node).pending.front().ready);
+            return true;
+        });
+    return next;
 }
 
 std::uint64_t
@@ -562,18 +581,10 @@ Simulator::runSerial(SimResult &result, bool skip_idle)
     const bool proto_on = proto != nullptr;
     LiveDownstream live(fab);
     std::optional<InjectionEngine> engine;
-    EventQueue deadlines;
-    if (skip_idle) {
-        // The engine starts its draw helpers here; leaving this scope
-        // on any exit (drain, abort, deadlock) joins them.
+    // The engine starts its draw helpers here; leaving this scope on
+    // any exit (drain, abort, deadlock) joins them.
+    if (skip_idle)
         engine.emplace(routerTable, traffic, packetRate, hardStop);
-        deadlines.push(measureStart, EventKind::MeasureStart);
-        deadlines.push(measureEnd, EventKind::MeasureEnd);
-        if (cycleLimit && cycleLimit < hardStop)
-            deadlines.push(cycleLimit, EventKind::CycleLimit);
-        if (abortCheck)
-            deadlines.push(0, EventKind::AbortPoll);
-    }
     std::uint64_t cycle = 0;
     while (cycle < hardStop) {
         if (engine && fab.flitsInFlight == 0
@@ -581,13 +592,10 @@ Simulator::runSerial(SimResult &result, bool skip_idle)
             // The fabric is empty and no packet awaits injection (the
             // injection set tracks exactly the nodes with non-empty
             // source queues after each executed cycle), so every cycle
-            // until the next deadline is a provable no-op.
-            deadlines.retireBefore(cycle);
-            if (const auto hit = engine->nextHitCycle())
-                deadlines.push(*hit, EventKind::Injection);
-            const std::uint64_t target = deadlines.empty()
-                ? hardStop
-                : std::min(hardStop, deadlines.top().cycle);
+            // until the next deadline is a provable no-op: a stranded
+            // scan finds nothing, and retransmits and replies wait for
+            // timers that are deadlines.
+            const std::uint64_t target = nextDeadline(cycle, *engine);
             if (target > cycle) {
                 // Each skipped cycle has exactly three side effects,
                 // reproduced in closed form: the genCycles tick, and
@@ -650,8 +658,7 @@ Simulator::runSerial(SimResult &result, bool skip_idle)
             // within the cycle).
             engine->consumeHits(
                 cycle, [&](std::uint32_t node, std::uint32_t dst) {
-                    enqueuePacket(live, dom, node, dst, cycle,
-                                  measuring);
+                    admitPacket(live, dom, node, dst, cycle, measuring);
                 });
         } else {
             generate(cycle, measuring);

@@ -75,6 +75,8 @@
 
 namespace ebda::sim {
 
+class InjectionEngine;
+
 /**
  * One pipeline domain: the active sets the stage kernels sweep, the
  * allocators holding their arbitration state, and the statistics they
@@ -206,6 +208,13 @@ class Simulator
      *  spans when `skip_idle`. Counts result.wakeups and returns the
      *  final cycle. */
     std::uint64_t runSerial(SimResult &result, bool skip_idle);
+    /** The next cycle a skipping serial loop must execute when the
+     *  fabric empties at `cycle`: the earliest of hardStop, the next
+     *  fault event, the next injection hit, the measurement edges at
+     *  or after `cycle`, the cycle limit, the next abort poll, and the
+     *  retransmit and reply timers. */
+    std::uint64_t nextDeadline(std::uint64_t cycle,
+                               InjectionEngine &engine);
 
     /** @name Pipeline kernels
      *  Templates over the downstream policy (sim/downstream.hh) and the
@@ -218,12 +227,14 @@ class Simulator
     template <class Down>
     void generateAt(Down &down, PipelineDomain &d, topo::NodeId n,
                     std::uint64_t cycle, bool measuring);
-    /** Queue a packet n -> dest generated this cycle (per-node
-     *  generation and the injection engine's hits). */
+    /** Admit a packet n -> dest drawn this cycle (per-node generation
+     *  and the injection engine's hits): drop it when either endpoint
+     *  router is dead, reserve its reply slot in reserveReplyBuffer
+     *  mode, and queue it. */
     template <class Down>
-    void enqueuePacket(Down &down, PipelineDomain &d, topo::NodeId n,
-                       topo::NodeId dest, std::uint64_t cycle,
-                       bool measuring);
+    void admitPacket(Down &down, PipelineDomain &d, topo::NodeId n,
+                     topo::NodeId dest, std::uint64_t cycle,
+                     bool measuring);
     /** Move queued packets into free injection VCs. */
     template <class Down>
     void fillInjectionVcs(Down &down, PipelineDomain &d,
