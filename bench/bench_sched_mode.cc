@@ -21,6 +21,9 @@
  *    trailing schedMode/wakeups pair (trace equivalence, re-checked
  *    here on the actual bench configs), or
  *  - a run deadlocks, aborts, or the hooks never fire, or
+ *  - at 1e-4 with a link and a router fault, or with request-reply
+ *    traffic, the backends disagree or event mode wakes for a quarter
+ *    of the cycles or more, or
  *  - the injection engine alone (256 streams drawn for 1M cycles at
  *    a per-cycle packet rate of 1e-4) reports a different hit stream
  *    with its default helper threads than with none, or, on hosts
@@ -74,6 +77,7 @@ struct RepResult
     double windowSeconds = 0.0;
     double cyclesPerSec = 0.0;
     std::uint64_t wakeups = 0;
+    std::uint64_t cycles = 0;
     std::string strippedJson;
 };
 
@@ -116,8 +120,44 @@ runOnce(const topo::Network &net, const cdg::RoutingRelation &rel,
         ? static_cast<double>(cfg.measureCycles) / rep.windowSeconds
         : 0.0;
     rep.wakeups = result.wakeups;
+    rep.cycles = result.cycles;
     rep.strippedJson = stripSchedTail(result);
     return rep;
+}
+
+/** A sparse run whose timers are not injection draws (fault events
+ *  and retransmit backoff, or reply service delays): both modes must
+ *  agree, and event mode must wake for under a quarter of the cycles. */
+struct TimerRow
+{
+    bool pass = false;
+    std::uint64_t wakeups = 0;
+    std::uint64_t cycles = 0;
+};
+
+TimerRow
+timerRow(const topo::Network &net, const cdg::RoutingRelation &rel,
+         const sim::TrafficGenerator &gen, const sim::SimConfig &cfg,
+         const char *label)
+{
+    const RepResult cyc =
+        runOnce(net, rel, gen, cfg, sim::SchedMode::Cycle);
+    const RepResult evt =
+        runOnce(net, rel, gen, cfg, sim::SchedMode::Event);
+    const bool same = cyc.strippedJson == evt.strippedJson;
+    TimerRow row;
+    row.wakeups = evt.wakeups;
+    row.cycles = evt.cycles;
+    row.pass = cyc.clean && evt.clean && same
+        && evt.wakeups * 4 < evt.cycles;
+    std::printf("  %-10s event %llu wakeups / %llu cycles = %.3f "
+                "(gate < 0.25), results %s: %s\n",
+                label, static_cast<unsigned long long>(evt.wakeups),
+                static_cast<unsigned long long>(evt.cycles),
+                static_cast<double>(evt.wakeups)
+                    / static_cast<double>(evt.cycles),
+                same ? "identical" : "DIFFER", row.pass ? "ok" : "FAIL");
+    return row;
 }
 
 /** Best-of-kReps window time for one (config, mode) point; the
@@ -308,6 +348,24 @@ benchMain()
     if (speedup < 5.0)
         pass = false;
 
+    // Idle runs with timers of their own: one link and one router
+    // fault, and request-reply traffic with its service delays.
+    auto faulted_cfg = cfg;
+    faulted_cfg.injectionRate = 1e-4;
+    faulted_cfg.faults.randomLinkFaults = 1;
+    faulted_cfg.faults.randomRouterFaults = 1;
+    faulted_cfg.faults.firstCycle = 5000;
+    faulted_cfg.faults.spacing = 5000;
+    const TimerRow faulted =
+        timerRow(net, *rel, gen, faulted_cfg, "faulted 1e-4:");
+    auto protocol_cfg = cfg;
+    protocol_cfg.injectionRate = 1e-4;
+    protocol_cfg.protocol.requestReply = true;
+    const TimerRow protocol =
+        timerRow(net, *rel, gen, protocol_cfg, "protocol 1e-4:");
+    if (!faulted.pass || !protocol.pass)
+        pass = false;
+
     // Engine-only row: the idle-skipping draw engine on the bench's
     // 256 streams, inline (0 helpers) against the default helpers.
     // The hit streams must agree exactly; the speed gate needs a host
@@ -391,6 +449,11 @@ benchMain()
          << sat_cycle.bestCyclesPerSec
          << ",\"event_sat_cycles_per_sec\":"
          << sat_event.bestCyclesPerSec
+         << ",\"timer_idle_rate\":1e-04"
+         << ",\"faulted_idle_wakeups\":" << faulted.wakeups
+         << ",\"faulted_idle_cycles\":" << faulted.cycles
+         << ",\"protocol_idle_wakeups\":" << protocol.wakeups
+         << ",\"protocol_idle_cycles\":" << protocol.cycles
          << ",\"baseline_sat_cycles_per_sec\":" << baseline_sat
          << ",\"host_threads\":" << host_threads
          << ",\"draw_helpers\":" << helper_pass.helpers

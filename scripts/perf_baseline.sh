@@ -88,7 +88,8 @@ EBDA_CYCLE_BENCH_JSON="$SIM_LOOP_JSON" \
     "$BUILD_DIR/bench/bench_cycle_rate"
 
 # Scheduler backends: >=5x event win at idle, <=10% cycle regression
-# at saturation (gated against the previous baseline's sched_mode).
+# at saturation (gated against the previous baseline's sched_mode), and
+# faulted and request-reply runs at 1e-4 waking for < 1/4 of cycles.
 EBDA_SCHED_BENCH_JSON="$SCHED_MODE_JSON" \
     "$BUILD_DIR/bench/bench_sched_mode"
 
