@@ -290,14 +290,4 @@ walkStateGraphs(
     return false;
 }
 
-bool
-walkStateGraphs(const RoutingRelation &relation,
-                const std::function<void(const StateGraph &)> &visit)
-{
-    return walkStateGraphs(
-        relation, 1,
-        [&](std::size_t, const StateGraph &g) { visit(g); },
-        [](std::size_t) {});
-}
-
 } // namespace ebda::cdg

@@ -162,16 +162,6 @@ struct StateGraph
     }
 };
 
-/**
- * Build the state graph of every destination of `relation` (see file
- * doc) on the calling thread and pass each to `visit`, in ascending
- * destination order. The graph is valid until `visit` returns. Returns
- * false when a spot check found the relation's declaration false and
- * the walk fell back to one class per source.
- */
-bool walkStateGraphs(const RoutingRelation &relation,
-                     const std::function<void(const StateGraph &)> &visit);
-
 /** The number of partials a walk on `threads` threads keeps (0 threads:
  *  hostThreads()). */
 std::size_t walkSlots(unsigned threads);
@@ -183,8 +173,9 @@ std::size_t walkSlots(unsigned threads);
  * and scratch of its own. merge(slot) runs once per destination, in
  * ascending destination order and never two at once, after that
  * destination's fold; the slot's partial is reused once merge returns,
- * so fold starts from whatever that merge left. Returns what the serial
- * form returns.
+ * so fold starts from whatever that merge left. Returns false when a
+ * spot check found the relation's declaration false and the walk fell
+ * back to one class per source.
  */
 bool walkStateGraphs(
     const RoutingRelation &relation, unsigned threads,

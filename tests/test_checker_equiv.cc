@@ -224,12 +224,15 @@ bool
 deterministic(const RoutingRelation &rel)
 {
     bool one = true;
-    walkStateGraphs(rel, [&](const StateGraph &g) {
-        for (std::size_t k = 0; k < g.sources.size(); ++k)
-            one = one && g.injection(k).size() <= 1;
-        for (std::size_t i = 0; i < g.size(); ++i)
-            one = one && g.candidates(i).size() <= 1;
-    });
+    walkStateGraphs(
+        rel, 1,
+        [&](std::size_t, const StateGraph &g) {
+            for (std::size_t k = 0; k < g.sources.size(); ++k)
+                one = one && g.injection(k).size() <= 1;
+            for (std::size_t i = 0; i < g.size(); ++i)
+                one = one && g.candidates(i).size() <= 1;
+        },
+        [](std::size_t) {});
     return one;
 }
 
