@@ -16,10 +16,10 @@
  *    (the shard count, not the worker count, is the simulation's
  *    identity). Always enforced.
  *  - every point really shards: the count the simulator resolves for
- *    a run must equal the requested one. The fig7b table (~100 MiB)
- *    exceeds the default 64 MiB route-table budget, and without a
- *    compiled table every run silently falls back to one shard, so
- *    the config raises the budget to fit it. Always enforced.
+ *    a run must equal the requested one. Without a compiled table
+ *    every run silently falls back to one shard; the fig7b table
+ *    compiles under the default 64 MiB route-table budget, so the
+ *    bench runs what a user gets. Always enforced.
  *  - speedup: >= 2.5x at 4 shards and >= 4x at 8 shards over the
  *    shards=1 rate. Enforced ONLY when the process may run on at least
  *    as many CPUs as shards (hostThreads()); on smaller hosts (CI runners,
@@ -85,9 +85,6 @@ saturationConfig()
     cfg.watchdogCycles = 20000;
     cfg.seed = 2026;
     cfg.routeTable = true;
-    // The 32x32 fig7b table is 105,132,416 B: over the 64 MiB default,
-    // which would leave the table uncompiled and every run unsharded.
-    cfg.routeTableBudget = 128ull << 20;
     cfg.schedMode = sim::SchedMode::Cycle;
     return cfg;
 }
