@@ -50,6 +50,8 @@ run_case forensics_deadlock forensics --router minimal --torus \
 run_case forensics_scheme forensics --scheme "$S" --rate 0.1 --cycles 400
 run_case faults_text faults --link-faults 2
 run_case faults_json faults --link-faults 2 --json
+run_case faults_event_json faults --mesh 8x8 --rate 0.001 --link-faults 1 \
+    --node-faults 1 --json
 run_case faults_events faults --events '100:link:0->1;200:node:5' \
     --cycles 1000 --pattern transpose
 run_case protocol_wedge protocol --classes 1 --depth 1
