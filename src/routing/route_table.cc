@@ -170,8 +170,10 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
         }
     }
     // The declaration is proven false. This query's answer stays in the
-    // directory, which is never freed.
-    dropRows();
+    // directory, which is never freed. Also over a pool fallback, whose
+    // rows are still served.
+    state.store(Fallback::SourceClassesFailed, std::memory_order_relaxed);
+    forgetRows();
     return answer;
 }
 
@@ -205,23 +207,20 @@ RouteTable::findOrAddList(topo::NodeId at,
 }
 
 void
-RouteTable::dropRows() const
+RouteTable::forgetRows() const
 {
+    if (numRows == 0)
+        return;
     for (std::size_t i = 0; i < kStripes; ++i)
         stripes[i].mutex.lock();
-    // Also over a pool fallback, whose rows are still served.
-    if (fallback() != Fallback::SourceClassesFailed) {
-        state.store(Fallback::SourceClassesFailed,
-                    std::memory_order_relaxed);
-        // Reads keep the untouched (never faulted-in) rows unmapped.
-        for (std::size_t r = 0; r < numRows; ++r)
-            if (rowRef(r).load(std::memory_order_relaxed) != kEmptyRow)
-                rowRef(r).store(kEmptyRow, std::memory_order_relaxed);
-        for (std::size_t i = 0; i < kStripes; ++i)
-            stripes[i].filled.store(0, std::memory_order_relaxed);
-    }
-    for (std::size_t i = kStripes; i-- > 0;)
+    // Reads keep the untouched (never faulted-in) rows unmapped.
+    for (std::size_t r = 0; r < numRows; ++r)
+        if (rowRef(r).load(std::memory_order_relaxed) != kEmptyRow)
+            rowRef(r).store(kEmptyRow, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kStripes; ++i) {
+        stripes[i].filled.store(0, std::memory_order_relaxed);
         stripes[i].mutex.unlock();
+    }
 }
 
 void
@@ -233,30 +232,6 @@ RouteTable::candidatesInto(topo::ChannelId in, topo::NodeId at,
     // The fallback answers in `out` itself.
     if (s.begin() != out.data())
         out.assign(s.begin(), s.end());
-}
-
-void
-RouteTable::filterDeadChannel(topo::ChannelId dead)
-{
-    // Filled rows are served after a mid-run fallback too.
-    if (numRows == 0)
-        return;
-    const topo::Network &net = rel.network();
-    const topo::NodeId from = net.link(net.linkOf(dead)).src;
-    // In-list compaction: entries keep their relative order, matching
-    // the order-preserving remove_if of FaultedRelationView exactly.
-    for (std::size_t k = 1; k <= listsAt[from]; ++k) {
-        std::uint64_t &s = slot(from, k);
-        const auto begin = static_cast<std::uint32_t>(s);
-        const auto len = static_cast<std::uint32_t>(s >> 32);
-        std::uint32_t keep = 0;
-        for (std::uint32_t i = 0; i < len; ++i) {
-            const topo::ChannelId c = pool[begin + i];
-            if (c != dead)
-                pool[begin + keep++] = c;
-        }
-        s = begin | static_cast<std::uint64_t>(keep) << 32;
-    }
 }
 
 const char *

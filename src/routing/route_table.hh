@@ -73,16 +73,16 @@
  * the pool over the budget, or give a node a 256th list, stops
  * filling: rows already filled stay served lock-free, and queries of
  * empty rows ask the relation under their stripe's lock. A narrow fill
- * whose second source disagrees proves the rows' keying wrong: under
- * every stripe lock it empties all rows, so every later query asks the
+ * whose second source disagrees proves the rows' keying wrong: it
+ * empties all rows (forgetRows()), so every later query asks the
  * relation.
  *
- * Fault integration: the table serves the simulator's effective
- * (possibly fault-degraded) relation, so rows filled after a fault
- * event hold the degraded answer. When an event kills a channel, only
- * the node it leaves can hold it in a list: `filterDeadChannel` edits
- * that node's directory in place, keeping the table exactly equal to
- * the degraded virtual view with no refill.
+ * Forgetting: the table knows nothing of faults; it serves whatever
+ * its relation answers. When those answers change (a fault event grows
+ * the simulator's degraded view), forgetRows() empties every row, and
+ * each refills on its next query from the relation as it now answers.
+ * Directories keep their lists, which are matched by content and never
+ * freed, so a refill that gives a node a new list adds it.
  */
 
 #ifndef EBDA_ROUTING_ROUTE_TABLE_HH
@@ -104,9 +104,10 @@ namespace ebda::routing {
 constexpr std::uint64_t kDefaultRouteTableBudget = 64ull << 20;
 
 /**
- * Borrowed, immutable view of one candidate list. Valid until the
- * owning table is filtered (fault event) or the scratch vector it
- * aliases on the fallback path is reused.
+ * Borrowed, immutable view of one candidate list. A view into the
+ * table stays valid as long as the table (lists are never edited or
+ * freed); a view of the fallback path's scratch vector, until that
+ * vector is reused.
  */
 struct CandidateSpan
 {
@@ -192,8 +193,7 @@ class RouteTable
     /** Rows sized (0 when never sized: disabled or over budget). */
     std::size_t rowCount() const { return numRows; }
 
-    /** Rows filled so far (0 again after SourceClassesFailed empties
-     *  them). */
+    /** Rows filled so far (0 again after forgetRows()). */
     std::size_t rowsFilled() const;
 
     /** The memory budget the table was sized against. */
@@ -202,17 +202,6 @@ class RouteTable
     /** Wall-clock nanoseconds the constructor spent sizing the rows
      *  (fills happen during the run, on first query). */
     std::uint64_t compileNanos() const { return compileNs; }
-
-    /** Route-compute queries served so far (table or fallback). */
-    std::uint64_t calls() const { return callCount; }
-
-    /** Fold externally counted queries into calls(). The simulator's
-     *  VC allocators query via candidatesViewUncounted (the mutable
-     *  counter here is not thread-safe, and sharded runs have one
-     *  allocator per worker shard) and tally per allocator; the
-     *  simulator adds the totals back after the run so
-     *  result.routeComputeCalls stays exact and deterministic. */
-    void addCalls(std::uint64_t n) const { callCount += n; }
 
     /** The relation served (the simulator's effective relation). */
     const cdg::RoutingRelation &relation() const { return rel; }
@@ -224,29 +213,16 @@ class RouteTable
      * view of it — allocation-free too once `scratch` has grown to the
      * largest candidate set. A fill also asks the relation into
      * `scratch`. `dest` must differ from the current node (callers
-     * eject on arrival).
+     * eject on arrival). Safe to call from several threads at once
+     * (filled rows are read with one acquire load; fills and
+     * post-fallback relation calls take their destination's stripe
+     * lock), each passing its own scratch. The table keeps no count of
+     * its queries: callers count their own.
      */
     CandidateSpan
     candidatesView(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
                    topo::NodeId dest,
                    std::vector<topo::ChannelId> &scratch) const
-    {
-        ++callCount;
-        return candidatesViewUncounted(in, at, src, dest, scratch);
-    }
-
-    /**
-     * candidatesView without the call tally — safe to invoke from
-     * several threads at once (filled rows are read with one acquire
-     * load, fills and post-fallback relation calls take their
-     * destination's stripe lock). The caller counts queries itself and
-     * folds them in via addCalls(). The fallback fills the
-     * caller-provided scratch, so each thread must pass its own.
-     */
-    CandidateSpan
-    candidatesViewUncounted(topo::ChannelId in, topo::NodeId at,
-                            topo::NodeId src, topo::NodeId dest,
-                            std::vector<topo::ChannelId> &scratch) const
     {
         if (rows) [[likely]] {
             const std::uint8_t k = rowRef(rowIndex(in, src, dest))
@@ -265,15 +241,13 @@ class RouteTable
                         std::vector<topo::ChannelId> &out) const;
 
     /**
-     * Remove `dead` from every list holding it (fault event): only the
-     * directory of the node `dead` leaves is touched, in place, so
-     * every row naming one of its lists reads the filtered list. Rows
-     * still served after a mid-run fallback are filtered too; unfilled
-     * rows ask the degraded relation, which filters dynamically. No-op
-     * on an unsized table. Not concurrent with queries: faulted runs
-     * are never sharded.
+     * Empty every row under every stripe lock, so each refills from the
+     * relation on its next query; directories keep their lists. Call it
+     * when the relation's answers change (the simulator does after each
+     * fault event); a failed source-class check calls it too. Const
+     * like a fill. No-op on an unsized table.
      */
-    void filterDeadChannel(topo::ChannelId dead);
+    void forgetRows() const;
 
   private:
     /** Row byte of an unfilled row; k > 0 names slot k of the querying
@@ -322,7 +296,7 @@ class RouteTable
             + dest;
     }
 
-    /** The slow path of candidatesViewUncounted, under the stripe
+    /** The slow path of candidatesView, under the stripe
      *  lock of `dest`: fill the row, or ask the relation once the table
      *  has fallen back. */
     CandidateSpan fillRow(topo::ChannelId in, topo::NodeId at,
@@ -341,11 +315,6 @@ class RouteTable
     topo::NodeId probeSource(topo::NodeId at, topo::NodeId src,
                              topo::NodeId dest) const;
 
-    /** Fall back for a failed source-class check: under every stripe
-     *  lock, empty every row so later queries reach fillRow, which asks
-     *  the relation. */
-    void dropRows() const;
-
     const cdg::RoutingRelation &rel;
     Options opts;
     std::size_t numNodes;
@@ -355,7 +324,6 @@ class RouteTable
     std::size_t injBase = 0;
     std::size_t numRows = 0;
     std::uint64_t compileNs = 0;
-    mutable std::uint64_t callCount = 0;
 
     struct FreeDeleter
     {
@@ -365,8 +333,10 @@ class RouteTable
      *  a query touches them, but once glibc's dynamic mmap threshold
      *  has risen past the rows' size (a long-lived process that freed
      *  such a block), calloc serves them from the heap and zeroes every
-     *  row: 2.8–3.7 ms of the 4.46 MB of 8-byte rows 16x16 fig7b used
-     *  to take, against 0.02 ms when mapped fresh. */
+     *  row at every setup: 16x16 Odd-Even keyed by source class (7.9
+     *  MB of rows) set up in 7.1–8.6 ms so, against 1.3 ms with mmap'd
+     *  rows (ROADMAP item 2). forgetRows() stores only into rows that
+     *  hold a list, so it touches no page a query never touched. */
     std::unique_ptr<std::uint8_t[], FreeDeleter> rows;
     /** 256 slots per node (slot 0 unused), slot-major: slot k of every
      *  node, then slot k + 1, so a run that gives each node a few lists

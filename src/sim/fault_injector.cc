@@ -113,13 +113,8 @@ FaultInjector::markLinkDead(topo::LinkId l)
         return;
     linkDeadMask[l] = 1;
     ++deadLinks;
-    for (int v = 0; v < net.vcsOnLink(l); ++v) {
-        const topo::ChannelId c = net.channel(l, v);
-        if (!chanDeadMask[c]) {
-            chanDeadMask[c] = 1;
-            newlyDead.push_back(c);
-        }
-    }
+    for (int v = 0; v < net.vcsOnLink(l); ++v)
+        chanDeadMask[net.channel(l, v)] = 1;
 }
 
 void

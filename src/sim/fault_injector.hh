@@ -102,20 +102,6 @@ class FaultInjector
                                      ActiveSet &allocActive);
 
     /**
-     * Channels newly marked dead since the last call, in marking
-     * order; clears the list. The simulator drains this after every
-     * apply() to filter the affected filled route-table rows — no
-     * refill per fault event.
-     */
-    std::vector<topo::ChannelId>
-    takeNewlyDeadChannels()
-    {
-        std::vector<topo::ChannelId> out;
-        out.swap(newlyDead);
-        return out;
-    }
-
-    /**
      * Purge every flit of the marked packets (`kill[pkt] != 0`) from
      * the fabric, releasing/revoking allocations and maintaining the
      * occupancy, ownership and flitsInFlight invariants. Also used by
@@ -144,7 +130,6 @@ class FaultInjector
     std::vector<std::uint8_t> nodeDeadMask;
     std::vector<std::uint8_t> linkDeadMask;
     std::vector<std::uint8_t> chanDeadMask;
-    std::vector<topo::ChannelId> newlyDead;
     std::size_t deadLinks = 0;
     std::size_t deadNodes = 0;
 };

@@ -59,6 +59,7 @@ buildForensics(const Fabric &fab, const routing::RouteTable &route,
                               static_cast<graph::NodeId>(endpoint_base
                                                          + vc.atNode));
             } else {
+                ++out.routeQueries;
                 route.candidatesInto(vc.self, vc.atNode, pkt.src,
                                      pkt.dest, rec.waitingOn);
                 // The class partition narrows the wait set to the

@@ -89,6 +89,9 @@ struct DeadlockForensics
     /** True when every edge of waitCycle is an edge of the relation's
      *  Dally CDG — the static verifier predicted this cycle. */
     bool cycleInRelationCdg = false;
+    /** Route-table queries the dump made (part of the run's
+     *  routeComputeCalls). */
+    std::uint64_t routeQueries = 0;
 
     /** @name Protocol (message-dependency) classification
      *  Populated only when buildForensics ran with protocol state.

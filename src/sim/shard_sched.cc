@@ -401,7 +401,7 @@ runSharded(Simulator &sim, SimResult &result, int shard_count)
         sim.dom.stats.merge(sp->dom.stats);
         sim.fab.flitMoves += sp->down.moves;
         sim.fab.flitsInFlight += sp->down.inFlight;
-        sim.table.addCalls(sp->dom.vcAlloc.routeCalls());
+        result.routeComputeCalls += sp->dom.vcAlloc.routeCalls();
         for (const std::uint32_t id : sp->down.pool)
             sim.fab.pktFreelist.push_back(id);
         sp->down.pool.clear();

@@ -121,6 +121,18 @@ Simulator::losePacket(std::uint32_t id)
     fab.freePacket(id);
 }
 
+bool
+Simulator::reinjectable(const PacketRec &pkt)
+{
+    if (injector.nodeDead(pkt.src) || injector.nodeDead(pkt.dest))
+        return false;
+    ++routeQueries;
+    return !table
+                .candidatesView(cdg::kInjectionChannel, pkt.src, pkt.src,
+                                pkt.dest, routeScratch)
+                .empty();
+}
+
 void
 Simulator::handleDropped(const std::vector<std::uint32_t> &purged,
                          std::uint64_t cycle)
@@ -135,16 +147,10 @@ Simulator::handleDropped(const std::vector<std::uint32_t> &purged,
             losePacket(id);
             continue;
         }
-        const bool endpoint_dead = injector.nodeDead(pkt.src)
-            || injector.nodeDead(pkt.dest);
         const bool budget_spent = pkt.retries == 0xff
             || static_cast<int>(pkt.retries)
                 >= cfg.faults.maxRetransmits;
-        if (endpoint_dead || budget_spent
-            || table
-                   .candidatesView(cdg::kInjectionChannel, pkt.src,
-                                   pkt.src, pkt.dest, routeScratch)
-                   .empty()) {
+        if (budget_spent || !reinjectable(pkt)) {
             losePacket(id);
             continue;
         }
@@ -179,11 +185,7 @@ Simulator::releaseRetries(std::uint64_t cycle)
         // retry was scheduled, handleDropped's routability check still
         // stands — don't recompute the same injection route.
         if (injector.eventsApplied() != entry.epoch
-            && (injector.nodeDead(pkt.src) || injector.nodeDead(pkt.dest)
-                || table
-                       .candidatesView(cdg::kInjectionChannel, pkt.src,
-                                       pkt.src, pkt.dest, routeScratch)
-                       .empty())) {
+            && !reinjectable(pkt)) {
             losePacket(entry.pkt);
             continue;
         }
@@ -234,6 +236,7 @@ Simulator::strandedScan(std::uint64_t cycle)
         const PacketRec &pkt = fab.packets[id];
         if (vc.atNode == pkt.dest)
             continue;
+        ++routeQueries;
         if (!table
                  .candidatesView(vc.self, vc.atNode, pkt.src, pkt.dest,
                                  routeScratch)
@@ -619,13 +622,11 @@ Simulator::runSerial(SimResult &result, bool skip_idle)
         if (faults_on) {
             if (injector.nextEventCycle() <= cycle) {
                 const auto purged = applyFaultEvents(cycle);
-                // Sync the compiled table with the grown masks before
-                // any route query (handleDropped checks injection
-                // routability): only rows touching the newly dead
-                // channels are rewritten.
-                for (const topo::ChannelId c :
-                     injector.takeNewlyDeadChannels())
-                    table.filterDeadChannel(c);
+                // The degraded relation answers for the grown masks;
+                // empty the table before any route query (handleDropped
+                // checks injection routability) so its rows refill from
+                // those answers.
+                table.forgetRows();
                 handleDropped(purged, cycle);
                 dropDeadQueuedPackets();
                 // From here on route compute reports dead ends for
@@ -730,8 +731,10 @@ Simulator::run()
         result.protocolPeakOccupancy = proto->peakOccupancy;
         result.protocolDeadlock = forensicsDump.protocolDeadlock;
     }
-    table.addCalls(dom.vcAlloc.routeCalls());
-    result.routeComputeCalls = table.calls();
+    // Each caller counts its own route queries; a sharded run has
+    // already added its shards' allocators.
+    result.routeComputeCalls += dom.vcAlloc.routeCalls() + routeQueries
+        + forensicsDump.routeQueries;
     result.routeTableCompiled = table.compiled();
     result.routeTablePerSource = table.perSource();
     result.routeTableBytes = table.tableBytes();

@@ -312,6 +312,9 @@ class Simulator
 
     /** @name Fault path (all no-ops when the FaultPlan is empty)
      *  @{ */
+    /** True when both endpoints live and the injection channel has a
+     *  route candidate (counts its route query). */
+    bool reinjectable(const PacketRec &pkt);
     /** Classify purged packets: schedule a source retransmit with
      *  capped exponential backoff, or declare them lost. */
     void handleDropped(const std::vector<std::uint32_t> &purged,
@@ -342,8 +345,8 @@ class Simulator
     const cdg::RoutingRelation &effective;
 
     /** Route table over `effective` — every route-compute call site
-     *  queries this. Fault events filter its filled rows in place,
-     *  keeping it exactly equal to the degraded virtual view. */
+     *  queries this. Fault events empty its rows, which refill from
+     *  the degraded view. */
     routing::RouteTable table;
 
     Fabric fab;
@@ -397,6 +400,9 @@ class Simulator
     std::uint64_t faultCheckCleanCount = 0;
     /** Stranded-packet scan cadence (cycles). */
     std::uint64_t strandedPeriod = 0;
+    /** Route queries of the fault path (routability checks, stranded
+     *  scans); the VC allocators and the forensic dump count theirs. */
+    std::uint64_t routeQueries = 0;
     /** @} */
 
     std::function<bool()> abortCheck;

@@ -50,8 +50,8 @@ VcAllocator::allocate(const Down &down, ActiveSet &active,
         bool any_candidate = false;
         ++routeCallCount;
         for (topo::ChannelId c :
-             route.candidatesViewUncounted(vc.self, vc.atNode, pkt.src,
-                                           pkt.dest, scratch)) {
+             route.candidatesView(vc.self, vc.atNode, pkt.src, pkt.dest,
+                                  scratch)) {
             any_candidate = true;
             if (proto && !proto->channelAllowed(c, pkt.msgClass))
                 continue;

@@ -101,9 +101,9 @@ class VcAllocator
     /** Current rotating-priority offset (advanced at each allocate). */
     std::size_t offset() const { return vcArbOffset; }
 
-    /** Route-compute queries this allocator made. The table is queried
-     *  uncounted (shard workers share it), and the simulator folds
-     *  this tally into RouteTable::calls() after the run. */
+    /** Route-compute queries this allocator made. The table keeps no
+     *  count (shard workers share it), so the simulator sums every
+     *  allocator's tally into SimResult::routeComputeCalls. */
     std::uint64_t routeCalls() const { return routeCallCount; }
 
     /** Re-derive the rotating offset after skipped cycles. allocate()

@@ -110,9 +110,9 @@ forEachReachable(const topo::Network &net, const Oracle &reach,
 /**
  * Compare the table against `expect` at every reachable state of
  * `reach` (forEachReachable), both views, contents and order. `reach`
- * and `expect` differ only in the fault tests, where rows were filled
- * from the base relation and then filtered: reachability is the base
- * closure, expectation the degraded relation.
+ * and `expect` differ only in the fault tests, where the table serves
+ * a degraded view: reachability is the base closure, expectation the
+ * degraded relation.
  *
  * At every state the relation's candidatesInto() also fills a buffer
  * that already holds stale channels; the result must equal
@@ -504,45 +504,6 @@ TEST(RouteTable, SourceClassFailureEmptiesRowsFilledBefore)
               rel.candidates(hop0, at0, 5, dest));
 }
 
-TEST(RouteTable, FaultFilterMatchesDegradedRelation)
-{
-    const auto net = topo::Network::mesh({4, 4}, {2, 2});
-    const auto rel = sweep::makeRouter(net, "fig7b");
-    ASSERT_NE(rel, nullptr);
-    RouteTable table(*rel);
-    ASSERT_TRUE(table.compiled());
-    // Fill every reachable row before the fault, as a run that has
-    // touched them all would have.
-    const auto reach = relationOracle(*rel);
-    expectTableMatches(table, net, reach, reach);
-
-    // Kill every channel of two physical links, one at a time, the way
-    // the simulator drains FaultInjector::takeNewlyDeadChannels().
-    std::set<topo::ChannelId> dead;
-    for (const topo::LinkId l : {topo::LinkId{3}, topo::LinkId{11}}) {
-        for (int v = 0; v < net.vcsOnLink(l); ++v) {
-            const topo::ChannelId c = net.channel(l, v);
-            dead.insert(c);
-            table.filterDeadChannel(c);
-        }
-    }
-
-    // Reachability is the BASE closure (rows were filled pre-fault);
-    // the expected contents are the degraded relation's — the same
-    // order-preserving filter FaultedRelationView applies.
-    const auto degraded = [&](topo::ChannelId in, topo::NodeId at,
-                              topo::NodeId src, topo::NodeId dest) {
-        auto out = rel->candidates(in, at, src, dest);
-        out.erase(std::remove_if(out.begin(), out.end(),
-                                 [&](topo::ChannelId c) {
-                                     return dead.count(c) != 0;
-                                 }),
-                  out.end());
-        return out;
-    };
-    expectTableMatches(table, net, reach, degraded);
-}
-
 /** The base relation minus a growing set of dead channels, in order:
  *  what FaultedRelationView serves as fault events accumulate. */
 class DegradedView final : public cdg::RoutingRelation
@@ -579,14 +540,49 @@ class DegradedView final : public cdg::RoutingRelation
     const cdg::RoutingRelation &base;
 };
 
+/** Every channel of physical link `l` joins the view's dead set, then
+ *  the table forgets its rows, as the simulator does at a fault event. */
+void
+killLink(const topo::Network &net, DegradedView &view,
+         const RouteTable &table, topo::LinkId l)
+{
+    for (int v = 0; v < net.vcsOnLink(l); ++v)
+        view.dead.insert(net.channel(l, v));
+    table.forgetRows();
+}
+
+TEST(RouteTable, FaultFilterMatchesDegradedRelation)
+{
+    const auto net = topo::Network::mesh({4, 4}, {2, 2});
+    const auto rel = sweep::makeRouter(net, "fig7b");
+    ASSERT_NE(rel, nullptr);
+    DegradedView view(*rel);
+    const RouteTable table(view);
+    ASSERT_TRUE(table.compiled());
+    // Fill every reachable row before the fault, as a run that has
+    // touched them all would have.
+    const auto reach = relationOracle(*rel);
+    const auto degraded = relationOracle(view);
+    expectTableMatches(table, net, reach, degraded);
+
+    // Two faults, one physical link each. Reachability is the BASE
+    // closure (rows were filled pre-fault); after each fault every row
+    // must hold the degraded relation's answer, none a stale one.
+    for (const topo::LinkId l : {topo::LinkId{3}, topo::LinkId{11}}) {
+        killLink(net, view, table, l);
+        EXPECT_EQ(table.rowsFilled(), 0u);
+        expectTableMatches(table, net, reach, degraded);
+        EXPECT_TRUE(table.compiled());
+    }
+}
+
 /**
  * Rows filled between fault events: half the sources' rows before the
- * first fault, the rest after it (from the degraded relation), then a
- * second fault whose filter must reach rows of both kinds, through the
- * lists of the directories they name. Run
- * again with a budget the pool runs over between the faults: the rows
- * filled by then are still served, so the second fault must reach them
- * too, while empty rows ask the degraded relation.
+ * first fault, all of them after it (from the degraded relation), then
+ * a second fault whose forget must reach rows of both kinds. Run again
+ * with a budget the pool runs over between the faults: the rows filled
+ * by then are still served until the second fault empties them, after
+ * which every query asks the degraded relation.
  */
 TEST(RouteTable, FaultFilterReachesRowsFilledAfterTheFirstFault)
 {
@@ -597,25 +593,19 @@ TEST(RouteTable, FaultFilterReachesRowsFilledAfterTheFirstFault)
     // Table bytes after the first and the second walk.
     const auto run = [&](std::uint64_t budget) {
         DegradedView view(*rel);
-        RouteTable table(view, RouteTable::Options{true, budget});
-        const auto kill = [&](topo::LinkId l) {
-            for (int v = 0; v < net.vcsOnLink(l); ++v) {
-                const topo::ChannelId c = net.channel(l, v);
-                view.dead.insert(c);
-                table.filterDeadChannel(c);
-            }
-        };
+        const RouteTable table(view, RouteTable::Options{true, budget});
         const auto degraded = relationOracle(view);
 
         expectTableMatches(table, net, reach, degraded, net.numNodes() / 2);
         const std::size_t beforeFault = table.rowsFilled();
         const std::uint64_t firstBytes = table.tableBytes();
-        kill(topo::LinkId{3});
+        killLink(net, view, table, topo::LinkId{3});
         expectTableMatches(table, net, reach, degraded);
         EXPECT_GT(table.rowsFilled(), beforeFault) << budget;
         const std::uint64_t secondBytes = table.tableBytes();
-        kill(topo::LinkId{11});
-        kill(topo::LinkId{20});
+        killLink(net, view, table, topo::LinkId{11});
+        killLink(net, view, table, topo::LinkId{20});
+        EXPECT_EQ(table.rowsFilled(), 0u) << budget;
         expectTableMatches(table, net, reach, degraded);
         EXPECT_EQ(table.compiled(), secondBytes != 0) << budget;
         return std::pair{firstBytes, secondBytes};
@@ -876,18 +866,78 @@ TEST(RouteTable, ElevatorFirstCompilesPerSource)
     }
 }
 
+/**
+ * routeComputeCalls is the callers' own tally of route queries: the VC
+ * allocators', the fault path's and the forensic dump's. The table
+ * keeps none, and a table-off run asks the relation at each of those
+ * queries, so table-on and table-off runs report the same count. One
+ * faulted run, and the watchdog-deadlocked run of the
+ * forensics_deadlock CLI golden (Minimal on a 4x4 torus at 0.6), whose
+ * dump queries the table for every unrouted head.
+ */
 TEST(RouteTable, DisabledTableCountsCalls)
 {
-    const auto net = topo::Network::mesh({4, 4}, {1, 1});
-    const routing::DimensionOrderRouting rel =
-        routing::DimensionOrderRouting::xy(net);
-    const RouteTable table(rel, RouteTable::Options{false, 1ull << 30});
-    EXPECT_FALSE(table.compiled());
-    EXPECT_EQ(table.fallback(), RouteTable::Fallback::Disabled);
-    std::vector<topo::ChannelId> scratch;
-    (void)table.candidatesView(kInjectionChannel, 0, 0, 5, scratch);
-    (void)table.candidatesView(kInjectionChannel, 0, 0, 6, scratch);
-    EXPECT_EQ(table.calls(), 2u);
+    const auto bothWays = [](const topo::Network &net,
+                             const cdg::RoutingRelation &rel,
+                             sim::SimConfig cfg) {
+        const sim::TrafficGenerator gen(net, sim::TrafficPattern::Uniform);
+        cfg.routeTable = true;
+        const auto onTable = sim::runSimulation(net, rel, gen, cfg);
+        cfg.routeTable = false;
+        const auto onVirtual = sim::runSimulation(net, rel, gen, cfg);
+        EXPECT_TRUE(onTable.routeTableCompiled) << rel.name();
+        EXPECT_FALSE(onVirtual.routeTableCompiled) << rel.name();
+        EXPECT_GT(onTable.routeComputeCalls, 0u) << rel.name();
+        EXPECT_EQ(onTable.routeComputeCalls, onVirtual.routeComputeCalls)
+            << rel.name();
+        return onTable;
+    };
+
+    const auto mesh = topo::Network::mesh({4, 4}, {2, 2});
+    const auto fig7b = sweep::makeRouter(mesh, "fig7b");
+    ASSERT_NE(fig7b, nullptr);
+    sim::SimConfig faulted;
+    faulted.warmupCycles = 200;
+    faulted.measureCycles = 800;
+    faulted.drainCycles = 8000;
+    faulted.injectionRate = 0.1;
+    faulted.faults.randomLinkFaults = 3;
+    faulted.faults.randomRouterFaults = 1;
+    faulted.faults.firstCycle = 300;
+    faulted.faults.spacing = 100;
+    const auto f = bothWays(mesh, *fig7b, faulted);
+    EXPECT_GT(f.faultEventsApplied, 0u);
+    EXPECT_GT(f.packetsRetransmitted, 0u);
+
+    const auto torus = topo::Network::torus({4, 4}, {1, 1});
+    const auto minimal = sweep::makeRouter(torus, "minimal");
+    ASSERT_NE(minimal, nullptr);
+    sim::SimConfig wedged;
+    wedged.measureCycles = 4000;
+    wedged.warmupCycles = 1000;
+    wedged.drainCycles = 40000;
+    wedged.watchdogCycles = 500;
+    wedged.injectionRate = 0.6;
+    const auto d = bothWays(torus, *minimal, wedged);
+    ASSERT_TRUE(d.deadlocked);
+
+    // The dump's queries are in the count: the same run cut off by a
+    // cycle limit right after the freeze, under a watchdog too long to
+    // fire, counts exactly the dump's queries fewer.
+    const sim::TrafficGenerator gen(torus, sim::TrafficPattern::Uniform);
+    sim::Simulator frozen(torus, *minimal, gen, wedged);
+    (void)frozen.run();
+    std::uint64_t dumpQueries = 0;
+    for (const sim::BlockedVc &b : frozen.forensics().blocked)
+        dumpQueries += !b.routed && !b.waitingOn.empty();
+    ASSERT_GT(dumpQueries, 0u);
+    wedged.watchdogCycles = 1000000;
+    sim::Simulator cut(torus, *minimal, gen, wedged);
+    cut.setCycleLimit(d.cycles + 1);
+    const auto c = cut.run();
+    ASSERT_TRUE(c.aborted);
+    ASSERT_FALSE(c.deadlocked);
+    EXPECT_EQ(d.routeComputeCalls, c.routeComputeCalls + dumpQueries);
 }
 
 /** A result's JSON with the route-table fields masked: all that may
@@ -1140,8 +1190,8 @@ TEST(RouteTable, ConcurrentFillsServeTheRelation)
                         std::this_thread::yield();
                     for (std::size_t k = 0; k < n; ++k) {
                         const Query &q = queries[(start + k) % n];
-                        const auto got = table.candidatesViewUncounted(
-                            q.in, q.at, q.src, q.dest, scratch);
+                        const auto got = table.candidatesView(q.in, q.at, q.src,
+                                                       q.dest, scratch);
                         if (!std::equal(got.begin(), got.end(),
                                         q.want.begin(), q.want.end()))
                             wrong.fetch_add(1);
@@ -1262,9 +1312,8 @@ TEST(RouteTable, LazyRowsMatchEagerRowsAndVirtualRuns)
         forEachReachable(f.net, relationOracle(*rel),
                          [&](topo::ChannelId in, topo::NodeId at,
                              topo::NodeId src, topo::NodeId dest) {
-                             (void)eagerSim.routeTable()
-                                 .candidatesViewUncounted(in, at, src,
-                                                          dest, scratch);
+                             (void)eagerSim.routeTable().candidatesView(
+                                 in, at, src, dest, scratch);
                          });
         const auto eager = eagerSim.run();
 
