@@ -61,7 +61,8 @@ struct SimResult;
  * Run `sim` over `shards` (>= 2, already resolved via
  * resolveShardCount) spatial shards: every cycle, in order, across all
  * shards, with a barrier between cycles. Sets result.wakeups and the
- * deadlock verdict; returns the final cycle.
+ * deadlock verdict and adds the shards' route queries to
+ * result.routeComputeCalls; returns the final cycle.
  *
  * @throws std::invalid_argument on a malformed EBDA_SHARD_THREADS.
  */
