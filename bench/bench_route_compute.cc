@@ -2,7 +2,8 @@
  * @file
  * Microbenchmark for the route table (src/routing/route_table): table
  * lookups vs virtual-dispatch route compute on the benches' standard
- * 8x8, 2-VC mesh. Each row reports the table's rows, its bytes once
+ * 8x8, 2-VC mesh. Each row reports the source classes its rows are
+ * keyed by, the table's rows, its bytes once
  * every reachable row is filled, the distinct candidate lists its node
  * directories then hold (most at one node, and in total), the
  * constructor's sizing time, and the first-touch cost per row (the
@@ -10,8 +11,8 @@
  * it filled) next to the steady-state ns per call. A fixed
  * latency-sweep point is timed with the table on and off, with the rows
  * that run filled. A sizing check constructs, without querying, the
- * tables of two large fabrics: 32x32 fig7b and a 48x48 EbDa scheme
- * with 1,2 VCs.
+ * tables of three large fabrics: 32x32 fig7b, a 48x48 EbDa scheme
+ * with 1,2 VCs and 16x16 Odd-Even with 2 VCs (one class per column).
  *
  * This binary is also a correctness smoke test and exits non-zero when
  *  - any table lookup differs from the virtual relation on a reachable
@@ -172,7 +173,7 @@ struct RelationRow
 {
     std::string spec;
     std::size_t states = 0;
-    bool perSource = false;
+    std::size_t sourceClasses = 0;
     std::size_t rows = 0;
     std::size_t rowsFilled = 0;
     std::uint64_t tableBytes = 0;
@@ -205,7 +206,7 @@ benchRelation(const topo::Network &net, const std::string &spec)
     row.states = states.size();
 
     const routing::RouteTable table(*rel);
-    row.perSource = table.perSource();
+    row.sourceClasses = table.sourceClasses();
     row.rows = table.rowCount();
     row.compileMs = static_cast<double>(table.compileNanos()) / 1e6;
 
@@ -394,9 +395,10 @@ benchMain()
     std::printf("one-byte rows (%zu B each) naming lists in per-node "
                 "directories\n",
                 routing::RouteTable::kRowBytes);
-    std::printf("%-10s %8s %8s %8s %10s %6s %6s %10s %12s %12s %12s %8s "
-                "%7s %7s\n",
-                "router", "states", "rows", "filled", "bytes", "lists",
+    std::printf("%-10s %8s %7s %8s %8s %10s %6s %6s %10s %12s %12s %12s "
+                "%8s %7s %7s\n",
+                "router", "states", "classes", "rows", "filled", "bytes",
+                "lists",
                 "/node", "compile", "first-touch", "virtual", "table",
                 "speedup", "v-alloc", "t-alloc");
     for (const char *spec : specs) {
@@ -405,9 +407,10 @@ benchMain()
         pass = pass && r.match && r.tableAllocs == 0
             && r.virtualAllocs == 0;
         std::printf(
-            "%-10s %8zu %8zu %8zu %10llu %6zu %6zu %7.2f ms %9.1f ns "
+            "%-10s %8zu %7zu %8zu %8zu %10llu %6zu %6zu %7.2f ms %9.1f ns "
             "%9.1f ns %9.1f ns %7.1fx %7llu %7llu%s\n",
-            r.spec.c_str(), r.states, r.rows, r.rowsFilled,
+            r.spec.c_str(), r.states, r.sourceClasses, r.rows,
+            r.rowsFilled,
             static_cast<unsigned long long>(r.tableBytes), r.lists,
             r.maxListsPerNode, r.compileMs,
             r.firstTouchNsPerFill, r.virtualNsPerCall, r.tableNsPerCall,
@@ -435,6 +438,9 @@ benchMain()
     sizing.push_back(sizeTable("mesh48x48_vc1,2",
                                topo::Network::mesh({48, 48}, {1, 2}),
                                "ebda:{X1+ Y1+ Y1-} -> {X1- Y2+ Y2-}"));
+    sizing.push_back(sizeTable("mesh16x16_vc2",
+                               topo::Network::mesh({16, 16}, {2, 2}),
+                               "odd-even"));
     std::printf("\nsizing under the default %llu-byte budget "
                 "(constructed, not queried):\n",
                 static_cast<unsigned long long>(
@@ -455,7 +461,7 @@ benchMain()
         const RelationRow &r = rows[i];
         json << (i ? "," : "") << "{\"spec\":\"" << r.spec << "\""
              << ",\"states\":" << r.states
-             << ",\"per_source\":" << (r.perSource ? "true" : "false")
+             << ",\"source_classes\":" << r.sourceClasses
              << ",\"rows\":" << r.rows
              << ",\"rows_filled\":" << r.rowsFilled
              << ",\"table_bytes\":" << r.tableBytes

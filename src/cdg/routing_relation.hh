@@ -84,9 +84,8 @@ class RoutingRelation
      * (in, at, dest). The state walk (cdg/state_walk.hh) asks the
      * relation once per (channel, class, destination) and spot-checks
      * the classes. Route tables (routing/route_table.hh) key their rows
-     * by (channel, destination) when every source has one class,
-     * checking each row's first fill against a second source, and by
-     * (channel, source, destination) otherwise.
+     * by (channel, class, destination), checking each row's first fill
+     * against a second source of the class when it has one.
      *
      * Source-independent relations return 0; Odd-Even returns the
      * source column. The default, one class per source, is always

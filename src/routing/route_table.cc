@@ -5,6 +5,10 @@
 #include <limits>
 #include <new>
 
+#include <sys/mman.h>
+
+#include "util/logging.hh"
+
 namespace ebda::routing {
 
 RouteTable::RouteTable(const cdg::RoutingRelation &relation,
@@ -18,15 +22,29 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
         return;
     }
     const auto t0 = std::chrono::steady_clock::now();
-    // One source class collapses the source axis; more key the rows
-    // per source.
-    for (topo::NodeId src = 1; src < numNodes && !wide; ++src)
-        wide = rel.srcClass(src) != rel.srcClass(0);
-    const std::size_t chanRows = wide
-        ? numChannels * numNodes * numNodes
-        : numChannels * numNodes;
-    injBase = chanRows;
-    const std::size_t rowTotal = chanRows + numNodes * numNodes;
+    // Number the classes in order of their first source.
+    constexpr topo::NodeId kNone = topo::kInvalidId;
+    std::vector<topo::NodeId> indexOf(numNodes, kNone);
+    srcRow = std::make_unique_for_overwrite<std::size_t[]>(numNodes);
+    classEnds = std::make_unique_for_overwrite<ClassEnds[]>(numNodes);
+    for (topo::NodeId src = 0; src < numNodes; ++src) {
+        const topo::NodeId c = rel.srcClass(src);
+        EBDA_ASSERT(c < numNodes, "srcClass out of range");
+        if (indexOf[c] == kNone) {
+            indexOf[c] = static_cast<topo::NodeId>(numClasses++);
+            classEnds[indexOf[c]] = {{src, kNone}, {src, kNone}};
+        } else {
+            ClassEnds &e = classEnds[indexOf[c]];
+            if (e.first[1] == kNone)
+                e.first[1] = src;
+            e.last[1] = e.last[0];
+            e.last[0] = src;
+        }
+        srcRow[src] = static_cast<std::size_t>(indexOf[c]) * numNodes;
+    }
+    classStride = numClasses * numNodes;
+    injBase = numChannels * classStride;
+    const std::size_t rowTotal = injBase + numNodes * numNodes;
     // Rows and directory slots are reserved whole; the pool takes what
     // the budget leaves.
     const std::uint64_t fixedBytes =
@@ -50,10 +68,13 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
         poolEnd = static_cast<std::size_t>(std::min<std::uint64_t>(
             {(opts.memoryBudgetBytes - fixedBytes) / sizeof(topo::ChannelId),
              poolCap, std::numeric_limits<std::uint32_t>::max()}));
-        rows.reset(static_cast<std::uint8_t *>(
-            std::calloc(rowTotal, kRowBytes)));
-        if (!rows)
+        const std::size_t rowBytes = rowTotal * kRowBytes;
+        void *mapped = mmap(nullptr, rowBytes, PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (mapped == MAP_FAILED)
             throw std::bad_alloc();
+        rows = std::unique_ptr<std::uint8_t[], Unmap>(
+            static_cast<std::uint8_t *>(mapped), Unmap{rowBytes});
         slots = std::make_unique_for_overwrite<std::uint64_t[]>(
             numNodes * (kMaxListsPerNode + 1));
         listsAt = std::make_unique<std::uint8_t[]>(numNodes);
@@ -65,6 +86,12 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
+}
+
+void
+RouteTable::Unmap::operator()(std::uint8_t *p) const
+{
+    munmap(p, bytes);
 }
 
 std::uint64_t
@@ -113,15 +140,16 @@ topo::NodeId
 RouteTable::probeSource(topo::NodeId at, topo::NodeId src,
                         topo::NodeId dest) const
 {
-    // The walk's rule for a class holding every source: the current
-    // node, else the first source bound for dest, else the last.
-    if (at != src)
+    // The walk's rule: the current node when it is another source of
+    // the class, else the class's first source bound for dest, else its
+    // last.
+    if (at != src && srcRow[at] == srcRow[src])
         return at;
-    const topo::NodeId first = dest == 0 ? 1 : 0;
+    const ClassEnds &e = classEnds[srcRow[src] / numNodes];
+    const topo::NodeId first = e.first[0] != dest ? e.first[0] : e.first[1];
     if (first != src)
         return first;
-    return static_cast<topo::NodeId>(dest == numNodes - 1 ? numNodes - 2
-                                                          : numNodes - 1);
+    return e.last[0] != dest ? e.last[0] : e.last[1];
 }
 
 CandidateSpan
@@ -149,11 +177,11 @@ RouteTable::fillRow(topo::ChannelId in, topo::NodeId at, topo::NodeId src,
         if (k == kEmptyRow)
             return CandidateSpan{scratch.data(), scratch.size()};
         answer = listAt(at, k);
-        // A narrow row serves every source: check a second one before
-        // publishing. Its answer lands in scratch; this query's is in
-        // the directory.
+        // A row serves every source of its class: check a second one
+        // before publishing. Its answer lands in scratch; this query's
+        // is in the directory.
         bool sourcesAgree = true;
-        if (!wide && in != cdg::kInjectionChannel) {
+        if (in != cdg::kInjectionChannel) {
             const topo::NodeId p = probeSource(at, src, dest);
             if (p != src) {
                 rel.candidatesInto(in, at, p, dest, scratch);

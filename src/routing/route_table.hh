@@ -7,10 +7,14 @@
  * Every EbDa-style relation is a pure function of (input channel,
  * current node, source, destination); the current node is itself
  * determined by the input channel (the head of `in`, or the source for
- * injection queries), so the whole relation fits in a table keyed by
- * (in, dest) — widened to (in, src, dest) when the relation's sources
- * fall into more than one class (RoutingRelation::srcClass(), e.g.
- * Odd-Even's source columns).
+ * injection queries), and the relation reads the source only through
+ * its class (RoutingRelation::srcClass()), so the whole relation fits
+ * in a table keyed by (in, class, dest).
+ *
+ * Class index: the constructor numbers the distinct srcClass() values
+ * 0..K-1 in order of their first source. A source-independent relation
+ * has K = 1, Odd-Even one class per source column, and a relation that
+ * declares nothing one per source (K = N).
  *
  * Layout: a row is one byte. 0 means empty; k means the k-th list in
  * the directory of the querying node (`at`, which the hot path already
@@ -23,13 +27,20 @@
  * states). The two-hop full mesh needs about two per destination (29
  * on 16 nodes). This is the shape InfiniBand subnet managers program:
  * per-switch forwarding tables plus SL-to-VL tables.
- *  - narrow: row(in, dest)       = in * N + dest, then an injection
- *    block at C * N keyed (src, dest) — injection candidates depend on
- *    the source because the source IS the current node there;
- *  - wide:   row(in, src, dest)  = (in * N + src) * N + dest, injection
- *    block at C * N * N.
+ *  - row(in, src, dest) = (in * K + class(src)) * N + dest, computed as
+ *    in * K * N plus a per-source row offset class(src) * N, so the
+ *    class costs one load that does not wait on the row;
+ *  - then an injection block at C * K * N keyed (src, dest): an
+ *    injection row's byte names a list in the source's own directory.
  * A directory has 255 slots, one per nonzero row byte, each the
  * {begin, len} of one list in the shared candidate pool.
+ *
+ * Rows come from an anonymous mmap, released with munmap: a page of
+ * rows is faulted in, zeroed, only when a query first touches it. From
+ * the heap, a long-lived process that has freed such a block (glibc's
+ * dynamic mmap threshold then sits past the rows' size) would zero
+ * every row at every setup: 7.9 MB for 16x16 Odd-Even, 7.1-8.6 ms of a
+ * setup that takes 1.3 ms with mapped rows.
  *
  * Filling: the constructor only sizes the rows. The first query of a
  * row asks the relation with the querying packet's real source, finds
@@ -42,14 +53,15 @@
  * Elevator-First on phases its own packets never enter). Rows nobody
  * queries stay empty and cost no relation call.
  *
- * Source classes: a narrow row serves every source, which the
- * relation's one-class declaration promises is sound. Before a narrow
- * row is stored it is checked against a second source, chosen as the
- * checkers' state walk chooses its spot-check probe (cdg/state_walk.hh):
- * the current node, or the first or last other source when the current
- * node is the packet's own. A mismatch proves the declaration false and
- * sends the rest of the run to the relation. Injection rows and wide
- * rows are keyed by the real source and need no check.
+ * Source classes: a row serves every source of its class, which the
+ * relation's declaration promises is sound. Before a row of a class
+ * with two or more sources is stored, it is checked against another
+ * source of the class, chosen by the state walk's probe rule
+ * (cdg/state_walk.cc): the current node when it is another source of
+ * the class, else the class's first other source bound for dest, else
+ * its last. A mismatch proves the declaration false and sends the rest
+ * of the run to the relation. Injection rows are keyed by the real
+ * source and need no check, nor do the rows of a one-source class.
  *
  * Threads: a fill holds the lock of its destination's stripe (one of
  * kStripes, by dest) with the relation call inside it, since the
@@ -72,10 +84,9 @@
  * every query to the virtual relation. Mid-run, a fill that would take
  * the pool over the budget, or give a node a 256th list, stops
  * filling: rows already filled stay served lock-free, and queries of
- * empty rows ask the relation under their stripe's lock. A narrow fill
- * whose second source disagrees proves the rows' keying wrong: it
- * empties all rows (forgetRows()), so every later query asks the
- * relation.
+ * empty rows ask the relation under their stripe's lock. A fill whose
+ * second source disagrees proves the rows' keying wrong: it empties
+ * all rows (forgetRows()), so every later query asks the relation.
  *
  * Forgetting: the table knows nothing of faults; it serves whatever
  * its relation answers. When those answers change (a fault event grows
@@ -90,7 +101,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -175,8 +185,10 @@ class RouteTable
         return state.load(std::memory_order_relaxed);
     }
 
-    /** True when rows are keyed per source. */
-    bool perSource() const { return wide; }
+    /** Source classes K the rows are keyed by: 1 for a
+     *  source-independent relation, N when the relation declares none
+     *  (0 on a disabled table). */
+    std::size_t sourceClasses() const { return numClasses; }
 
     /** Bytes held: the rows (one each) and the directories' slots,
      *  both reserved whole, plus the pool's lists. 0 on any fallback:
@@ -290,9 +302,7 @@ class RouteTable
         if (in == cdg::kInjectionChannel)
             return injBase + static_cast<std::size_t>(src) * numNodes
                 + dest;
-        if (!wide)
-            return static_cast<std::size_t>(in) * numNodes + dest;
-        return (static_cast<std::size_t>(in) * numNodes + src) * numNodes
+        return static_cast<std::size_t>(in) * classStride + srcRow[src]
             + dest;
     }
 
@@ -310,8 +320,9 @@ class RouteTable
                                const std::vector<topo::ChannelId> &list)
         const;
 
-    /** The second source a narrow fill at (at, dest) by `src` is
-     *  checked against, or src when there is none. */
+    /** The second source a fill at (at, dest) by `src` is checked
+     *  against: another source of src's class, or src when the class
+     *  has no other source bound for dest. */
     topo::NodeId probeSource(topo::NodeId at, topo::NodeId src,
                              topo::NodeId dest) const;
 
@@ -320,24 +331,32 @@ class RouteTable
     std::size_t numNodes;
     std::size_t numChannels;
 
-    bool wide = false;
+    /** K, and the rows one input channel spans: K * N. */
+    std::size_t numClasses = 0;
+    std::size_t classStride = 0;
+    /** Per source: its class's row offset, class * N. */
+    std::unique_ptr<std::size_t[]> srcRow;
+    /** Per class: its first two and last two sources (kInvalidId where
+     *  it has fewer), which the probe rule picks from. */
+    struct ClassEnds
+    {
+        topo::NodeId first[2];
+        topo::NodeId last[2];
+    };
+    std::unique_ptr<ClassEnds[]> classEnds;
     std::size_t injBase = 0;
     std::size_t numRows = 0;
     std::uint64_t compileNs = 0;
 
-    struct FreeDeleter
+    struct Unmap
     {
-        void operator()(void *p) const { std::free(p); }
+        std::size_t bytes;
+        void operator()(std::uint8_t *p) const;
     };
-    /** calloc'd. A fresh mmap'd block's pages are faulted in only when
-     *  a query touches them, but once glibc's dynamic mmap threshold
-     *  has risen past the rows' size (a long-lived process that freed
-     *  such a block), calloc serves them from the heap and zeroes every
-     *  row at every setup: 16x16 Odd-Even keyed by source class (7.9
-     *  MB of rows) set up in 7.1–8.6 ms so, against 1.3 ms with mmap'd
-     *  rows (ROADMAP item 2). forgetRows() stores only into rows that
-     *  hold a list, so it touches no page a query never touched. */
-    std::unique_ptr<std::uint8_t[], FreeDeleter> rows;
+    /** An anonymous mapping (see file doc); forgetRows() stores only
+     *  into rows that hold a list, so it touches no page a query never
+     *  touched. */
+    std::unique_ptr<std::uint8_t[], Unmap> rows;
     /** 256 slots per node (slot 0 unused), slot-major: slot k of every
      *  node, then slot k + 1, so a run that gives each node a few lists
      *  touches a few pages. Reserved uninitialised: a slot is written

@@ -319,7 +319,9 @@ struct SimResult
      *  or filling one; false on any fallback, mid-run ones included
      *  (RouteTable::fallback()). */
     bool routeTableCompiled = false;
-    /** True when the table was widened to per-source rows. */
+    /** True when the table's rows are keyed by more than one source
+     *  class (RouteTable::sourceClasses() > 1: Odd-Even's columns, or
+     *  one class per source for a relation that declares none). */
     bool routeTablePerSource = false;
     /** Table size at the end of the run: rows + the candidate pool of
      *  the rows the run filled (0 on any fallback). */

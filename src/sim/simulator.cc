@@ -736,7 +736,7 @@ Simulator::run()
     result.routeComputeCalls += dom.vcAlloc.routeCalls() + routeQueries
         + forensicsDump.routeQueries;
     result.routeTableCompiled = table.compiled();
-    result.routeTablePerSource = table.perSource();
+    result.routeTablePerSource = table.sourceClasses() > 1;
     result.routeTableBytes = table.tableBytes();
     result.routeTableCompileNanos = table.compileNanos();
     result.packetsMeasured = st.latencyStat.count();
