@@ -24,8 +24,8 @@ Simulator::Simulator(const topo::Network &network,
                     ? static_cast<const cdg::RoutingRelation &>(
                           faultedView)
                     : routing_relation),
-      // Rows filled before a fault event hold the base answer and are
-      // filtered per event; rows filled later ask the degraded view.
+      // Each fault event empties the rows (forgetRows()); they refill
+      // from the degraded view on their next query.
       table(effective, routing::RouteTable::Options{
                            cfg.routeTable, cfg.routeTableBudget}),
       fab(network, cfg), dom(fab, table),

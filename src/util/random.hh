@@ -120,9 +120,10 @@ class Rng
 
     /** @name Raw state access
      *  For block-batched draw engines (sim/event_queue.cc) that advance
-     *  many streams in lockstep and must hand a stream back to / take
-     *  it over from a live Rng without perturbing the sequence. A
-     *  stream restored via setState continues bit-identically.
+     *  many streams in lockstep, one vector lane per stream running
+     *  next()'s recurrence, and must hand a stream back to / take it
+     *  over from a live Rng without perturbing the sequence. A stream
+     *  restored via setState continues bit-identically.
      *  @{ */
     std::array<std::uint64_t, 4>
     state() const

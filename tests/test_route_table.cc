@@ -773,8 +773,9 @@ TEST(RouteTable, TinyBudgetFallsBackToVirtual)
         // the relation exactly for the rows left empty.
         const std::size_t filled = table.rowsFilled();
         EXPECT_LT(filled, keys.size()) << budget;
-        if (budget == fullBytes - 4)
+        if (budget == fullBytes - 4) {
             EXPECT_GT(filled, 0u);
+        }
         recorded.asked.clear();
         std::vector<topo::ChannelId> scratch;
         forEachReachable(

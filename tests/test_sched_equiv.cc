@@ -20,11 +20,14 @@
  * on the full result JSON with the tail stripped, so any new field is
  * automatically covered. The injection engine is also checked on its
  * own: for 0, 1 and 3 helper threads its hit stream and final stream
- * states must equal per-cycle draws of every node's Rng. The last
+ * states must equal per-cycle draws of every node's Rng, and so must
+ * the hit masks and states of each block-pass width the CPU executes
+ * (8, 4 and 1 streams per vector), not only the one it runs. The last
  * cases check that malformed EBDA_SCHED_MODE and EBDA_SHARD_THREADS
  * values are rejected.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -469,8 +472,8 @@ struct DrawnHit
     bool operator==(const DrawnHit &) const = default;
 };
 
-/** 30 nodes: 8 lane groups (two of the lanes padding), 4 lane pairs,
- *  so 3 helpers get uneven slices (1, 1 and 2 pairs). */
+/** 30 nodes: 4 lane groups of 8 (two of the lanes padding), so 3
+ *  helpers get uneven slices (1, 1 and 2 groups). */
 const topo::Network &
 engineNet()
 {
@@ -536,6 +539,10 @@ TEST(InjectionEngine, MatchesPerCycleDrawsForAnyHelperCount)
                 EXPECT_EQ(engine.helpers(), helpers);
                 const auto [hits, states] = drainEngine(engine);
                 EXPECT_EQ(engine.drawnCycles(), drawn);
+                // The padding lanes past the last node draw (and at
+                // 0.2 flag nearly every block) but never hit.
+                for (const DrawnHit &h : hits)
+                    EXPECT_LT(h.node, engineNet().numNodes());
                 EXPECT_TRUE(hits == want)
                     << hits.size() << " hits, want " << want.size();
                 for (std::uint32_t n = 0; n < rngs.size(); ++n)
@@ -545,8 +552,88 @@ TEST(InjectionEngine, MatchesPerCycleDrawsForAnyHelperCount)
     }
 }
 
-/** Helpers beyond one per lane pair would own no streams. */
-TEST(InjectionEngine, HelpersClampToLanePairs)
+/** The block-pass widths this CPU executes; the engine runs the
+ *  widest. */
+std::vector<unsigned>
+executableWidths()
+{
+    std::vector<unsigned> widths{1};
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2"))
+        widths.push_back(4);
+    if (__builtin_cpu_supports("avx512f"))
+        widths.push_back(8);
+#endif
+    return widths;
+}
+
+/** Every width of the block pass against the scalar Rng: hit masks
+ *  and stream states over 2,000 blocks of engineNet's 30 streams and
+ *  its two padding lanes, at thresholds where a lane hits almost
+ *  never, about once in 600 blocks, and in nearly every block. */
+TEST(InjectionEngine, EveryBlockPassWidthMatchesTheScalarRng)
+{
+    constexpr std::size_t kGroups = 4;
+    const auto routers = seededRouters(13);
+    std::vector<Rng> seeds;
+    for (const auto &r : routers)
+        seeds.push_back(r.rng);
+    SplitMix64 filler(99);
+    while (seeds.size() < 8 * kGroups) {
+        Rng pad(0);
+        pad.setState({filler.next(), filler.next(), filler.next(),
+                      filler.next()});
+        seeds.push_back(pad);
+    }
+    const double two53 = 9007199254740992.0;
+    for (const std::uint64_t thr :
+         {std::uint64_t{1},
+          static_cast<std::uint64_t>(std::ceil(2.5e-5 * two53)),
+          static_cast<std::uint64_t>(std::ceil(0.2 * two53))}) {
+        for (const unsigned width : executableWidths()) {
+            SCOPED_TRACE(::testing::Message()
+                         << "thr " << thr << " width " << width);
+            std::vector<Rng> want = seeds;
+            std::vector<sim::Lanes8> groups(kGroups);
+            for (std::size_t n = 0; n < want.size(); ++n)
+                for (int w = 0; w < 4; ++w)
+                    groups[n / 8].s[w][n % 8] = want[n].state()[w];
+            std::size_t flagged = 0;
+            std::size_t pad_flagged = 0;
+            for (int block = 0; block < 2000; ++block) {
+                for (std::size_t g = 0; g < kGroups; ++g) {
+                    unsigned mask = 0;
+                    for (unsigned i = 0; i < 8; ++i)
+                        for (int b = 0; b < 64; ++b)
+                            if ((want[8 * g + i].next() >> 11) < thr)
+                                mask |= 1u << i;
+                    const unsigned got =
+                        sim::detail::injectionBlockPass(width, groups[g],
+                                                        thr);
+                    ASSERT_EQ(got, mask) << "block " << block << " group "
+                                         << g;
+                    flagged += static_cast<std::size_t>(
+                        __builtin_popcount(mask));
+                    if (g + 1 == kGroups)
+                        pad_flagged += (mask >> 6) != 0;
+                }
+            }
+            for (std::size_t n = 0; n < want.size(); ++n)
+                for (int w = 0; w < 4; ++w)
+                    EXPECT_EQ(groups[n / 8].s[w][n % 8], want[n].state()[w])
+                        << "lane " << n;
+            EXPECT_EQ(flagged > 0, thr > 1);
+            // The padding lanes draw like any other: in nearly every
+            // block at 0.2, where the engine must still drop them.
+            if (thr > two53 / 8) {
+                EXPECT_GT(pad_flagged, 1000u);
+            }
+        }
+    }
+}
+
+/** Helpers beyond one per lane group would own no streams. */
+TEST(InjectionEngine, HelpersClampToLaneGroups)
 {
     const sim::TrafficGenerator gen(engineNet(),
                                     sim::TrafficPattern::Uniform);
