@@ -339,7 +339,8 @@ const RunDefaults kProtocolRun{"xy", "2,2", 0.3, 4000, 1000};
  * after a quarter of that in warmup, with up to ten times that to
  * drain. The command reads its own flags into job.cfg first, so every
  * flag has been read before the Theorem 1 verdict and main's
- * unread-option check never fires on a run that stopped early.
+ * unread-option check never fires on a run that stopped early; the
+ * complete job is then finalized, which gives it its sweep cache key.
  * Returns 0; 1 after reporting a scheme Theorem 1 rejects; 2 after
  * reporting bad input.
  */
@@ -382,17 +383,20 @@ jobFromArgs(const Args &args, const RunDefaults &d, sweep::SweepJob &job)
             return 1;
         }
     }
+    sweep::finalizeJob(job);
     return 0;
 }
 
-/** The run commands' --json document: the router (or scheme), the
- *  traffic pattern, the config and the result. */
+/** The run commands' --json document: the job's sweep cache key, the
+ *  router (or scheme), the traffic pattern, the config and the
+ *  result. */
 void
 printRunJson(const char *router_key, const std::string &router,
              const sweep::SweepJob &job, const sim::SimResult &result)
 {
     JsonWriter w;
     w.beginObject();
+    w.field("key", sweep::keyToHex(job.key));
     w.field(router_key, router);
     w.field("pattern", sim::toString(job.pattern));
     w.beginObject("config");
@@ -406,9 +410,9 @@ printRunJson(const char *router_key, const std::string &router,
 }
 
 /** Simulate a scheme's routing; the report ends with the backend that
- *  ran (--sched, sim/scheduler.hh) and its wakeups, then the route
- *  table's filled rows and bytes or the reason it fell back. Exit 1 on
- *  a deadlock or a scheme Theorem 1 rejects. */
+ *  ran (--sched, sim/scheduler.hh), its shard count and wakeups, then
+ *  the route table's filled rows and bytes or the reason it fell back.
+ *  Exit 1 on a deadlock or a scheme Theorem 1 rejects. */
 int
 cmdSimulate(const Args &args)
 {
@@ -455,6 +459,8 @@ cmdSimulate(const Args &args)
               << " flits/node/cycle (offered " << result.offeredRate
               << ")\nchannel load CV: " << result.channelLoadCv
               << "\nbackend: " << sim::toString(result.schedMode) << ", "
+              << result.shards
+              << (result.shards == 1 ? " shard, " : " shards, ")
               << result.wakeups << " wakeups over " << result.cycles
               << " cycles\nroute table: ";
     const routing::RouteTable &table = run.simulator.routeTable();
