@@ -226,6 +226,7 @@ struct EnginePass
     std::uint64_t hits = 0;
     std::uint64_t digest = 0;
     unsigned helpers = 0;
+    sim::InjectionEngine::DrawCounts windows;
 };
 
 EnginePass
@@ -245,6 +246,7 @@ drawEngine(const std::vector<sim::Router> &streams,
         });
     p.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     p.helpers = engine.helpers();
+    p.windows = engine.drawCounts();
     return p;
 }
 
@@ -393,9 +395,12 @@ benchMain()
         && inline_pass.digest == helper_pass.digest;
     std::printf("  engine:     %u draw helper%s (host threads %u): "
                 "inline %.3g draws/s, helpers %.3g draws/s -> %.2fx; "
-                "%llu hits, streams %s\n",
+                "slice-windows drawn by helpers %llu, by the serial loop "
+                "%llu; %llu hits, streams %s\n",
                 helper_pass.helpers, helper_pass.helpers == 1 ? "" : "s",
                 host_threads, inline_rate, helper_rate, engine_speedup,
+                static_cast<unsigned long long>(helper_pass.windows.helper),
+                static_cast<unsigned long long>(helper_pass.windows.serial),
                 static_cast<unsigned long long>(helper_pass.hits),
                 streams_agree ? "identical" : "DIFFER");
     if (!streams_agree)
@@ -460,6 +465,8 @@ benchMain()
          << ",\"engine_inline_draws_per_sec\":" << inline_rate
          << ",\"engine_helper_draws_per_sec\":" << helper_rate
          << ",\"engine_helper_speedup\":" << engine_speedup
+         << ",\"engine_helper_windows\":" << helper_pass.windows.helper
+         << ",\"engine_serial_windows\":" << helper_pass.windows.serial
          << ",\"engine_helper_gate\":\""
          << (engine_gate ? "enforced" : "skipped") << "\""
          << ",\"pass\":" << (pass ? "true" : "false") << "}";

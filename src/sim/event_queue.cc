@@ -250,6 +250,7 @@ InjectionEngine::helperLoop(Slice &slice)
             if (stopping)
                 return;
             w = slice.claimed++;
+            ++counts.helper;
         }
         drawWindow(slice, w);
         {
@@ -285,6 +286,7 @@ InjectionEngine::takeWindow()
                 continue;
             EBDA_ASSERT(slice.drawn == w, "slice window drawn twice");
             slice.claimed = w + 1;
+            ++counts.serial;
         }
         drawWindow(slice, w);
         std::lock_guard<std::mutex> lock(mtx);

@@ -203,6 +203,21 @@ class InjectionEngine
         }
     }
 
+    /** Slice-windows drawn so far by the helper threads and by the
+     *  serial loop (which draws a slice whose helper has not started
+     *  the window, and every slice when there are no helpers): tells
+     *  helpers that never ran from helpers that ran slowly. */
+    struct DrawCounts
+    {
+        std::uint64_t helper = 0;
+        std::uint64_t serial = 0;
+    };
+    DrawCounts drawCounts() const
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        return counts;
+    }
+
     /** Cycles [0, drawnCycles()) have been drawn for every stream. */
     std::uint64_t drawnCycles() const { return frontier; }
 
@@ -272,10 +287,11 @@ class InjectionEngine
 
     /** Hand-off between the serial loop and the helpers: windows
      *  [0, released) may be drawn; each Slice::drawn reports back. */
-    std::mutex mtx;
+    mutable std::mutex mtx;
     std::condition_variable cvStart;
     std::condition_variable cvDone;
     std::uint64_t released = 0;
+    DrawCounts counts;
     bool stopping = false;
     std::vector<std::thread> threads;
 };

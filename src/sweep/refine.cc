@@ -61,9 +61,7 @@ refineSweep(const SweepSpec &spec, const RefineOptions &opts)
     RefineReport report;
     const auto t0 = std::chrono::steady_clock::now();
 
-    RunOptions run = opts.run;
-    // Manifests checkpoint a fixed job list; refine's is dynamic.
-    run.manifest = nullptr;
+    const RunOptions &run = opts.run;
 
     // Initial bracket from the spec's rates axis.
     double lo0 = 0.01, hi0 = 1.0;

@@ -569,8 +569,8 @@ ResultCache::clear(const std::string &dir, std::string *error)
     removeIfPresent(RecordStore::binFile(dir));
     removeIfPresent(RecordStore::indexFile(dir));
     removeIfPresent(cacheFile(dir));
-    // Sweep manifests checkpoint jobs against cached results; they are
-    // meaningless once the cache is gone.
+    // `manifest-*.json` checkpoints that older builds kept next to the
+    // cache; nothing reads them.
     if (fs::exists(dir, ec)) {
         for (const auto &entry : fs::directory_iterator(dir, ec)) {
             const std::string name = entry.path().filename().string();

@@ -140,9 +140,9 @@ class ResultCache
     bool indexRebuilt() const { return store_->indexRebuilt(); }
 
     /** Delete the cache's files — record store, index, legacy JSONL,
-     *  and sweep manifests; a `cache.jsonl.migrated` backup and the
-     *  directory are kept. False + *error when removal failed; missing
-     *  files are success. */
+     *  and `manifest-*.json` files older builds left behind; a
+     *  `cache.jsonl.migrated` backup and the directory are kept.
+     *  False + *error when removal failed; missing files are success. */
     static bool clear(const std::string &dir,
                       std::string *error = nullptr);
 
@@ -205,8 +205,10 @@ class ResultCache
         const std::string &dir, const std::string &inPath,
         std::string *error = nullptr);
 
-    /** Stores per group commit (exposed for tests/benches). */
-    static constexpr std::size_t kGroupCommitRecords = 64;
+    /** Stores per group commit (exposed for tests/benches). Bounds
+     *  what a killed sweep can lose to 31 results: a rerun against the
+     *  same cache re-simulates only those. */
+    static constexpr std::size_t kGroupCommitRecords = 32;
     /** Pending payload bytes that force a commit early. */
     static constexpr std::size_t kGroupCommitBytes = 1u << 20;
 

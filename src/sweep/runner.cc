@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -92,10 +91,6 @@ interrupted(const RunOptions &opts)
            && opts.interruptFlag->load(std::memory_order_relaxed);
 }
 
-/** Save the manifest every this many completions (plus once at the
- *  end), bounding checkpoint loss from a kill to a small window. */
-constexpr std::size_t kManifestSaveInterval = 32;
-
 /** nodes × cycles × rate-pressure prior: the relative cost of a job
  *  nobody has measured yet. The 0.2 floor keeps near-idle jobs from
  *  rounding to free — they still pay warmup/drain. */
@@ -166,24 +161,6 @@ runSweep(const std::vector<SweepJob> &jobs, const RunOptions &opts)
     const double blocked0 =
         opts.cache ? opts.cache->blockedSeconds() : 0.0;
 
-    // Checkpoint bookkeeping: mark a concluded job in the manifest and
-    // periodically persist it together with the cache's pending group
-    // commit, so a kill loses at most a save interval of progress.
-    std::mutex manifestMtx;
-    std::size_t sinceSave = 0;
-    const auto concludeJob = [&](std::size_t i) {
-        if (!opts.manifest)
-            return;
-        std::lock_guard<std::mutex> lock(manifestMtx);
-        opts.manifest->markDone(i);
-        if (++sinceSave >= kManifestSaveInterval) {
-            sinceSave = 0;
-            if (opts.cache)
-                opts.cache->flush();
-            opts.manifest->save();
-        }
-    };
-
     const auto worker = [&](std::size_t i) {
         const SweepJob &job = jobs[i];
         JobOutcome &out = report.outcomes[i];
@@ -204,7 +181,6 @@ runSweep(const std::vector<SweepJob> &jobs, const RunOptions &opts)
                     quarantined.fetch_add(1,
                                           std::memory_order_relaxed);
                 }
-                concludeJob(i);
                 return;
             }
         }
@@ -222,16 +198,9 @@ runSweep(const std::vector<SweepJob> &jobs, const RunOptions &opts)
         out = timedRun(&wall);
         if (!out.ok) {
             failed.fetch_add(1, std::memory_order_relaxed);
-            concludeJob(i);
             return;
         }
-        const auto countRun = [&] {
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            if (opts.runCounter)
-                opts.runCounter->fetch_add(1,
-                                           std::memory_order_relaxed);
-        };
-        countRun();
+        simulated.fetch_add(1, std::memory_order_relaxed);
         // A run cut short by the interrupt flag is a skip, not a
         // verdict about the job — leave the cache alone.
         if (out.result.aborted && interrupted(opts)) {
@@ -254,7 +223,7 @@ runSweep(const std::vector<SweepJob> &jobs, const RunOptions &opts)
                 break;
             out = std::move(again);
             wall = retryWall;
-            countRun();
+            simulated.fetch_add(1, std::memory_order_relaxed);
         }
         if (out.result.deadlocked || out.result.aborted) {
             out.quarantined = true;
@@ -267,12 +236,10 @@ runSweep(const std::vector<SweepJob> &jobs, const RunOptions &opts)
                 opts.cache->storeQuarantine(job.key, job.canonical,
                                             out.result, out.error,
                                             wall);
-            concludeJob(i);
             return;
         }
         if (opts.cache)
             opts.cache->store(job.key, job.canonical, out.result, wall);
-        concludeJob(i);
     };
 
     ThreadPool pool(report.threads);
@@ -283,8 +250,6 @@ runSweep(const std::vector<SweepJob> &jobs, const RunOptions &opts)
 
     if (opts.cache)
         opts.cache->flush();
-    if (opts.manifest)
-        opts.manifest->save();
 
     const auto t1 = std::chrono::steady_clock::now();
     report.elapsedSeconds =

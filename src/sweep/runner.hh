@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cdg/routing_relation.hh"
-#include "sweep/manifest.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_spec.hh"
 
@@ -93,9 +92,6 @@ struct RunOptions
     int threads = 0;
     /** Optional persistent cache (nullptr = always simulate). */
     ResultCache *cache = nullptr;
-    /** Optional counter incremented once per executed simulation
-     *  (test instrumentation). */
-    std::atomic<std::uint64_t> *runCounter = nullptr;
     /** Per-job wall-clock budget in seconds; <= 0 disables. A job
      *  over budget is aborted cooperatively and quarantined. */
     double jobWallClockBudgetSeconds = 0.0;
@@ -119,11 +115,6 @@ struct RunOptions
     /** Job scheduling order (see JobOrder). Never affects results or
      *  the output JSONL, only wall-clock. */
     JobOrder order = JobOrder::CostDescending;
-    /** Optional checkpoint manifest (manifest.hh): the runner marks
-     *  jobs done as they conclude and saves periodically, so a killed
-     *  sweep resumes with exact progress accounting. The caller owns
-     *  loading/removing it. */
-    SweepManifest *manifest = nullptr;
 };
 
 /**

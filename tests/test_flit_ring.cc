@@ -44,8 +44,9 @@ expectEqual(const FlitRing &ring, const std::deque<Flit> &model)
         EXPECT_EQ(ring[k].tail, model[k].tail) << "index " << k;
         EXPECT_EQ(ring[k].arrival, model[k].arrival) << "index " << k;
     }
-    if (!model.empty())
+    if (!model.empty()) {
         EXPECT_EQ(ring.front().pkt, model.front().pkt);
+    }
     // Iterator order must agree with indexed order.
     std::size_t k = 0;
     for (const Flit &f : ring) {

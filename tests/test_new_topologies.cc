@@ -70,9 +70,10 @@ expectStructurallyEqual(const topo::Network &a, const topo::Network &b)
             const auto lb = b.linkBetween(u, v);
             ASSERT_EQ(la.has_value(), lb.has_value())
                 << "link " << u << "->" << v;
-            if (la)
+            if (la) {
                 EXPECT_EQ(a.vcsOnLink(*la), b.vcsOnLink(*lb))
                     << "link " << u << "->" << v;
+            }
         }
 }
 

@@ -27,6 +27,7 @@
  * values are rejected.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
@@ -547,6 +548,15 @@ TEST(InjectionEngine, MatchesPerCycleDrawsForAnyHelperCount)
                     << hits.size() << " hits, want " << want.size();
                 for (std::uint32_t n = 0; n < rngs.size(); ++n)
                     EXPECT_EQ(states[n], rngs[n].state()) << "node " << n;
+                // Every 4096-cycle window is drawn once per slice, by a
+                // helper or by the serial loop; with no helpers, always
+                // by the serial loop.
+                const auto counts = engine.drawCounts();
+                EXPECT_EQ(counts.helper + counts.serial,
+                          (drawn + 4095) / 4096 * std::max(helpers, 1u));
+                if (helpers == 0) {
+                    EXPECT_EQ(counts.helper, 0u);
+                }
             }
         }
     }

@@ -500,15 +500,12 @@ TEST(ResultCache, HitReturnsStoredResultWithoutRerunning)
     const ScratchDir dir("hit");
     const auto jobs = specOrDie(kSpecText).expand();
 
-    std::atomic<std::uint64_t> runs{0};
-
     sweep::ResultCache cold(dir.path);
     sweep::RunOptions opts;
     opts.threads = 2;
     opts.cache = &cold;
-    opts.runCounter = &runs;
     const auto first = sweep::runSweep(jobs, opts);
-    EXPECT_EQ(runs.load(), jobs.size());
+    EXPECT_EQ(first.simulated, jobs.size());
     EXPECT_EQ(first.cacheMisses, jobs.size());
 
     // Fresh cache object, same directory: everything must come back
@@ -517,7 +514,8 @@ TEST(ResultCache, HitReturnsStoredResultWithoutRerunning)
     EXPECT_EQ(warm.entries(), jobs.size());
     opts.cache = &warm;
     const auto second = sweep::runSweep(jobs, opts);
-    EXPECT_EQ(runs.load(), jobs.size()) << "cache hit re-ran a job";
+    EXPECT_EQ(first.simulated + second.simulated, jobs.size())
+        << "cache hit re-ran a job";
     EXPECT_EQ(second.cacheHits, jobs.size());
     EXPECT_EQ(second.simulated, 0u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -1112,19 +1110,17 @@ TEST(SweepHardening, CycleBudgetQuarantinesAfterOneRetry)
     auto jobs = specOrDie(kSpecText).expand();
     jobs.resize(2);
 
-    std::atomic<std::uint64_t> runs{0};
     sweep::ResultCache cold(dir.path);
     sweep::RunOptions opts;
     opts.threads = 2;
     opts.cache = &cold;
-    opts.runCounter = &runs;
     opts.jobCycleBudget = 50; // far below warmup+measure
     opts.watchdogRetries = 1;
 
     const auto first = sweep::runSweep(jobs, opts);
     // Each job runs, trips the budget, retries once (deterministically
     // tripping again) and is quarantined.
-    EXPECT_EQ(runs.load(), 2 * jobs.size());
+    EXPECT_EQ(first.simulated, 2 * jobs.size());
     EXPECT_EQ(first.retried, jobs.size());
     EXPECT_EQ(first.quarantined, jobs.size());
     for (const auto &out : first.outcomes) {
@@ -1157,7 +1153,8 @@ TEST(SweepHardening, CycleBudgetQuarantinesAfterOneRetry)
     EXPECT_EQ(warm.quarantinedEntries(), jobs.size());
     opts.cache = &warm;
     const auto second = sweep::runSweep(jobs, opts);
-    EXPECT_EQ(runs.load(), 2 * jobs.size()) << "quarantined job re-ran";
+    EXPECT_EQ(first.simulated + second.simulated, 2 * jobs.size())
+        << "quarantined job re-ran";
     EXPECT_EQ(second.simulated, 0u);
     EXPECT_EQ(second.quarantined, jobs.size());
     for (const auto &out : second.outcomes) {

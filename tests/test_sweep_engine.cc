@@ -2,9 +2,9 @@
  * @file
  * Fleet-scale sweep-engine tests: binary record store crash recovery
  * (torn tails, lost index appends, index rebuilds), legacy JSONL
- * migration and export/import round-trips, group commit, checkpoint
- * manifests and resume semantics, cost-ordered scheduling determinism,
- * and adaptive knee refinement.
+ * migration and export/import round-trips, group commit, resuming an
+ * interrupted sweep from the cache, cost-ordered scheduling
+ * determinism, and adaptive knee refinement.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include "sim/sim_json.hh"
-#include "sweep/manifest.hh"
 #include "sweep/record_store.hh"
 #include "sweep/refine.hh"
 #include "sweep/result_cache.hh"
@@ -310,52 +309,16 @@ TEST(Migration, ExportRoundTripsByteIdentically)
     // originals (keys are content addresses — they must survive every
     // format hop).
     sweep::ResultCache roundtripped(dir2.path);
-    std::atomic<std::uint64_t> runs{0};
     sweep::RunOptions opts;
     opts.cache = &roundtripped;
-    opts.runCounter = &runs;
     const auto report = sweep::runSweep(jobs, opts);
-    EXPECT_EQ(runs.load(), 0u) << "import lost a cache key";
+    EXPECT_EQ(report.simulated, 0u) << "import lost a cache key";
     EXPECT_EQ(report.cacheHits, jobs.size());
 }
 
-// ---------------------------------------------------- manifest + resume
+// ---------------------------------------------------------------- resume
 
-TEST(Manifest, SaveLoadRoundTripsAndRejectsStale)
-{
-    const ScratchDir dir("manifest");
-    std::filesystem::create_directories(dir.path);
-    const auto jobs = specOrDie(kSpecText).expand();
-    const auto key = sweep::SweepManifest::specKey(jobs);
-
-    sweep::SweepManifest m(dir.path, key, jobs.size());
-    m.markDone(1);
-    m.markDone(5);
-    m.markDone(5); // idempotent
-    EXPECT_EQ(m.completed(), 2u);
-    std::string err;
-    ASSERT_TRUE(m.save(&err)) << err;
-
-    sweep::SweepManifest loaded(dir.path, key, jobs.size());
-    ASSERT_TRUE(loaded.load(&err)) << err;
-    EXPECT_EQ(loaded.completed(), 2u);
-    EXPECT_TRUE(loaded.isDone(1));
-    EXPECT_TRUE(loaded.isDone(5));
-    EXPECT_FALSE(loaded.isDone(0));
-
-    // A different spec key is a different manifest file — nothing to
-    // load; a matching file with a different job count is stale.
-    sweep::SweepManifest otherSpec(dir.path, key ^ 1, jobs.size());
-    EXPECT_FALSE(otherSpec.load(&err));
-    sweep::SweepManifest otherCount(dir.path, key, jobs.size() + 1);
-    EXPECT_FALSE(otherCount.load(&err));
-    EXPECT_NE(err.find("different job count"), std::string::npos) << err;
-
-    m.remove();
-    EXPECT_FALSE(loaded.load(&err));
-}
-
-TEST(Manifest, ResumeSimulatesOnlyIncompleteJobs)
+TEST(Resume, RerunAgainstTheCacheSimulatesOnlyMissingJobs)
 {
     const ScratchDir dir("resume");
     const auto jobs = specOrDie(kSpecText).expand();
@@ -364,9 +327,8 @@ TEST(Manifest, ResumeSimulatesOnlyIncompleteJobs)
     // Reference output: a from-scratch, cache-less run.
     const auto reference = sweep::runSweep(jobs, {});
 
-    // "Killed" sweep: the first 5 jobs completed and were cached, the
-    // manifest checkpointed them, then the process died.
-    const auto key = sweep::SweepManifest::specKey(jobs);
+    // "Killed" sweep: the first 5 jobs completed and were cached, then
+    // the process died.
     {
         sweep::ResultCache cache(dir.path);
         sweep::RunOptions opts;
@@ -375,37 +337,18 @@ TEST(Manifest, ResumeSimulatesOnlyIncompleteJobs)
                                                      jobs.begin() + 5);
         const auto partial = sweep::runSweep(firstFive, opts);
         ASSERT_EQ(partial.failed, 0u);
-        sweep::SweepManifest m(dir.path, key, jobs.size());
-        for (std::size_t i = 0; i < 5; ++i)
-            m.markDone(i);
-        std::string err;
-        ASSERT_TRUE(m.save(&err)) << err;
     }
 
-    // Resume: load the manifest, rerun the full sweep against the
-    // cache. Exactly the 3 incomplete jobs simulate; the final JSONL is
-    // byte-identical to the never-interrupted run.
-    sweep::SweepManifest m(dir.path, key, jobs.size());
-    std::string err;
-    ASSERT_TRUE(m.load(&err)) << err;
-    EXPECT_EQ(m.completed(), 5u);
-
+    // Resume: rerun the full sweep against the cache. Exactly the 3
+    // missing jobs simulate; the final JSONL is byte-identical to the
+    // never-interrupted run.
     sweep::ResultCache cache(dir.path);
-    std::atomic<std::uint64_t> runs{0};
     sweep::RunOptions opts;
     opts.cache = &cache;
-    opts.runCounter = &runs;
-    opts.manifest = &m;
     const auto resumed = sweep::runSweep(jobs, opts);
-    EXPECT_EQ(runs.load(), 3u) << "resume re-simulated a completed job";
+    EXPECT_EQ(resumed.simulated, 3u) << "resume re-simulated a cached job";
     EXPECT_EQ(resumed.cacheHits, 5u);
-    EXPECT_EQ(m.completed(), jobs.size());
     EXPECT_EQ(resultsJsonl(jobs, resumed), resultsJsonl(jobs, reference));
-
-    // The runner checkpointed the finished manifest to disk.
-    sweep::SweepManifest final_(dir.path, key, jobs.size());
-    ASSERT_TRUE(final_.load(&err)) << err;
-    EXPECT_EQ(final_.completed(), jobs.size());
 }
 
 // ------------------------------------------------- cost-aware scheduling
@@ -538,12 +481,10 @@ TEST(Refine, FindsTheKneeDeterministically)
     auto gridSpec = spec;
     gridSpec.rates = {0.05};
     const auto gridJobs = gridSpec.expand();
-    std::atomic<std::uint64_t> runs{0};
     sweep::RunOptions runOpts;
     runOpts.cache = &cache;
-    runOpts.runCounter = &runs;
     const auto grid = sweep::runSweep(gridJobs, runOpts);
-    EXPECT_EQ(runs.load(), 0u) << "refine point used a different key";
+    EXPECT_EQ(grid.simulated, 0u) << "refine point used a different key";
     ASSERT_EQ(grid.outcomes.size(), 1u);
     EXPECT_TRUE(grid.outcomes[0].fromCache);
 }

@@ -8,7 +8,7 @@
  *   run    --spec sweep.json [--jobs N] [--cache DIR] [--out FILE]
  *          [--job-timeout SEC] [--job-cycles N] [--no-retry]
  *          [--sched auto|cycle|event] [--shards N]
- *          [--order cost|spec] [--resume]
+ *          [--order cost|spec]
  *          Expand the spec into its job grid, serve cached points from
  *          --cache (when given), run the rest on N worker threads
  *          (default: all cores), and write one JSONL row per job to
@@ -36,14 +36,12 @@
  *          from the cache — which collapses the straggler tail on
  *          heterogeneous grids; spec is the original index order.
  *          Results are bit-identical either way (jobs are hermetic).
- *          With --cache, the run checkpoints a sweep manifest (spec
- *          key + per-job completion bitmap) next to the cache.
  *          SIGINT/SIGTERM stop the sweep gracefully: running jobs
  *          abort, pending jobs are skipped, completed results are
- *          flushed to --out and the cache, the exact resume command is
- *          printed, and the exit code is 130. --resume reloads the
- *          manifest and re-simulates only the incomplete jobs (the
- *          content-addressed cache serves the finished ones).
+ *          flushed to --out and the cache, and the exit code is 130.
+ *          Rerunning the same command with the same --cache resumes:
+ *          the content-addressed cache serves every finished job, and
+ *          only the missing ones are simulated.
  *   refine --spec sweep.json [--threshold CYCLES | --knee-factor F]
  *          [--tolerance T] [--max-rounds N] [run options]
  *          Adaptive saturation search: treat each (topology, router,
@@ -73,7 +71,8 @@
  *          renamed to cache.jsonl.migrated; keys are unchanged).
  *
  * Exit codes: 0 on success, 1 when any job failed to run, 2 on usage
- * or spec errors, 130 on interrupt. Deadlocked simulations are
+ * or spec errors (including an option the subcommand never reads),
+ * 130 on interrupt. Deadlocked simulations are
  * results, not failures.
  */
 
@@ -81,12 +80,12 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 
 #include "sim/shard_partition.hh"
 #include "sim/sim_json.hh"
-#include "sweep/manifest.hh"
 #include "sweep/refine.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/runner.hh"
@@ -116,7 +115,7 @@ usage()
         "         [--out results.jsonl] [--job-timeout SEC]\n"
         "         [--job-cycles N] [--no-retry]\n"
         "         [--sched auto|cycle|event] [--shards N]\n"
-        "         [--order cost|spec] [--resume]\n"
+        "         [--order cost|spec]\n"
         "  refine --spec sweep.json [--threshold CYCLES]\n"
         "         [--knee-factor F] [--tolerance T] [--max-rounds N]\n"
         "         [--jobs N] [--cache DIR] [--out refine.jsonl]\n"
@@ -200,24 +199,6 @@ parseRunOptions(const Args &args, sweep::RunOptions *opts)
     return true;
 }
 
-/** The exact command that resumes an interrupted sweep: the flags that
- *  shape the job grid and execution, plus --resume. */
-std::string
-resumeCommand(const Args &args)
-{
-    std::string cmd = "ebda_sweep run --spec " + args.get("spec");
-    for (const char *flag :
-         {"cache", "out", "jobs", "job-timeout", "job-cycles", "sched",
-          "shards", "order"}) {
-        if (args.has(flag))
-            cmd += std::string(" --") + flag + " " + args.get(flag);
-    }
-    if (args.has("no-retry"))
-        cmd += " --no-retry";
-    cmd += " --resume";
-    return cmd;
-}
-
 int
 cmdRun(const Args &args)
 {
@@ -259,11 +240,6 @@ cmdRun(const Args &args)
 
     std::unique_ptr<sweep::ResultCache> cache;
     const auto cache_dir = args.get("cache");
-    if (args.has("resume") && cache_dir.empty()) {
-        std::cerr << "--resume needs --cache (the manifest and the "
-                     "results live there)\n";
-        return 2;
-    }
     if (!cache_dir.empty()) {
         cache = std::make_unique<sweep::ResultCache>(cache_dir);
         opts.cache = cache.get();
@@ -278,28 +254,6 @@ cmdRun(const Args &args)
                       << " corrupted cache entr"
                       << (cache->corruptedLines() == 1 ? "y" : "ies")
                       << '\n';
-    }
-
-    // Checkpoint manifest: bound to this exact expanded job list (the
-    // spec key covers every job key, post --shards), saved as jobs
-    // conclude. A stale manifest — edited spec, different shards — is
-    // rejected on --resume and the sweep starts fresh (the cache still
-    // serves whatever matches).
-    std::unique_ptr<sweep::SweepManifest> manifest;
-    if (cache) {
-        manifest = std::make_unique<sweep::SweepManifest>(
-            cache_dir, sweep::SweepManifest::specKey(jobs), jobs.size());
-        if (args.has("resume")) {
-            std::string err;
-            if (manifest->load(&err))
-                std::cerr << "resuming: " << manifest->completed() << "/"
-                          << manifest->jobs()
-                          << " job(s) already complete\n";
-            else
-                std::cerr << "note: " << err
-                          << "; starting from the cache alone\n";
-        }
-        opts.manifest = manifest.get();
     }
 
     std::cerr << (spec->name.empty() ? std::string("sweep")
@@ -325,17 +279,11 @@ cmdRun(const Args &args)
         if (o.ok && o.result.deadlocked)
             ++deadlocked;
 
-    if (report.interrupted) {
+    if (report.interrupted)
         std::cerr << "interrupted: " << report.skipped
-                  << " job(s) skipped; completed results were "
-                     "written\n";
-        if (manifest)
-            std::cerr << "resume with:\n  " << resumeCommand(args)
-                      << '\n';
-    } else if (manifest
-               && manifest->completed() == manifest->jobs()) {
-        manifest->remove(); // sweep complete; checkpoint obsolete
-    }
+                  << " job(s) skipped; completed results were written"
+                  << (cache ? "; rerun the same command to resume" : "")
+                  << '\n';
 
     std::cerr << "threads " << report.threads << " | simulated "
               << report.simulated << " | cache hits " << report.cacheHits
@@ -610,26 +558,32 @@ main(int argc, char **argv)
         return usage();
     }
 
+    const std::string name = sub.empty() ? cmd : cmd + " " + sub;
+    const std::map<std::string, int (*)(const Args &)> commands = {
+        {"run", cmdRun},
+        {"refine", cmdRefine},
+        {"expand", cmdExpand},
+        {"cache stats", cmdCacheStats},
+        {"cache clear", cmdCacheClear},
+        {"cache compact", cmdCacheCompact},
+        {"cache export", cmdCacheExport},
+        {"cache import", cmdCacheImport},
+    };
+    const auto it = commands.find(name);
+    if (it == commands.end())
+        return usage();
+    int rc = 0;
     try {
-        if (cmd == "run")
-            return cmdRun(args);
-        if (cmd == "refine")
-            return cmdRefine(args);
-        if (cmd == "expand")
-            return cmdExpand(args);
-        if (cmd == "cache" && sub == "stats")
-            return cmdCacheStats(args);
-        if (cmd == "cache" && sub == "clear")
-            return cmdCacheClear(args);
-        if (cmd == "cache" && sub == "compact")
-            return cmdCacheCompact(args);
-        if (cmd == "cache" && sub == "export")
-            return cmdCacheExport(args);
-        if (cmd == "cache" && sub == "import")
-            return cmdCacheImport(args);
+        rc = it->second(args);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;
     }
-    return usage();
+    // An option the command never read was mistyped or belongs to
+    // another command: fail rather than report a run it did not shape.
+    if (const std::string key = args.unread(); rc != 2 && !key.empty()) {
+        std::cerr << "unknown option --" << key << " for " << name << '\n';
+        return 2;
+    }
+    return rc;
 }
